@@ -22,7 +22,6 @@ def parse_args():
     p.add_argument("--gamma", type=float, default=0.05, help="cavity rate; dipole is 4x")
     p.add_argument("--temperature", type=float, default=0.0)
     p.add_argument("--n-fock", type=int, default=80)
-    p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--outdir", type=Path, default=Path("data"))
     return p.parse_args()
 
@@ -40,8 +39,6 @@ def run(args) -> int:
         "--set", f"temperature = {args.temperature}",
         "--output", str(out),
     ]
-    if args.jobs is not None:
-        argv += ["--jobs", str(args.jobs)]
     code = main(argv)
     if code == 0:
         print(f"wrote {out}")

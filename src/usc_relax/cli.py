@@ -34,7 +34,7 @@ SPECTRUM_LEVELS = 6
 
 
 def _cmd_gap_scan(config: RunConfig, args) -> tuple[list[str], list[tuple], tuple[str, ...]]:
-    result = gap_scan(config, jobs=args.jobs)
+    result = gap_scan(config)
     extra = (f"failed points: {len(result.failures)}",)
     return ["g", "epsilon", "lambda"], gap_rows(config, result), extra
 
@@ -215,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--output", help="write the table here instead of stdout")
         p.add_argument("--format", choices=("csv", "json"), help="output format")
-        p.add_argument("--jobs", type=int, help="worker pool size (scans only)")
         p.add_argument("--verbose", action="store_true", help="log per-point progress")
     return parser
 

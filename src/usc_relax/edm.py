@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lindblad import Liouvillian, Trajectory, evolve, lindblad_superoperator, thermal_occupation
-from .operators import fock_ladder
+from .lindblad import Liouvillian, Trajectory, evolve, thermal_occupation
 from . import grwa
 from .operators import ModelParams
 
@@ -206,36 +205,33 @@ def validity_report(p: EdmParams) -> EdmValidity:
     )
 
 
-def effective_dipole_evolve(
-    p: EdmParams,
-    m0: int,
-    times: np.ndarray,
-    rtol: float = 1e-9,
-) -> Trajectory:
+def effective_dipole_evolve(p: EdmParams, m0: int, times: np.ndarray) -> Trajectory:
     """Evolve the dipole ladder from the m0-excitation state |m0><m0|.
 
-    The generator is H = epsilon b^dag b with a cooling dissipator at
-    Gamma_T(epsilon) and a heating dissipator at Gamma_T(-epsilon).  The
-    trajectory carries the excitation number under the key "excitation";
-    population reaching the top ladder rung is surfaced as a warning.
+    The generator is H = epsilon b^dag b with a cooling dissipator b at
+    Gamma_T(epsilon) and a heating dissipator b^dag at Gamma_T(-epsilon).
+    Both the initial state and b^dag b are diagonal, so only populations
+    move: the ladder is a birth-death chain with rates cool*n down from rung
+    n and heat*(n+1) up from it, propagated by the same evolve as the full
+    master equation.  The trajectory carries the excitation number under the
+    key "excitation"; population reaching the top rung is surfaced as a
+    warning.
     """
     if not 0 <= m0 < p.n_boson:
         raise ValueError(f"m0={m0} outside the boson ladder of size {p.n_boson}")
-    b, b_dag = (op.entries.astype(complex) for op in fock_ladder(p.n_boson))
-    number = b_dag @ b
+    n = np.arange(p.n_boson, dtype=float)
     cool = gamma_T(p.epsilon, p)
     heat = gamma_T(-p.epsilon, p)
-    lsup = lindblad_superoperator(p.epsilon * number, [(b, cool), (b_dag, heat)])
     lv = Liouvillian(
-        level_freqs=p.epsilon * np.arange(p.n_boson, dtype=float),
-        matrix=lsup,
+        level_freqs=p.epsilon * n,
+        rates=np.diag(cool * n[1:], k=1) + np.diag(heat * n[1:], k=-1),
         temperature=p.temperature,
         baths=(),
         jumps=(),
     )
     rho0 = np.zeros((p.n_boson, p.n_boson), dtype=complex)
     rho0[m0, m0] = 1.0
-    traj = evolve(lv, rho0, times, observables={"excitation": number.astype(complex)}, rtol=rtol)
+    traj = evolve(lv, rho0, times, observables={"excitation": np.diag(n).astype(complex)})
     top = float(np.max(traj.states[:, p.n_boson - 1, p.n_boson - 1].real))
     if top > 1e-6:
         warnings.warn(

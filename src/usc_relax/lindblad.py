@@ -1,4 +1,4 @@
-"""Thermalizing Lindblad master equation in the system eigenbasis.
+"""Thermalizing secular master equation in the system eigenbasis.
 
 The dissipators act between exact eigenlevels |n>, |m> with jump operators
 |n><m| and golden-rule rates J(|w_mn|) |<n|X|m>|^2, where X is the bath
@@ -6,24 +6,28 @@ coupling operator (photon quadrature a - a^dag for the cavity channel, s_x
 for the dipole).  Downward terms are weighted by (1 + N_T), upward by N_T,
 which makes the Gibbs state of the retained levels exactly stationary.
 
+Because every jump is rank one between eigenlevels, the generator is exactly
+a Pauli rate matrix W on the populations plus an independent exponential
+decay of each coherence (Breuer & Petruccione, The Theory of Open Quantum
+Systems).  The gap, the steady state and the time evolution all come from
+those two M x M blocks, so the cost scales as m_levels^3.
+
 Truncation is two-tier: diagonalize at full n_fock, then keep the lowest
-m_levels eigenlevels for the superoperator (dense spectral work scales as
-m_levels^6).
+m_levels eigenlevels for the master equation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from .eigen import EigenSystem
 from .operators import ModelParams, OperatorMatrix, fock_ladder, spin_operators
 
-DENSE_LEVEL_CAP = 40       # m_levels above this makes the dense eig hopeless
 DEGENERACY_TOL = 1e-9      # |w_mn|/omega_c treated as an exact degeneracy
 STATIONARY_TOL = 1e-9      # |eigenvalue| identifying the steady-state mode
 
@@ -74,8 +78,8 @@ class BathSpec:
         if self.law == "radiative" and self.nu < 1.0:
             raise ValueError(f"radiative exponent must be >= 1, got {self.nu}")
 
-    def spectral_density(self, omega: float) -> float:
-        """J(|omega|) for this channel; J(0) = 0 for both laws."""
+    def spectral_density(self, omega: float | np.ndarray) -> float | np.ndarray:
+        """J(|omega|) for this channel, elementwise on arrays; J(0) = 0 for both laws."""
         w = abs(omega) / self.ref_freq
         if self.law == "ohmic":
             return self.strength * w
@@ -131,8 +135,7 @@ def transition_rates(
     elem2 = np.abs(v.conj().T @ op.entries @ v) ** 2
     w = eig.frequencies[:m_levels]
     gaps = np.abs(w[None, :] - w[:, None])
-    jw = np.vectorize(bath.spectral_density)(gaps)
-    rates = jw * elem2
+    rates = bath.spectral_density(gaps) * elem2
     np.fill_diagonal(rates, 0.0)
     return rates
 
@@ -149,10 +152,15 @@ class JumpRecord:
 
 @dataclass(frozen=True)
 class Liouvillian:
-    """Dense superoperator over the retained eigenlevels (row-major vec)."""
+    """Secular generator over the retained eigenlevels, stored as jump rates.
+
+    Every jump |to><from| is rank one between eigenlevels, so the generator
+    is exactly a Pauli rate equation on the populations plus an independent
+    exponential decay of each coherence; nothing else needs storing.
+    """
 
     level_freqs: np.ndarray          # (M,)
-    matrix: np.ndarray               # (M^2, M^2) complex
+    rates: np.ndarray                # (M, M) real, rates[to, from], zero diagonal
     temperature: float
     baths: tuple[BathSpec, ...]
     jumps: tuple[JumpRecord, ...]
@@ -161,10 +169,32 @@ class Liouvillian:
     def m_levels(self) -> int:
         return len(self.level_freqs)
 
+    @property
+    def population_generator(self) -> np.ndarray:
+        """W = K - diag(sum_to K): d(p)/dt = W p on the populations."""
+        return self.rates - np.diag(self.rates.sum(axis=0))
+
+    @property
+    def coherence_rates(self) -> np.ndarray:
+        """lam_ij = -(G_i + G_j)/2 - i(w_i - w_j), with G the total out-rates."""
+        out = self.rates.sum(axis=0)
+        w = self.level_freqs
+        return -(out[:, None] + out[None, :]) / 2.0 - 1j * (w[:, None] - w[None, :])
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense (M^2, M^2) superoperator (row-major vec), built on demand."""
+        m = self.m_levels
+        lsup = np.diag(self.coherence_rates.reshape(-1))
+        pops = np.arange(m) * (m + 1)
+        lsup[np.ix_(pops, pops)] += self.rates
+        return lsup
+
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """d(rho)/dt for a density matrix in the retained eigenbasis."""
-        m = self.m_levels
-        return (self.matrix @ rho.reshape(-1)).reshape(m, m)
+        out = self.coherence_rates * rho
+        np.fill_diagonal(out, self.population_generator @ np.diag(rho))
+        return out
 
 
 def build_liouvillian(
@@ -174,7 +204,7 @@ def build_liouvillian(
     temperature: float = 0.0,
     m_levels: int = 24,
 ) -> Liouvillian:
-    """Assemble the thermal Liouvillian on the m_levels lowest eigenlevels.
+    """Assemble the thermal jump rates on the m_levels lowest eigenlevels.
 
     Exactly degenerate pairs (|w_mn| < 1e-9 omega_c) get rate zero, which is
     also what J(0) = 0 dictates.  Upward and downward coefficients are built
@@ -182,49 +212,28 @@ def build_liouvillian(
     """
     if temperature < 0.0:
         raise ValueError(f"temperature must be >= 0, got {temperature}")
-    if m_levels > DENSE_LEVEL_CAP:
-        raise ValueError(f"m_levels={m_levels} exceeds the dense cap {DENSE_LEVEL_CAP}")
     w = eig.frequencies[:m_levels].copy()
-    m = m_levels
-    lsup = np.zeros((m * m, m * m), dtype=complex)
+    gap = w[None, :] - w[:, None]                    # [to, from]: w_from - w_to
+    downward = gap >= DEGENERACY_TOL * params.omega_c
+    boltz = np.zeros_like(gap)
+    if temperature > 0.0:
+        x = np.where(downward, gap / temperature, np.inf)
+        boltz = np.where(x > 700.0, 0.0, np.exp(-x))
 
-    # coherent part: diagonal -i(w_i - w_j) on each coherence
-    diag = (-1j * (w[:, None] - w[None, :])).reshape(-1)
-    lsup[np.arange(m * m), np.arange(m * m)] = diag
-
-    def add_dissipator(n: int, mm: int, rate: float):
-        # jump |n><mm| at the given rate
-        if rate == 0.0:
-            return
-        lsup[n * m + n, mm * m + mm] += rate
-        idx = np.arange(m)
-        lsup[mm * m + idx, mm * m + idx] -= 0.5 * rate
-        lsup[idx * m + mm, idx * m + mm] -= 0.5 * rate
-
+    rates = np.zeros_like(gap)
     jumps: list[JumpRecord] = []
-    degen_cut = DEGENERACY_TOL * params.omega_c
     for bath in baths:
-        op = coupling_matrix(params, bath.channel)
-        base = transition_rates(eig, op, bath, m_levels)
-        for n in range(m):
-            for k in range(n + 1, m):
-                gap = w[k] - w[n]
-                if gap < degen_cut or base[n, k] == 0.0:
-                    continue
-                boltz = 0.0
-                if temperature > 0.0:
-                    x = gap / temperature
-                    boltz = 0.0 if x > 700.0 else math.exp(-x)
-                down = base[n, k] / (1.0 - boltz) if boltz else base[n, k]
-                up = down * boltz
-                add_dissipator(n, k, down)
-                jumps.append(JumpRecord(bath.channel, k, n, down))
-                if up > 0.0:
-                    add_dissipator(k, n, up)
-                    jumps.append(JumpRecord(bath.channel, n, k, up))
+        base = transition_rates(eig, coupling_matrix(params, bath.channel), bath, m_levels)
+        down = np.where(downward, base, 0.0) / (1.0 - boltz)
+        up = (down * boltz).T
+        rates += down + up
+        for to, frm in zip(*np.nonzero(down)):
+            jumps.append(JumpRecord(bath.channel, int(frm), int(to), float(down[to, frm])))
+            if up[frm, to] > 0.0:
+                jumps.append(JumpRecord(bath.channel, int(to), int(frm), float(up[frm, to])))
     return Liouvillian(
         level_freqs=w,
-        matrix=lsup,
+        rates=rates,
         temperature=temperature,
         baths=tuple(baths),
         jumps=tuple(jumps),
@@ -232,19 +241,26 @@ def build_liouvillian(
 
 
 def liouvillian_eigenvalues(lv: Liouvillian) -> np.ndarray:
-    """Superoperator eigenvalues sorted by descending Re, then ascending |Im|."""
-    vals = np.linalg.eigvals(lv.matrix)
+    """Generator eigenvalues sorted by descending Re, then ascending |Im|.
+
+    The spectrum is eig(W) on the populations plus lam_ij for every
+    coherence i != j.
+    """
+    off = ~np.eye(lv.m_levels, dtype=bool)
+    vals = np.concatenate(
+        [np.linalg.eigvals(lv.population_generator), lv.coherence_rates[off]]
+    )
     order = np.lexsort((np.abs(vals.imag), -vals.real))
     return vals[order]
 
 
-def liouvillian_gap(lv: Liouvillian, spectrum: np.ndarray | None = None) -> float:
+def liouvillian_gap(lv: Liouvillian) -> float:
     """Re of the slowest non-stationary eigenvalue (the relaxation gap).
 
     Raises if no eigenvalue sits within 1e-9 of zero, which would mean the
     assembly broke trace preservation.
     """
-    vals = liouvillian_eigenvalues(lv) if spectrum is None else spectrum
+    vals = liouvillian_eigenvalues(lv)
     if np.min(np.abs(vals)) > STATIONARY_TOL:
         raise RuntimeError(
             f"no stationary eigenvalue found (closest |lambda| = {np.min(np.abs(vals)):.2e})"
@@ -260,7 +276,7 @@ def gibbs_state(level_freqs: np.ndarray, temperature: float) -> np.ndarray:
     rho = np.zeros((m, m), dtype=complex)
     if temperature <= 0.0:
         # degenerate ground manifolds get equal weights
-        ground = np.isclose(level_freqs, level_freqs[0], rtol=0.0, atol=1e-12)
+        ground = np.abs(level_freqs - level_freqs[0]) <= 1e-12
         rho[np.diag_indices(m)] = ground / np.count_nonzero(ground)
         return rho
     weights = np.exp(-(level_freqs - level_freqs[0]) / temperature)
@@ -268,36 +284,36 @@ def gibbs_state(level_freqs: np.ndarray, temperature: float) -> np.ndarray:
     return rho
 
 
-def steady_state(lv: Liouvillian, spectrum: np.ndarray | None = None) -> np.ndarray:
-    """Stationary density matrix from a direct trace-constrained solve.
+def _closed_class_count(rates: np.ndarray) -> int:
+    """Number of closed communicating classes of the jump graph rates[to, from].
 
-    Replacing one row by the trace functional keeps full double precision
-    even when the gap is tiny (an eigenvector route loses ~eps*||L||/gap).
-    A multi-dimensional kernel is reported, never averaged over.
+    Each closed class carries one stationary population vector, so this is
+    the dimension of the population kernel.  Weak connectivity is not
+    enough: two absorbing levels fed from a common parent form one
+    connected graph with two closed classes.
     """
-    m = lv.m_levels
-    a = lv.matrix.copy()
-    b = np.zeros(m * m, dtype=complex)
-    a[0, :] = 0.0
-    a[0, (np.arange(m) * m) + np.arange(m)] = 1.0
-    b[0] = 1.0
-    try:
-        x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        x = None
-    scale = max(1.0, float(np.linalg.norm(lv.matrix)))
-    if x is None or np.linalg.norm(lv.matrix @ x) > 1e-8 * scale:
-        vals = liouvillian_eigenvalues(lv) if spectrum is None else spectrum
-        n_zero = int(np.count_nonzero(np.abs(vals) < STATIONARY_TOL))
-        if n_zero != 1:
-            raise DegenerateSteadyStateError(
-                f"Liouvillian kernel dimension {n_zero}; steady state not unique"
-            )
-        raise RuntimeError("trace-constrained solve failed to produce a kernel vector")
-    rho = x.reshape(m, m)
-    rho = (rho + rho.conj().T) / 2.0
-    rho /= np.trace(rho).real
-    return rho
+    m = len(rates)
+    reach = (rates.T > 0.0) | np.eye(m, dtype=bool)   # reach[i, j]: i -> j
+    for _ in range(m.bit_length()):                     # paths up to length 2^k
+        reach = reach @ reach
+    closed = np.all(reach <= reach.T, axis=1)          # everything reached returns
+    return len(np.unique(reach[closed], axis=0))
+
+
+def steady_state(lv: Liouvillian) -> np.ndarray:
+    """The Gibbs state, once the rate graph shows it is the only stationary one.
+
+    build_liouvillian makes upward and downward rates obey detailed balance,
+    so the Gibbs state is stationary by construction; it is unique iff the
+    jump graph has exactly one closed communicating class.  A
+    multi-dimensional kernel is reported, never averaged over.
+    """
+    n_closed = _closed_class_count(lv.rates)
+    if n_closed != 1:
+        raise DegenerateSteadyStateError(
+            f"Liouvillian kernel dimension {n_closed}; steady state not unique"
+        )
+    return gibbs_state(lv.level_freqs, lv.temperature)
 
 
 @dataclass(frozen=True)
@@ -321,13 +337,13 @@ def evolve(
     rho0: np.ndarray,
     times: np.ndarray,
     observables: dict[str, np.ndarray] | None = None,
-    rtol: float = 1e-8,
     projection_deficit: float = 0.0,
 ) -> Trajectory:
-    """Integrate d(rho)/dt = L rho through an adaptive stiff-capable solver.
+    """Propagate d(rho)/dt = L rho exactly on the given time grid.
 
-    The complex system is unfolded to real form [[Re L, -Im L], [Im L, Re L]]
-    so LSODA can switch between Adams and BDF as the run demands.
+    Populations step through expm(W dt) between grid points (W may be
+    defective at T = 0, so no eigendecomposition); each coherence is
+    rho_ij(0) exp(lam_ij t).
     """
     m = lv.m_levels
     if rho0.shape != (m, m):
@@ -335,24 +351,14 @@ def evolve(
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) < 2 or np.any(np.diff(times) <= 0.0):
         raise ValueError("times must be a strictly ascending 1-D grid")
-    lr, li = lv.matrix.real, lv.matrix.imag
-    big = np.block([[lr, -li], [li, lr]])
-    y0 = np.concatenate([rho0.reshape(-1).real, rho0.reshape(-1).imag])
-    sol = solve_ivp(
-        lambda t, y: big @ y,
-        (times[0], times[-1]),
-        y0,
-        method="LSODA",
-        t_eval=times,
-        rtol=rtol,
-        atol=rtol * 1e-2,
-        jac=lambda t, y: big,
-    )
-    if not sol.success:
-        reached = sol.t[-1] if len(sol.t) else times[0]
-        raise RuntimeError(f"integration failed at t = {reached:.4g}: {sol.message}")
-    n = m * m
-    states = (sol.y[:n, :] + 1j * sol.y[n:, :]).T.reshape(len(times), m, m)
+    elapsed = (times - times[0])[:, None, None]
+    states = rho0 * np.exp(lv.coherence_rates * elapsed)
+    w_gen = lv.population_generator
+    pops = np.diag(rho0)
+    diag = np.arange(m)
+    for k, dt in enumerate(np.diff(times), start=1):
+        pops = expm(w_gen * dt) @ pops
+        states[k, diag, diag] = pops
     obs = {}
     if observables:
         for name, op in observables.items():
@@ -380,31 +386,6 @@ def project_pure_state(eig: EigenSystem, psi: np.ndarray, m_levels: int) -> tupl
         raise ValueError("state has no weight on the retained levels")
     rho0 = np.outer(coeff, coeff.conj()) / weight
     return rho0, 1.0 - weight
-
-
-def lindblad_superoperator(
-    hamiltonian: np.ndarray, jumps: Sequence[tuple[np.ndarray, float]]
-) -> np.ndarray:
-    """Generic dense Lindblad superoperator (row-major vec convention).
-
-    L = -i(H x 1 - 1 x H^T) + sum_k r_k [c x c* - (c^dag c x 1 + 1 x (c^dag c)^T)/2].
-    """
-    d = hamiltonian.shape[0]
-    if hamiltonian.shape != (d, d):
-        raise ValueError("hamiltonian must be square")
-    eye = np.eye(d)
-    lsup = -1j * (np.kron(hamiltonian, eye) - np.kron(eye, hamiltonian.T))
-    for c, rate in jumps:
-        if c.shape != (d, d):
-            raise ValueError("jump operator shape mismatch")
-        if rate < 0.0:
-            raise ValueError(f"jump rate must be >= 0, got {rate}")
-        cdc = c.conj().T @ c
-        lsup += rate * (
-            np.kron(c, c.conj())
-            - 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
-        )
-    return lsup
 
 
 # ---------------------------------------------------------------------------

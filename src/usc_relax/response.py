@@ -47,7 +47,7 @@ def thermal_weights(freqs: np.ndarray, temperature: float) -> np.ndarray:
     if temperature < 0.0:
         raise ValueError(f"temperature must be >= 0, got {temperature}")
     if temperature == 0.0:
-        w = np.isclose(freqs, freqs[0], rtol=0.0, atol=1e-12).astype(float)
+        w = (np.abs(freqs - freqs[0]) <= 1e-12).astype(float)
         return w / w.sum()
     w = np.exp(-(freqs - freqs[0]) / temperature)
     w /= w.sum()

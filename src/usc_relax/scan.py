@@ -1,9 +1,9 @@
 """Parameter scans over the relaxation-gap phase diagram, plus table emission.
 
-Scan points are independent: each worker rebuilds its own operators from the
-(config, axis-values) payload, so the pool shares nothing.  A failing point
-is recorded as NaN with a log entry instead of aborting the scan; a 400-point
-phase diagram should survive isolated truncation failures.
+Scan points are independent and run in sequence: each rebuilds its own
+operators from the config and its axis values.  A failing point is recorded
+as NaN with a log entry instead of aborting the scan; a 400-point phase
+diagram should survive isolated truncation failures.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterable, TextIO
 
@@ -33,26 +31,13 @@ class ScanResult:
 
     axes: tuple[ScanAxis, ...]
     values: np.ndarray            # shape = tuple of axis point counts
-    metadata: tuple[str, ...]     # version, config echo, truncation report
+    metadata: tuple[str, ...]     # version, config echo, failed-point count
     failures: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         expected = tuple(ax.points for ax in self.axes)
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape} != axes shape {expected}")
-
-
-def resolve_jobs(jobs: int | None) -> int:
-    """--jobs flag, then USC_RELAX_JOBS, then hardware parallelism."""
-    if jobs is not None:
-        return max(1, jobs)
-    env = os.environ.get("USC_RELAX_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"USC_RELAX_JOBS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
 
 
 def _apply_axis_values(config: RunConfig, point: dict[str, float]) -> RunConfig:
@@ -68,8 +53,7 @@ def _apply_axis_values(config: RunConfig, point: dict[str, float]) -> RunConfig:
     return replace(config, model=model, temperature=temperature)
 
 
-def _gap_point(payload: tuple[RunConfig, dict[str, float]]) -> tuple[float, str | None]:
-    config, point = payload
+def _gap_point(config: RunConfig, point: dict[str, float]) -> tuple[float, str | None]:
     try:
         cfg = _apply_axis_values(config, point)
         eig = diagonalize(build_rabi(cfg.model))
@@ -93,7 +77,7 @@ def scan_points(axes: tuple[ScanAxis, ...]) -> list[dict[str, float]]:
     return points
 
 
-def gap_scan(config: RunConfig, jobs: int | None = None) -> ScanResult:
+def gap_scan(config: RunConfig) -> ScanResult:
     """Liouvillian gap over a 1- or 2-axis (g, epsilon, T) grid."""
     if not config.scan:
         raise ValueError("gap-scan needs at least one scan axis (add scan = ...)")
@@ -102,15 +86,7 @@ def gap_scan(config: RunConfig, jobs: int | None = None) -> ScanResult:
     for ax in config.scan:
         if ax.name == "omega":
             raise ValueError("gap-scan axes must be g, epsilon, or T, not omega")
-    points = scan_points(config.scan)
-    payloads = [(config, point) for point in points]
-    n_jobs = resolve_jobs(jobs)
-    if n_jobs == 1 or len(points) == 1:
-        outcomes = [_gap_point(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            chunk = max(1, len(payloads) // (4 * n_jobs))
-            outcomes = list(pool.map(_gap_point, payloads, chunksize=chunk))
+    outcomes = [_gap_point(config, point) for point in scan_points(config.scan)]
     values = np.array([v for v, _ in outcomes])
     failures = tuple(msg for _, msg in outcomes if msg is not None)
     for msg in failures:

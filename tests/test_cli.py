@@ -13,7 +13,6 @@ from usc_relax.dipole import WellParams, tla_parameters
 from usc_relax.eigen import diagonalize
 from usc_relax.lindblad import BathSpec, build_liouvillian, liouvillian_gap
 from usc_relax.operators import ModelParams, build_rabi
-from usc_relax.scan import resolve_jobs
 
 
 def run_cli(*argv: str) -> int:
@@ -56,7 +55,6 @@ def test_gap_scan_single_point_matches_direct_call(tmp_path):
         "gap-scan",
         "--set", "scan = g, 2.0, 2.0, 1",
         "--set", "bath = cavity, ohmic, 0.02, 1.0",
-        "--jobs", "1",
         "--output", str(out),
     )
     assert code == 0
@@ -82,7 +80,6 @@ def test_gap_scan_failures_become_nan_then_json_null(tmp_path):
         "--set", "scan = g, 1.0, 1.0, 1",
         "--set", "bath = cavity, ohmic, 0.02, 1.0",
         "--set", "model.n_fock = 5",      # 10 levels cannot feed m_levels = 24
-        "--jobs", "1",
         "--format", "json",
         "--output", str(out),
     )
@@ -276,21 +273,6 @@ def test_wrong_scan_axis_exits_2(capsys):
 
 
 def test_gap_scan_requires_bath(capsys):
-    assert run_cli("gap-scan", "--set", "scan = g, 1, 2, 2", "--jobs", "1") == 2
+    assert run_cli("gap-scan", "--set", "scan = g, 1, 2, 2") == 2
     assert "bath" in capsys.readouterr().err
 
-
-# ---------------------------------------------------------------------------
-# worker pool sizing
-# ---------------------------------------------------------------------------
-
-def test_resolve_jobs_precedence(monkeypatch):
-    monkeypatch.setenv("USC_RELAX_JOBS", "3")
-    assert resolve_jobs(None) == 3
-    assert resolve_jobs(2) == 2          # explicit flag wins over the env var
-    assert resolve_jobs(0) == 1          # clamped to at least one worker
-    monkeypatch.setenv("USC_RELAX_JOBS", "many")
-    with pytest.raises(ValueError, match="USC_RELAX_JOBS"):
-        resolve_jobs(None)
-    monkeypatch.delenv("USC_RELAX_JOBS")
-    assert resolve_jobs(None) >= 1

@@ -1,8 +1,8 @@
 """Thermal Lindblad assembly in the dressed eigenbasis, evolution, and fits.
 
-The assembled superoperator is cross-checked against an independent dense
-Kronecker construction, and the weak-coupling / two-level limits against
-closed forms.
+The rate-matrix generator, its spectrum and its exact propagation are
+cross-checked against an independent dense Kronecker construction, and the
+weak-coupling / two-level limits against closed forms.
 """
 
 from __future__ import annotations
@@ -13,12 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 import oracles
 from usc_relax.eigen import certified_eigensystem, diagonalize
 from usc_relax.lindblad import (
     BathSpec,
     DegenerateSteadyStateError,
+    Liouvillian,
     OverdampedSeriesError,
     build_liouvillian,
     cavity_bath,
@@ -30,7 +32,6 @@ from usc_relax.lindblad import (
     liouvillian_eigenvalues,
     liouvillian_gap,
     project_pure_state,
-    lindblad_superoperator,
     steady_state,
     thermal_occupation,
     transition_rates,
@@ -42,6 +43,18 @@ def _qubit_system(omega_d=0.7, n_fock=8):
     params = ModelParams(g=0.0, omega_d=omega_d, epsilon=0.0, n_fock=n_fock)
     eig = diagonalize(build_rabi(params))
     return params, eig
+
+
+def _oracle_generator(lv):
+    """Dense Kronecker generator rebuilt from the recorded jumps."""
+    m = lv.m_levels
+    ham = np.diag(lv.level_freqs).astype(complex)
+    jumps = []
+    for j in lv.jumps:
+        c = np.zeros((m, m), dtype=complex)
+        c[j.to_level, j.from_level] = 1.0
+        jumps.append((c, j.rate))
+    return oracles.dense_lindblad_generator(ham, jumps)
 
 
 # ---------------------------------------------------------------------------
@@ -175,16 +188,35 @@ def test_matches_dense_kron_generator():
     assert np.allclose(lv.matrix, ref, atol=1e-13)
 
 
-def test_generic_superoperator_matches_kron_oracle():
-    rng = np.random.default_rng(5)
-    h = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    h = h + h.conj().T
-    c1 = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    c2 = np.diag(rng.normal(size=5)).astype(complex)
-    jumps = [(c1, 0.3), (c2, 1.7)]
-    mine = lindblad_superoperator(h, jumps)
-    ref = oracles.dense_lindblad_generator(h, jumps)
-    assert np.allclose(mine, ref, atol=1e-13)
+@pytest.mark.parametrize("temperature", [0.0, 0.3])
+def test_gap_matches_dense_oracle_spectrum(temperature, eig_cache):
+    # epsilon = 0 at g = 3: the gap is exponentially suppressed (~4e-7 at T = 0)
+    params = ModelParams.auto(g=3.0, epsilon=0.0)
+    eig = eig_cache(params, levels=20)
+    lv = build_liouvillian(
+        eig, params, [cavity_bath(0.05), dipole_bath(0.2)], temperature, m_levels=20
+    )
+    vals = np.linalg.eigvals(_oracle_generator(lv))
+    vals = vals[np.lexsort((np.abs(vals.imag), -vals.real))]
+    slowest = np.delete(vals, np.argmin(np.abs(vals)))[0].real
+    assert liouvillian_gap(lv) == pytest.approx(slowest, rel=1e-10)
+
+
+def test_evolve_with_coherences_matches_expm_of_dense_oracle():
+    params = ModelParams.auto(g=1.5, epsilon=0.3)
+    eig = certified_eigensystem(params, levels=8, builder=build_polaron_rabi)
+    lv = build_liouvillian(
+        eig, params, [cavity_bath(0.04), dipole_bath(0.16)], temperature=0.25, m_levels=8
+    )
+    rng = np.random.default_rng(3)
+    psi = rng.normal(size=8) + 1j * rng.normal(size=8)
+    rho0 = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+    times = np.linspace(0.0, 40.0, 21)
+    traj = evolve(lv, rho0, times)
+    gen = _oracle_generator(lv)
+    for t, state in zip(times, traj.states):
+        ref = (expm(gen * t) @ rho0.reshape(-1)).reshape(8, 8)
+        assert np.max(np.abs(state - ref)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +252,22 @@ def test_decoupled_sector_reports_degenerate_kernel():
     params, eig = _qubit_system()
     lv = build_liouvillian(eig, params, [cavity_bath(0.05)], 0.0, m_levels=6)
     with pytest.raises(DegenerateSteadyStateError, match="kernel dimension"):
+        steady_state(lv)
+
+
+def test_two_absorbing_levels_report_degenerate_kernel():
+    # jumps 2 -> 0 and 2 -> 1 only: one connected graph, two closed classes
+    rates = np.zeros((3, 3))
+    rates[0, 2] = 0.1
+    rates[1, 2] = 0.05
+    lv = Liouvillian(
+        level_freqs=np.array([0.0, 0.5, 1.0]),
+        rates=rates,
+        temperature=0.0,
+        baths=(),
+        jumps=(),
+    )
+    with pytest.raises(DegenerateSteadyStateError, match="kernel dimension 2"):
         steady_state(lv)
 
 
