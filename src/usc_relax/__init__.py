@@ -41,7 +41,6 @@ from .response import (
     SpectrumGrid,
     cavity_structure_factor,
     dipole_structure_factor,
-    radiation_impedance,
     system_impedance,
     transmission,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "cavity_structure_factor",
     "dipole_structure_factor",
     "system_impedance",
-    "radiation_impedance",
     "transmission",
     "EdmParams",
     "gamma_T",

@@ -227,7 +227,6 @@ def effective_dipole_evolve(p: EdmParams, m0: int, times: np.ndarray) -> Traject
         rates=np.diag(cool * n[1:], k=1) + np.diag(heat * n[1:], k=-1),
         temperature=p.temperature,
         baths=(),
-        jumps=(),
     )
     rho0 = np.zeros((p.n_boson, p.n_boson), dtype=complex)
     rho0[m0, m0] = 1.0

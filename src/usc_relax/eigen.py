@@ -4,12 +4,13 @@ Eigenvectors out of LAPACK carry arbitrary phases (and arbitrary mixing
 inside degenerate subspaces), which makes downstream matrix elements
 irreproducible between runs.  diagonalize() pins the gauge: in every
 eigenvector the largest-magnitude component is made real and positive,
-with ties broken by the lowest index.
+with ties broken by the lowest index.  A real symmetric operator keeps
+real eigenvectors, whose gauge is then a sign.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,23 +37,22 @@ class EigenSystem:
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    out = np.array(vectors, dtype=complex, copy=True)
-    for n in range(out.shape[1]):
-        col = out[:, n]
-        mags = np.abs(col)
-        # np.argmax returns the first maximum, which is the tie-break we want
-        lead = int(np.argmax(mags))
-        if mags[lead] == 0.0:
-            continue
-        out[:, n] = col * (mags[lead] / col[lead])
-    return out
+    mags = np.abs(vectors)
+    cols = np.arange(vectors.shape[1])
+    # np.argmax returns the first maximum, which is the tie-break we want
+    lead = np.argmax(mags, axis=0)
+    peak = mags[lead, cols]
+    scale = np.ones(len(cols), dtype=vectors.dtype)
+    np.divide(peak, vectors[lead, cols], out=scale, where=peak != 0.0)
+    return vectors * scale
 
 
 def diagonalize(op: OperatorMatrix, hermiticity_tol: float = HERMITICITY_TOL) -> EigenSystem:
     """Full sorted eigensystem of a Hermitian operator.
 
     Rejects operators whose relative Frobenius asymmetry exceeds
-    hermiticity_tol instead of silently symmetrizing.
+    hermiticity_tol instead of silently symmetrizing.  Operators with no
+    imaginary part get real eigenvectors.
     """
     defect = op.hermiticity_defect()
     if defect > hermiticity_tol:
@@ -60,15 +60,11 @@ def diagonalize(op: OperatorMatrix, hermiticity_tol: float = HERMITICITY_TOL) ->
             f"operator '{op.label}' is not Hermitian: relative defect {defect:.3e}"
         )
     h = op.entries
-    if np.iscomplexobj(h) and np.any(h.imag != 0.0):
-        freqs, vecs = np.linalg.eigh(h)
-    else:
-        # real-symmetric path keeps vectors exactly real before gauge fixing
-        freqs, vecs = np.linalg.eigh(h.real if np.iscomplexobj(h) else h)
-        vecs = vecs.astype(complex)
-    vecs = _fix_phases(vecs)
+    if np.iscomplexobj(h) and not np.any(h.imag != 0.0):
+        h = h.real
+    freqs, vecs = np.linalg.eigh(h)
     return EigenSystem(
-        frequencies=freqs, vectors=vecs, dim=op.dim, converged_levels=op.dim
+        frequencies=freqs, vectors=_fix_phases(vecs), dim=op.dim, converged_levels=op.dim
     )
 
 
@@ -79,6 +75,32 @@ class ConvergenceReport:
     fock_sizes: tuple[int, ...]
     drifts: np.ndarray  # shape (len(fock_sizes) - 1, n_levels)
     converged_levels: int
+
+
+def _drift_ladder(
+    params: ModelParams,
+    fock_sizes: Sequence[int],
+    n_levels: int,
+    builder: Callable[[ModelParams], OperatorMatrix],
+    drift_tol: float,
+) -> tuple[ConvergenceReport, list[EigenSystem]]:
+    """The drift report plus the eigensystem at each of its sorted sizes."""
+    sizes = sorted(set(int(s) for s in fock_sizes))
+    if len(sizes) < 2:
+        raise ValueError("need at least two Fock sizes to measure drift")
+    eigs = [diagonalize(builder(replace(params, n_fock=size))) for size in sizes]
+    drifts = np.abs(np.diff(np.array([e.frequencies[:n_levels] for e in eigs]), axis=0))
+    final = drifts[-1]
+    converged = 0
+    for lvl in range(n_levels):
+        if final[lvl] < drift_tol:
+            converged = lvl + 1
+        else:
+            break
+    report = ConvergenceReport(
+        fock_sizes=tuple(sizes), drifts=drifts, converged_levels=converged
+    )
+    return report, eigs
 
 
 def convergence_check(
@@ -94,26 +116,7 @@ def convergence_check(
     the two largest truncations stays below drift_tol (absolute, in the
     energy units of the Hamiltonian).
     """
-    sizes = sorted(set(int(s) for s in fock_sizes))
-    if len(sizes) < 2:
-        raise ValueError("need at least two Fock sizes to measure drift")
-    from dataclasses import replace
-
-    spectra = []
-    for size in sizes:
-        eig = diagonalize(builder(replace(params, n_fock=size)))
-        spectra.append(eig.frequencies[:n_levels])
-    drifts = np.abs(np.diff(np.array(spectra), axis=0))
-    final = drifts[-1]
-    converged = 0
-    for lvl in range(n_levels):
-        if final[lvl] < drift_tol:
-            converged = lvl + 1
-        else:
-            break
-    return ConvergenceReport(
-        fock_sizes=tuple(sizes), drifts=drifts, converged_levels=converged
-    )
+    return _drift_ladder(params, fock_sizes, n_levels, builder, drift_tol)[0]
 
 
 def certified_eigensystem(
@@ -126,24 +129,16 @@ def certified_eigensystem(
     """Diagonalize at params.n_fock and certify the lowest `levels` by drift.
 
     Raises if the requested prefix is not converged at the stated truncation;
-    callers should enlarge n_fock rather than trust drifting levels.
+    callers should enlarge n_fock rather than trust drifting levels.  The
+    returned eigensystem is the drift ladder's own solve at params.n_fock.
     """
-    report = convergence_check(
-        params,
-        (params.n_fock, params.n_fock + margin),
-        n_levels=levels,
-        builder=builder,
-        drift_tol=drift_tol,
+    report, eigs = _drift_ladder(
+        params, (params.n_fock, params.n_fock + margin), levels, builder, drift_tol
     )
     if report.converged_levels < levels:
         raise ValueError(
             f"only {report.converged_levels}/{levels} levels converged at "
             f"n_fock={params.n_fock}; increase the truncation"
         )
-    eig = diagonalize(builder(params))
-    return EigenSystem(
-        frequencies=eig.frequencies,
-        vectors=eig.vectors,
-        dim=eig.dim,
-        converged_levels=levels,
-    )
+    eig = eigs[report.fock_sizes.index(params.n_fock)]
+    return replace(eig, converged_levels=levels)

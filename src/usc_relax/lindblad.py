@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -97,22 +98,32 @@ def dipole_bath(kappa: float, omega_d: float = 1.0, ohmic: bool = False) -> Bath
     return BathSpec(channel="dipole", law=law, strength=kappa, ref_freq=omega_d)
 
 
+@lru_cache(maxsize=8)
+def _coupling_operator(n_fock: int, spin_n: int, channel: str) -> OperatorMatrix:
+    """Read-only real coupling operator; it depends on the truncation alone."""
+    if channel == "cavity":
+        a, ad = fock_ladder(n_fock)
+        mat = np.kron(np.eye(spin_n + 1), a.entries - ad.entries)
+        label = "a-a_dag"
+    else:
+        sx = spin_operators(spin_n)[0].entries.real
+        mat = np.kron(sx, np.eye(n_fock))
+        label = "S_x"
+    mat.flags.writeable = False
+    return OperatorMatrix(dim=mat.shape[0], entries=mat, label=label)
+
+
 def coupling_matrix(params: ModelParams, channel: str) -> OperatorMatrix:
-    """Bare bath coupling operator on the product space.
+    """Bare bath coupling operator on the product space, real and read-only.
 
     Cavity couples through the quadrature (a - a^dag) (anti-Hermitian; only
     |elements|^2 enter rates), dipole through S_x.  Both commute with the
-    polaron transform, so the same operators serve in either frame.
+    polaron transform, so the same operators serve in either frame.  One
+    cached copy per truncation is shared by every caller.
     """
-    if channel == "cavity":
-        a, ad = fock_ladder(params.n_fock)
-        mat = np.kron(np.eye(params.spin_n + 1), a.entries - ad.entries)
-        return OperatorMatrix(dim=params.dim, entries=mat, label="a-a_dag")
-    if channel == "dipole":
-        sx = spin_operators(params.spin_n)[0]
-        mat = np.kron(sx.entries, np.eye(params.n_fock))
-        return OperatorMatrix(dim=params.dim, entries=mat, label="S_x")
-    raise ValueError(f"unknown bath channel {channel!r}")
+    if channel not in ("cavity", "dipole"):
+        raise ValueError(f"unknown bath channel {channel!r}")
+    return _coupling_operator(params.n_fock, params.spin_n, channel)
 
 
 def transition_rates(
@@ -141,29 +152,19 @@ def transition_rates(
 
 
 @dataclass(frozen=True)
-class JumpRecord:
-    """One assembled dissipator |to><from| with its thermally weighted rate."""
-
-    channel: str
-    from_level: int
-    to_level: int
-    rate: float
-
-
-@dataclass(frozen=True)
 class Liouvillian:
     """Secular generator over the retained eigenlevels, stored as jump rates.
 
     Every jump |to><from| is rank one between eigenlevels, so the generator
     is exactly a Pauli rate equation on the populations plus an independent
-    exponential decay of each coherence; nothing else needs storing.
+    exponential decay of each coherence; nothing else needs storing.  The
+    jumps themselves are the nonzero entries of rates, summed over baths.
     """
 
     level_freqs: np.ndarray          # (M,)
     rates: np.ndarray                # (M, M) real, rates[to, from], zero diagonal
     temperature: float
     baths: tuple[BathSpec, ...]
-    jumps: tuple[JumpRecord, ...]
 
     @property
     def m_levels(self) -> int:
@@ -221,22 +222,12 @@ def build_liouvillian(
         boltz = np.where(x > 700.0, 0.0, np.exp(-x))
 
     rates = np.zeros_like(gap)
-    jumps: list[JumpRecord] = []
     for bath in baths:
         base = transition_rates(eig, coupling_matrix(params, bath.channel), bath, m_levels)
         down = np.where(downward, base, 0.0) / (1.0 - boltz)
-        up = (down * boltz).T
-        rates += down + up
-        for to, frm in zip(*np.nonzero(down)):
-            jumps.append(JumpRecord(bath.channel, int(frm), int(to), float(down[to, frm])))
-            if up[frm, to] > 0.0:
-                jumps.append(JumpRecord(bath.channel, int(to), int(frm), float(up[frm, to])))
+        rates += down + (down * boltz).T
     return Liouvillian(
-        level_freqs=w,
-        rates=rates,
-        temperature=temperature,
-        baths=tuple(baths),
-        jumps=tuple(jumps),
+        level_freqs=w, rates=rates, temperature=temperature, baths=tuple(baths)
     )
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -227,24 +228,44 @@ def _hermitize(h: np.ndarray) -> np.ndarray:
     return (h + h.conj().T) / 2.0
 
 
+@lru_cache(maxsize=4)
+def _rabi_terms(n_fock: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only real (N, S_z, S_x, S_x (a + a^dag)) on the spin-1/2 (x) Fock space.
+
+    They carry no model parameter, so a scan at fixed n_fock builds them once;
+    the arrays are shared between callers and therefore locked against writes.
+    """
+    a, ad = fock_ladder(n_fock)
+    sx, _, sz = (op.entries.real for op in spin_operators(1))
+    eye_f = np.eye(n_fock)
+    terms = (
+        _tensor(np.eye(2), ad.entries @ a.entries),
+        _tensor(sz, eye_f),
+        _tensor(sx, eye_f),
+        _tensor(sx, a.entries + ad.entries),
+    )
+    for term in terms:
+        term.flags.writeable = False
+    return terms
+
+
 def build_rabi(params: ModelParams) -> OperatorMatrix:
-    """Lab-frame asymmetric Rabi Hamiltonian for spin_n = 1.
+    """Lab-frame asymmetric Rabi Hamiltonian for spin_n = 1, as a real matrix.
 
     H = omega_c a^dag a + omega_d s_z + epsilon s_x + g (a + a^dag) s_x.
+    Every term is real symmetric, so H is exactly symmetric without
+    hermitizing.
     """
     if params.spin_n != 1:
         raise ValueError("build_rabi is the two-level model; use build_edm for spin_n > 1")
-    a, ad = fock_ladder(params.n_fock)
-    sx, _, sz = spin_operators(1)
-    eye_s = np.eye(2)
-    eye_f = np.eye(params.n_fock)
+    num, sz, sx, sx_quad = _rabi_terms(params.n_fock)
     h = (
-        params.omega_c * _tensor(eye_s, ad.entries @ a.entries)
-        + params.omega_d * _tensor(sz.entries, eye_f)
-        + params.epsilon * _tensor(sx.entries, eye_f)
-        + params.g * _tensor(sx.entries, a.entries + ad.entries)
+        params.omega_c * num
+        + params.omega_d * sz
+        + params.epsilon * sx
+        + params.g * sx_quad
     )
-    return _op(_hermitize(h), "H_rabi")
+    return _op(h, "H_rabi")
 
 
 def polaron_constant(params: ModelParams) -> float:

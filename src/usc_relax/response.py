@@ -150,11 +150,6 @@ def system_impedance(s_c: SpectrumGrid) -> SpectrumGrid:
     )
 
 
-def radiation_impedance(s_dip: SpectrumGrid) -> SpectrumGrid:
-    """Z_rad(w) = -i w S_dip(w) in natural units (pointwise map)."""
-    return system_impedance(s_dip)
-
-
 def transmission(z_sys: SpectrumGrid, q_factor: float) -> SpectrumGrid:
     """Current transmission T(w) = Q^{-1} / (Q^{-1} + Z_LC / Z_sys), Z_LC = 1.
 

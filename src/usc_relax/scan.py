@@ -1,9 +1,11 @@
 """Parameter scans over the relaxation-gap phase diagram, plus table emission.
 
-Scan points are independent and run in sequence: each rebuilds its own
-operators from the config and its axis values.  A failing point is recorded
-as NaN with a log entry instead of aborting the scan; a 400-point phase
-diagram should survive isolated truncation failures.
+Scan points are independent and run in sequence: each builds its
+Hamiltonian from the config and its axis values, while the parameter-free
+operator terms are built once per Fock truncation and shared.  Each point
+logs one INFO line (axis values, n_fock, seconds).  A failing point is
+recorded as NaN with a log entry instead of aborting the scan; a 400-point
+phase diagram should survive isolated truncation failures.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import time
 from dataclasses import dataclass, replace
 from typing import Iterable, TextIO
 
@@ -54,16 +57,22 @@ def _apply_axis_values(config: RunConfig, point: dict[str, float]) -> RunConfig:
 
 
 def _gap_point(config: RunConfig, point: dict[str, float]) -> tuple[float, str | None]:
+    start = time.perf_counter()
+    where = ", ".join(f"{k}={v:.6g}" for k, v in point.items())
     try:
         cfg = _apply_axis_values(config, point)
         eig = diagonalize(build_rabi(cfg.model))
         lv = build_liouvillian(
             eig, cfg.model, cfg.baths, temperature=cfg.temperature, m_levels=cfg.m_levels
         )
-        return liouvillian_gap(lv), None
+        outcome = liouvillian_gap(lv), None
     except Exception as exc:   # noqa: BLE001 - NaN-and-continue is the contract
-        where = ", ".join(f"{k}={v:.6g}" for k, v in point.items())
-        return math.nan, f"({where}): {exc}"
+        outcome = math.nan, f"({where}): {exc}"
+    log.info(
+        "gap point (%s): n_fock=%d, %.4f s",
+        where, config.model.n_fock, time.perf_counter() - start,
+    )
+    return outcome
 
 
 def scan_points(axes: tuple[ScanAxis, ...]) -> list[dict[str, float]]:

@@ -7,6 +7,7 @@ import pytest
 
 from usc_relax.eigen import (
     ConvergenceReport,
+    _fix_phases,
     certified_eigensystem,
     convergence_check,
     diagonalize,
@@ -38,13 +39,39 @@ def test_vectors_reconstruct_operator():
 def test_phase_gauge_leading_component_positive():
     rng = np.random.default_rng(7)
     h = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
-    h = h + h.conj().T
-    eig = diagonalize(OperatorMatrix(dim=40, entries=h, label="random"))
-    for n in range(40):
-        col = eig.vectors[:, n]
-        lead = int(np.argmax(np.abs(col)))
-        assert col[lead].imag == pytest.approx(0.0, abs=1e-14)
-        assert col[lead].real > 0.0
+    # a complex Hermitian input, and a real symmetric one that keeps real vectors
+    for entries in (h + h.conj().T, h.real + h.real.T):
+        eig = diagonalize(OperatorMatrix(dim=40, entries=entries, label="random"))
+        assert eig.vectors.dtype == entries.dtype
+        for n in range(40):
+            col = eig.vectors[:, n]
+            lead = int(np.argmax(np.abs(col)))
+            assert col[lead].imag == pytest.approx(0.0, abs=1e-14)
+            assert col[lead].real > 0.0
+
+
+def _fix_phases_per_column(vectors):
+    """The gauge rule one column at a time: the reference for _fix_phases."""
+    out = np.array(vectors, copy=True)
+    for n in range(out.shape[1]):
+        mags = np.abs(out[:, n])
+        lead = int(np.argmax(mags))
+        if mags[lead] != 0.0:
+            out[:, n] *= mags[lead] / out[lead, n]
+    return out
+
+
+def test_fix_phases_matches_per_column_rule():
+    rng = np.random.default_rng(5)
+    vecs = rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5))
+    vecs[:, 1] = [0.0, -0.5, 0.5j, 0.5, 0.1, 0.0]   # tie: the first index wins
+    vecs[:, 3] = 0.0                               # zero column stays as it is
+    for v in (vecs, vecs.real):
+        fixed = _fix_phases(v)
+        assert fixed.dtype == v.dtype
+        assert np.array_equal(fixed, _fix_phases_per_column(v))
+    assert _fix_phases(vecs)[1, 1] == 0.5
+    assert np.array_equal(_fix_phases(vecs)[:, 3], np.zeros(6))
 
 
 def test_phase_gauge_is_basis_stable():

@@ -46,14 +46,18 @@ def _qubit_system(omega_d=0.7, n_fock=8):
 
 
 def _oracle_generator(lv):
-    """Dense Kronecker generator rebuilt from the recorded jumps."""
+    """Dense Kronecker generator rebuilt from the jumps |to><from| in lv.rates.
+
+    Per-bath jumps with the same operator |to><from| add their rates, and the
+    dissipator is linear in the rate, so one jump per nonzero entry is exact.
+    """
     m = lv.m_levels
     ham = np.diag(lv.level_freqs).astype(complex)
     jumps = []
-    for j in lv.jumps:
+    for to, frm in zip(*np.nonzero(lv.rates)):
         c = np.zeros((m, m), dtype=complex)
-        c[j.to_level, j.from_level] = 1.0
-        jumps.append((c, j.rate))
+        c[to, frm] = 1.0
+        jumps.append((c, lv.rates[to, frm]))
     return oracles.dense_lindblad_generator(ham, jumps)
 
 
@@ -94,6 +98,13 @@ def test_bath_spectral_laws():
         BathSpec(channel="cavity", law="lorentzian", strength=0.1, ref_freq=1.0)
     with pytest.raises(ValueError, match="strength"):
         BathSpec(channel="cavity", law="ohmic", strength=-0.1, ref_freq=1.0)
+
+
+@pytest.mark.parametrize("channel", ["cavity", "dipole"])
+def test_coupling_matrix_is_read_only(channel):
+    op = coupling_matrix(ModelParams(n_fock=10), channel)
+    with pytest.raises(ValueError, match="read-only"):
+        op.entries[0, 1] = 1.0
 
 
 def test_coupling_matrix_shapes_and_symmetry():
@@ -154,37 +165,30 @@ def test_upward_downward_ratio_is_exact_boltzmann():
     eig = certified_eigensystem(params, levels=8, builder=build_polaron_rabi)
     temperature = 0.35
     lv = build_liouvillian(eig, params, [cavity_bath(0.05)], temperature, m_levels=8)
-    down = {(j.from_level, j.to_level): j.rate for j in lv.jumps if j.from_level > j.to_level}
-    up = {(j.from_level, j.to_level): j.rate for j in lv.jumps if j.from_level < j.to_level}
+    up = list(zip(*np.nonzero(np.tril(lv.rates, -1))))   # rates[to, from], to > from
     assert up, "finite temperature must produce upward jumps"
-    for (frm, to), rate in up.items():
+    for to, frm in up:
         gap = lv.level_freqs[frm] - lv.level_freqs[to]
-        partner = down[(frm, to)[::-1]] if (to, frm) in down else None
-        assert partner is not None
-        assert rate / partner == pytest.approx(math.exp(gap / temperature), rel=1e-12)
+        partner = lv.rates[frm, to]
+        assert partner > 0.0
+        assert lv.rates[to, frm] / partner == pytest.approx(math.exp(gap / temperature), rel=1e-12)
 
 
 def test_zero_temperature_has_no_upward_jumps():
     params = ModelParams.auto(g=2.0)
     eig = certified_eigensystem(params, levels=8, builder=build_polaron_rabi)
     lv = build_liouvillian(eig, params, [cavity_bath(0.05)], 0.0, m_levels=8)
-    assert all(j.from_level > j.to_level for j in lv.jumps)
+    assert not np.any(np.tril(lv.rates))   # every jump rates[to, from] has from > to
 
 
 def test_matches_dense_kron_generator():
-    # reassemble from the recorded jumps with an independent construction
+    # reassemble from the jump rates with an independent construction
     params = ModelParams.auto(g=1.5, epsilon=0.3)
     eig = certified_eigensystem(params, levels=8, builder=build_polaron_rabi)
     lv = build_liouvillian(
         eig, params, [cavity_bath(0.04), dipole_bath(0.16)], temperature=0.25, m_levels=8
     )
-    ham = np.diag(lv.level_freqs).astype(complex)
-    jumps = []
-    for j in lv.jumps:
-        c = np.zeros((8, 8), dtype=complex)
-        c[j.to_level, j.from_level] = 1.0
-        jumps.append((c, j.rate))
-    ref = oracles.dense_lindblad_generator(ham, jumps)
+    ref = _oracle_generator(lv)
     assert np.allclose(lv.matrix, ref, atol=1e-13)
 
 
@@ -265,7 +269,6 @@ def test_two_absorbing_levels_report_degenerate_kernel():
         rates=rates,
         temperature=0.0,
         baths=(),
-        jumps=(),
     )
     with pytest.raises(DegenerateSteadyStateError, match="kernel dimension 2"):
         steady_state(lv)

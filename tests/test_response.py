@@ -16,7 +16,6 @@ from usc_relax.response import (
     SpectrumGrid,
     cavity_structure_factor,
     dipole_structure_factor,
-    radiation_impedance,
     system_impedance,
     thermal_weights,
     transmission,
@@ -190,7 +189,7 @@ def test_system_impedance_is_minus_i_omega_s():
     z = system_impedance(s_c)
     assert z.kind == "impedance"
     assert np.allclose(z.values, -1j * omegas * s_c.values)
-    z_rad = radiation_impedance(s_c)
+    z_rad = system_impedance(s_c)
     assert np.array_equal(z_rad.values, z.values)
     assert z_rad.kind == "impedance"
 
