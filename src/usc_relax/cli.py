@@ -33,7 +33,7 @@ from .scan import build_metadata, gap_rows, gap_scan, write_table
 SPECTRUM_LEVELS = 6
 
 
-def _cmd_gap_scan(config: RunConfig, args) -> tuple[list[str], list[tuple], tuple[str, ...]]:
+def _cmd_gap_scan(config: RunConfig) -> tuple[list[str], list[tuple], tuple[str, ...]]:
     result = gap_scan(config)
     extra = (f"failed points: {len(result.failures)}",)
     return ["g", "epsilon", "lambda"], gap_rows(config, result), extra
@@ -46,7 +46,7 @@ def _grwa_levels(params, n_levels: int) -> list[float]:
     return grwa.asymmetric_levels(params, k, n_levels)
 
 
-def _cmd_spectrum(config: RunConfig, args):
+def _cmd_spectrum(config: RunConfig):
     g_values = [config.model.g]
     for ax in config.scan:
         if ax.name == "g":
@@ -65,7 +65,7 @@ def _cmd_spectrum(config: RunConfig, args):
     return ["g", "level_index", "omega_exact", "omega_grwa"], rows, ()
 
 
-def _cmd_evolve(config: RunConfig, args):
+def _cmd_evolve(config: RunConfig):
     ev = config.evolve
     # never run with fewer Fock states than the coupling warrants
     n_fock = max(config.model.n_fock, default_n_fock(config.model.g, config.model.omega_c))
@@ -102,7 +102,7 @@ def _epsilon_values(config: RunConfig) -> list[float]:
     return [float(v) for v in config.scan[0].grid()]
 
 
-def _cmd_transmission(config: RunConfig, args):
+def _cmd_transmission(config: RunConfig):
     eta = config.response.eta or config.model.omega_c / config.response.q_factor
     omegas = config.response.grid()
     rows = []
@@ -119,7 +119,7 @@ def _cmd_transmission(config: RunConfig, args):
     return ["epsilon", "omega", "value"], rows, ()
 
 
-def _cmd_dipole_response(config: RunConfig, args):
+def _cmd_dipole_response(config: RunConfig):
     eta = config.response.eta or 0.05 * config.model.omega_c
     omegas = config.response.grid()
     rows = []
@@ -133,7 +133,7 @@ def _cmd_dipole_response(config: RunConfig, args):
     return ["epsilon", "omega", "value"], rows, ()
 
 
-def _cmd_edm_rates(config: RunConfig, args):
+def _cmd_edm_rates(config: RunConfig):
     p = config.edm
     omegas = None
     for ax in config.scan:
@@ -152,7 +152,7 @@ def _cmd_edm_rates(config: RunConfig, args):
     return ["omega", "gamma_T", "gamma_tot", "gamma_tot_over_gamma_d"], rows, ()
 
 
-def _cmd_edm_evolve(config: RunConfig, args):
+def _cmd_edm_evolve(config: RunConfig):
     p = config.edm
     ev = config.evolve
     gtot = total_rate(p)
@@ -169,13 +169,13 @@ def _cmd_edm_evolve(config: RunConfig, args):
     return ["t", "excitation"], rows, (f"total rate: {gtot!r}",)
 
 
-def _cmd_tla(config: RunConfig, args):
+def _cmd_tla(config: RunConfig):
     r = tla_parameters(config.well)
     row = (r.omega_d, r.x_10, r.epsilon, r.gap_ratio, str(r.valid).lower())
     return ["omega_d", "x_10", "epsilon", "gap_ratio", "valid"], [row], ()
 
 
-def _cmd_rabi_freq(config: RunConfig, args):
+def _cmd_rabi_freq(config: RunConfig):
     rows = []
     for k in range(1, 5):
         for n in range(k, k + 6):
@@ -232,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
             config = replace(config, output=args.output)
         if args.format:
             config = replace(config, fmt=args.format)
-        columns, rows, extra = _COMMANDS[args.command](config, args)
+        columns, rows, extra = _COMMANDS[args.command](config)
         metadata = build_metadata(config, extra=extra)
         if config.output:
             with open(config.output, "w") as stream:

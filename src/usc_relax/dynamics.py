@@ -21,18 +21,13 @@ from .lindblad import (
     Trajectory,
     build_liouvillian,
     cavity_bath,
+    coupling_matrix,
     dipole_bath,
     evolve,
     fit_rabi_decay,
     project_pure_state,
 )
-from .operators import (
-    ModelParams,
-    build_polaron_rabi,
-    default_n_fock,
-    fock_ladder,
-    spin_operators,
-)
+from .operators import ModelParams, _rabi_terms, build_polaron_rabi, default_n_fock
 
 
 def right_vacuum_state(params: ModelParams) -> np.ndarray:
@@ -79,7 +74,6 @@ def run_tunneling_oscillations(
     k: int,
     g: float = 3.0,
     gamma: float = 0.002,
-    kappa: float | None = None,
     temperature: float = 0.0,
     n_fock: int | None = None,
     m_levels: int = 20,
@@ -89,15 +83,15 @@ def run_tunneling_oscillations(
 ) -> TunnelingRun:
     """Simulate <s_x>(t) from |right, 0> at the k-photon resonance.
 
-    kappa defaults to 4 gamma (the regime where cavity losses set the slow
-    scale).  The time grid covers n_periods of the closed-form Omega_(k,k).
+    The dipole bath strength is kappa = 4 gamma (the regime where cavity
+    losses set the slow scale).  The time grid covers n_periods of the
+    closed-form Omega_(k,k).
     """
     if k < 1:
         raise ValueError(f"resonance order k must be >= 1, got {k}")
     nf = default_n_fock(g) if n_fock is None else n_fock
     params = ModelParams(g=g, epsilon=float(k), n_fock=nf)
-    kappa = 4.0 * gamma if kappa is None else kappa
-    baths = [cavity_bath(gamma, params.omega_c), dipole_bath(kappa, params.omega_d)]
+    baths = [cavity_bath(gamma, params.omega_c), dipole_bath(4.0 * gamma, params.omega_d)]
     if eigensystem is None:
         eig = certified_eigensystem(params, levels=m_levels, builder=build_polaron_rabi)
     else:
@@ -114,14 +108,10 @@ def run_tunneling_oscillations(
     t_final = n_periods * 2.0 * np.pi / omega_ref
     times = np.linspace(0.0, t_final, max(2, int(round(n_periods * points_per_period))))
 
-    a, ad = fock_ladder(nf)
-    sx_full = np.kron(spin_operators(1)[0].entries, np.eye(nf))
-    num_full = np.kron(np.eye(2), ad.entries @ a.entries)
-    v = eig.vectors[:, :m_levels]
-    observables = {
-        "sx": v.conj().T @ sx_full @ v,
-        "photons": v.conj().T @ num_full @ v,
-    }
+    # the cached S_x (x) 1 of the dipole bath and 1 (x) a^dag a of the Rabi terms
+    full = {"sx": coupling_matrix(params, "dipole").entries, "photons": _rabi_terms(nf)[0]}
+    v = eig.lowest(m_levels)[1]
+    observables = {name: v.conj().T @ op @ v for name, op in full.items()}
     traj = evolve(lv, rho0, times, observables=observables, projection_deficit=deficit)
     fit = fit_rabi_decay(times, traj.observables["sx"])
     return TunnelingRun(

@@ -6,6 +6,9 @@ irreproducible between runs.  diagonalize() pins the gauge: in every
 eigenvector the largest-magnitude component is made real and positive,
 with ties broken by the lowest index.  A real symmetric operator keeps
 real eigenvectors, whose gauge is then a sign.
+
+EigenSystem.lowest() hands every caller its retained levels behind one
+converged-levels check.
 """
 
 from __future__ import annotations
@@ -17,8 +20,9 @@ import numpy as np
 
 from .operators import ModelParams, OperatorMatrix, build_rabi
 
-HERMITICITY_TOL = 1e-10
-DRIFT_TOL = 1e-6
+HERMITICITY_TOL = 1e-10    # relative Frobenius asymmetry diagonalize() accepts
+DRIFT_TOL = 1e-6           # absolute level drift that still counts as converged
+FOCK_MARGIN = 20           # extra Fock states certified_eigensystem compares against
 
 
 @dataclass(frozen=True)
@@ -35,6 +39,14 @@ class EigenSystem:
     dim: int
     converged_levels: int
 
+    def lowest(self, m_levels: int) -> tuple[np.ndarray, np.ndarray]:
+        """Frequencies and vectors of the lowest m_levels, all of them converged."""
+        if m_levels > self.converged_levels:
+            raise ValueError(
+                f"m_levels={m_levels} exceeds the {self.converged_levels} converged levels"
+            )
+        return self.frequencies[:m_levels], self.vectors[:, :m_levels]
+
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     mags = np.abs(vectors)
@@ -47,15 +59,15 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return vectors * scale
 
 
-def diagonalize(op: OperatorMatrix, hermiticity_tol: float = HERMITICITY_TOL) -> EigenSystem:
+def diagonalize(op: OperatorMatrix) -> EigenSystem:
     """Full sorted eigensystem of a Hermitian operator.
 
     Rejects operators whose relative Frobenius asymmetry exceeds
-    hermiticity_tol instead of silently symmetrizing.  Operators with no
+    HERMITICITY_TOL instead of silently symmetrizing.  Operators with no
     imaginary part get real eigenvectors.
     """
     defect = op.hermiticity_defect()
-    if defect > hermiticity_tol:
+    if defect > HERMITICITY_TOL:
         raise ValueError(
             f"operator '{op.label}' is not Hermitian: relative defect {defect:.3e}"
         )
@@ -82,7 +94,6 @@ def _drift_ladder(
     fock_sizes: Sequence[int],
     n_levels: int,
     builder: Callable[[ModelParams], OperatorMatrix],
-    drift_tol: float,
 ) -> tuple[ConvergenceReport, list[EigenSystem]]:
     """The drift report plus the eigensystem at each of its sorted sizes."""
     sizes = sorted(set(int(s) for s in fock_sizes))
@@ -93,7 +104,7 @@ def _drift_ladder(
     final = drifts[-1]
     converged = 0
     for lvl in range(n_levels):
-        if final[lvl] < drift_tol:
+        if final[lvl] < DRIFT_TOL:
             converged = lvl + 1
         else:
             break
@@ -108,32 +119,30 @@ def convergence_check(
     fock_sizes: Sequence[int],
     n_levels: int = 12,
     builder: Callable[[ModelParams], OperatorMatrix] = build_rabi,
-    drift_tol: float = DRIFT_TOL,
 ) -> ConvergenceReport:
     """Re-diagonalize at increasing n_fock and report eigenvalue drift.
 
     converged_levels is the largest prefix of levels whose drift between
-    the two largest truncations stays below drift_tol (absolute, in the
+    the two largest truncations stays below DRIFT_TOL (absolute, in the
     energy units of the Hamiltonian).
     """
-    return _drift_ladder(params, fock_sizes, n_levels, builder, drift_tol)[0]
+    return _drift_ladder(params, fock_sizes, n_levels, builder)[0]
 
 
 def certified_eigensystem(
     params: ModelParams,
     levels: int,
     builder: Callable[[ModelParams], OperatorMatrix] = build_rabi,
-    margin: int = 20,
-    drift_tol: float = DRIFT_TOL,
 ) -> EigenSystem:
     """Diagonalize at params.n_fock and certify the lowest `levels` by drift.
 
+    The drift is measured against params.n_fock + FOCK_MARGIN.
     Raises if the requested prefix is not converged at the stated truncation;
     callers should enlarge n_fock rather than trust drifting levels.  The
     returned eigensystem is the drift ladder's own solve at params.n_fock.
     """
     report, eigs = _drift_ladder(
-        params, (params.n_fock, params.n_fock + margin), levels, builder, drift_tol
+        params, (params.n_fock, params.n_fock + FOCK_MARGIN), levels, builder
     )
     if report.converged_levels < levels:
         raise ValueError(

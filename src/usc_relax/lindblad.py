@@ -5,6 +5,8 @@ The dissipators act between exact eigenlevels |n>, |m> with jump operators
 coupling operator (photon quadrature a - a^dag for the cavity channel, s_x
 for the dipole).  Downward terms are weighted by (1 + N_T), upward by N_T,
 which makes the Gibbs state of the retained levels exactly stationary.
+transition_lines() is that line list (w_mn, |<n|X|m>|^2); the response
+spectra read the same list and the same Boltzmann weights.
 
 Because every jump is rank one between eigenlevels, the generator is exactly
 a Pauli rate matrix W on the populations plus an independent exponential
@@ -126,6 +128,16 @@ def coupling_matrix(params: ModelParams, channel: str) -> OperatorMatrix:
     return _coupling_operator(params.n_fock, params.spin_n, channel)
 
 
+def transition_lines(
+    eig: EigenSystem, op: OperatorMatrix, m_levels: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Line list of the m_levels lowest levels: (w[n, m] = w_m - w_n, |<n|X|m>|^2)."""
+    if op.dim != eig.dim:
+        raise ValueError(f"operator dim {op.dim} != eigensystem dim {eig.dim}")
+    w, v = eig.lowest(m_levels)
+    return w[None, :] - w[:, None], np.abs(v.conj().T @ op.entries @ v) ** 2
+
+
 def transition_rates(
     eig: EigenSystem, op: OperatorMatrix, bath: BathSpec, m_levels: int
 ) -> np.ndarray:
@@ -136,17 +148,8 @@ def transition_rates(
     """
     if m_levels < 2:
         raise ValueError(f"need at least 2 levels, got {m_levels}")
-    if m_levels > eig.converged_levels:
-        raise ValueError(
-            f"m_levels={m_levels} exceeds the {eig.converged_levels} converged levels"
-        )
-    if op.dim != eig.dim:
-        raise ValueError(f"operator dim {op.dim} != eigensystem dim {eig.dim}")
-    v = eig.vectors[:, :m_levels]
-    elem2 = np.abs(v.conj().T @ op.entries @ v) ** 2
-    w = eig.frequencies[:m_levels]
-    gaps = np.abs(w[None, :] - w[:, None])
-    rates = bath.spectral_density(gaps) * elem2
+    omega, elem2 = transition_lines(eig, op, m_levels)
+    rates = bath.spectral_density(omega) * elem2
     np.fill_diagonal(rates, 0.0)
     return rates
 
@@ -213,18 +216,19 @@ def build_liouvillian(
     """
     if temperature < 0.0:
         raise ValueError(f"temperature must be >= 0, got {temperature}")
-    w = eig.frequencies[:m_levels].copy()
-    gap = w[None, :] - w[:, None]                    # [to, from]: w_from - w_to
-    downward = gap >= DEGENERACY_TOL * params.omega_c
-    boltz = np.zeros_like(gap)
-    if temperature > 0.0:
-        x = np.where(downward, gap / temperature, np.inf)
-        boltz = np.where(x > 700.0, 0.0, np.exp(-x))
-
-    rates = np.zeros_like(gap)
+    if m_levels < 2:
+        raise ValueError(f"need at least 2 levels, got {m_levels}")
+    w = eig.lowest(m_levels)[0].copy()
+    rates = np.zeros((m_levels, m_levels))
     for bath in baths:
-        base = transition_rates(eig, coupling_matrix(params, bath.channel), bath, m_levels)
-        down = np.where(downward, base, 0.0) / (1.0 - boltz)
+        # [to, from]: w_from - w_to
+        gap, elem2 = transition_lines(eig, coupling_matrix(params, bath.channel), m_levels)
+        downward = gap >= DEGENERACY_TOL * params.omega_c
+        boltz = np.zeros_like(gap)
+        if temperature > 0.0:
+            x = np.where(downward, gap / temperature, np.inf)
+            boltz = np.where(x > 700.0, 0.0, np.exp(-x))
+        down = np.where(downward, bath.spectral_density(gap) * elem2, 0.0) / (1.0 - boltz)
         rates += down + (down * boltz).T
     return Liouvillian(
         level_freqs=w, rates=rates, temperature=temperature, baths=tuple(baths)
@@ -261,18 +265,20 @@ def liouvillian_gap(lv: Liouvillian) -> float:
     return float(rest[0].real)
 
 
+def boltzmann_weights(level_freqs: np.ndarray, temperature: float) -> np.ndarray:
+    """Normalized Boltzmann populations; at T = 0 the ground manifold shares them equally."""
+    if temperature < 0.0:
+        raise ValueError(f"temperature must be >= 0, got {temperature}")
+    if temperature == 0.0:
+        w = (np.abs(level_freqs - level_freqs[0]) <= 1e-12).astype(float)
+    else:
+        w = np.exp(-(level_freqs - level_freqs[0]) / temperature)
+    return w / w.sum()
+
+
 def gibbs_state(level_freqs: np.ndarray, temperature: float) -> np.ndarray:
     """Thermal density matrix on the retained levels (T = 0: ground projector)."""
-    m = len(level_freqs)
-    rho = np.zeros((m, m), dtype=complex)
-    if temperature <= 0.0:
-        # degenerate ground manifolds get equal weights
-        ground = np.abs(level_freqs - level_freqs[0]) <= 1e-12
-        rho[np.diag_indices(m)] = ground / np.count_nonzero(ground)
-        return rho
-    weights = np.exp(-(level_freqs - level_freqs[0]) / temperature)
-    rho[np.diag_indices(m)] = weights / weights.sum()
-    return rho
+    return np.diag(boltzmann_weights(level_freqs, temperature)).astype(complex)
 
 
 def _closed_class_count(rates: np.ndarray) -> int:
@@ -367,11 +373,7 @@ def project_pure_state(eig: EigenSystem, psi: np.ndarray, m_levels: int) -> tupl
     The projected state is renormalized, so rho0 is a valid density matrix;
     the deficit quantifies how much of |psi> the truncation discarded.
     """
-    if m_levels > eig.converged_levels:
-        raise ValueError(
-            f"m_levels={m_levels} exceeds the {eig.converged_levels} converged levels"
-        )
-    coeff = eig.vectors[:, :m_levels].conj().T @ psi
+    coeff = eig.lowest(m_levels)[1].conj().T @ psi
     weight = float(np.real(coeff.conj() @ coeff))
     if weight <= 0.0:
         raise ValueError("state has no weight on the retained levels")

@@ -224,10 +224,6 @@ def _tensor(mat_op: np.ndarray, ph_op: np.ndarray) -> np.ndarray:
     return np.kron(mat_op, ph_op)
 
 
-def _hermitize(h: np.ndarray) -> np.ndarray:
-    return (h + h.conj().T) / 2.0
-
-
 @lru_cache(maxsize=4)
 def _rabi_terms(n_fock: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Read-only real (N, S_z, S_x, S_x (a + a^dag)) on the spin-1/2 (x) Fock space.
@@ -253,8 +249,7 @@ def build_rabi(params: ModelParams) -> OperatorMatrix:
     """Lab-frame asymmetric Rabi Hamiltonian for spin_n = 1, as a real matrix.
 
     H = omega_c a^dag a + omega_d s_z + epsilon s_x + g (a + a^dag) s_x.
-    Every term is real symmetric, so H is exactly symmetric without
-    hermitizing.
+    Every term is real symmetric, so H is exactly symmetric.
     """
     if params.spin_n != 1:
         raise ValueError("build_rabi is the two-level model; use build_edm for spin_n > 1")
@@ -304,7 +299,7 @@ def build_polaron_rabi(params: ModelParams) -> OperatorMatrix:
         + 0.5 * params.omega_d * (_tensor(s_plus, dmat) + _tensor(s_minus, dmat.conj().T))
         - polaron_constant(params) * np.eye(2 * params.n_fock)
     )
-    return _op(_hermitize(h), "H_rabi_polaron")
+    return _op(h, "H_rabi_polaron")
 
 
 def build_edm(params: ModelParams) -> OperatorMatrix:
@@ -326,7 +321,7 @@ def build_edm(params: ModelParams) -> OperatorMatrix:
         + params.g * _tensor(sx.entries, a.entries + ad.entries)
         + (params.g**2 / params.omega_c) * _tensor(sx.entries @ sx.entries, eye_f)
     )
-    return _op(_hermitize(h), "H_edm")
+    return _op(h, "H_edm")
 
 
 def build_edm_hp(params: ModelParams, n_boson: int) -> OperatorMatrix:
@@ -354,4 +349,4 @@ def build_edm_hp(params: ModelParams, n_boson: int) -> OperatorMatrix:
         + params.epsilon * _tensor(bd.entries @ b.entries, np.eye(params.n_fock))
         + coupling * (_tensor(bd.entries, dmat) + _tensor(b.entries, dmat.conj().T))
     )
-    return _op(_hermitize(h), "H_edm_hp")
+    return _op(h, "H_edm_hp")

@@ -6,20 +6,21 @@ prefactors (hbar, the LC and dipole impedance scales) are set to 1; only
 ratios survive in the transmission function, so a single unit knob would
 multiply through without changing any reported shape.
 
-The Boltzmann sum runs over the m_levels retained eigenlevels; requests
-whose thermal tail weight beyond the last level would exceed 1e-6 are
-rejected rather than silently truncated.
+The lines are the master equation's own line list (lindblad.transition_lines)
+over the m_levels retained eigenlevels, weighted by the same Boltzmann
+populations as its Gibbs state; requests whose thermal tail weight beyond
+the last level would exceed 1e-6 are rejected rather than silently truncated.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .eigen import EigenSystem
-from .lindblad import coupling_matrix
+from .lindblad import boltzmann_weights, coupling_matrix, transition_lines
 from .operators import ModelParams
 
 TAIL_TOL = 1e-6
@@ -44,13 +45,7 @@ def thermal_weights(freqs: np.ndarray, temperature: float) -> np.ndarray:
     than TAIL_TOL of the total weight, since then the levels beyond it
     cannot be negligible.
     """
-    if temperature < 0.0:
-        raise ValueError(f"temperature must be >= 0, got {temperature}")
-    if temperature == 0.0:
-        w = (np.abs(freqs - freqs[0]) <= 1e-12).astype(float)
-        return w / w.sum()
-    w = np.exp(-(freqs - freqs[0]) / temperature)
-    w /= w.sum()
+    w = boltzmann_weights(freqs, temperature)
     if w[-1] > TAIL_TOL:
         raise ValueError(
             f"thermal tail weight {w[-1]:.2e} at the truncation edge exceeds {TAIL_TOL:.0e}; "
@@ -83,23 +78,11 @@ def _structure_factor(
     omegas = np.asarray(omegas, dtype=float)
     if omegas.ndim != 1 or np.any(np.diff(omegas) <= 0.0):
         raise ValueError("frequency grid must be strictly ascending")
-    if m_levels > eig.converged_levels:
-        raise ValueError(
-            f"m_levels={m_levels} exceeds the {eig.converged_levels} converged levels"
-        )
-    freqs = eig.frequencies[:m_levels]
-    weights = thermal_weights(freqs, temperature)
-    op = coupling_matrix(params, channel)
-    v = eig.vectors[:, :m_levels]
-    elem2 = np.abs(v.conj().T @ op.entries @ v) ** 2
-    peaks = []
-    for n in range(m_levels):
-        if weights[n] == 0.0:
-            continue
-        for m in range(m_levels):
-            strength = weights[n] * elem2[n, m]
-            if strength > 0.0:
-                peaks.append((freqs[m] - freqs[n], strength))
+    omega, elem2 = transition_lines(eig, coupling_matrix(params, channel), m_levels)
+    # omega[0] holds the level energies above the ground level
+    strength = thermal_weights(omega[0], temperature)[:, None] * elem2
+    keep = strength > 0.0   # row-major: by initial level n, then final level m
+    peaks = list(zip(omega[keep], strength[keep]))
     return SpectrumGrid(
         omegas=omegas,
         values=_lorentzian_sum(peaks, omegas, eta),
@@ -140,14 +123,7 @@ def dipole_structure_factor(
 
 def system_impedance(s_c: SpectrumGrid) -> SpectrumGrid:
     """Z_sys(w) = -i w S_c(w) in natural units (pointwise map)."""
-    return SpectrumGrid(
-        omegas=s_c.omegas,
-        values=-1j * s_c.omegas * s_c.values,
-        broadening=s_c.broadening,
-        temperature=s_c.temperature,
-        kind="impedance",
-        peaks=s_c.peaks,
-    )
+    return replace(s_c, values=-1j * s_c.omegas * s_c.values, kind="impedance")
 
 
 def transmission(z_sys: SpectrumGrid, q_factor: float) -> SpectrumGrid:
@@ -162,11 +138,4 @@ def transmission(z_sys: SpectrumGrid, q_factor: float) -> SpectrumGrid:
     t = np.zeros_like(z, dtype=complex)
     nz = z != 0.0
     t[nz] = (1.0 / q_factor) / (1.0 / q_factor + 1.0 / z[nz])
-    return SpectrumGrid(
-        omegas=z_sys.omegas,
-        values=t,
-        broadening=z_sys.broadening,
-        temperature=z_sys.temperature,
-        kind="transmission",
-        peaks=z_sys.peaks,
-    )
+    return replace(z_sys, values=t, kind="transmission")

@@ -30,11 +30,10 @@ log = logging.getLogger("usc_relax.scan")
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Gridded scan output plus provenance metadata."""
+    """Gridded scan output plus the reason for every failed (NaN) point."""
 
     axes: tuple[ScanAxis, ...]
     values: np.ndarray            # shape = tuple of axis point counts
-    metadata: tuple[str, ...]     # version, config echo, failed-point count
     failures: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -101,13 +100,7 @@ def gap_scan(config: RunConfig) -> ScanResult:
     for msg in failures:
         log.warning("scan point failed %s", msg)
     shape = tuple(ax.points for ax in config.scan)
-    meta = build_metadata(config, extra=(f"failed points: {len(failures)}",))
-    return ScanResult(
-        axes=config.scan,
-        values=values.reshape(shape),
-        metadata=meta,
-        failures=failures,
-    )
+    return ScanResult(axes=config.scan, values=values.reshape(shape), failures=failures)
 
 
 def build_metadata(config: RunConfig, extra: Iterable[str] = ()) -> tuple[str, ...]:

@@ -37,6 +37,7 @@ from usc_relax.lindblad import (
     transition_rates,
 )
 from usc_relax.operators import ModelParams, build_polaron_rabi, build_rabi
+from usc_relax.response import thermal_weights
 
 
 def _qubit_system(omega_d=0.7, n_fock=8):
@@ -238,6 +239,18 @@ def test_gibbs_state_is_stationary(g, temperature, eig_cache):
     rho = gibbs_state(lv.level_freqs, temperature)
     residual = np.linalg.norm(lv.apply(rho))
     assert residual < 1e-12
+
+
+@pytest.mark.parametrize("freqs, temperature", [
+    (np.array([-0.3, -0.3 + 1e-13, 0.4, 1.1, 2.9]), 0.0),   # degenerate ground
+    (np.array([-0.3, 0.1, 0.4, 1.1, 2.9, 4.0]), 0.2),
+])
+def test_gibbs_state_diagonal_is_thermal_weights(freqs, temperature):
+    rho = gibbs_state(freqs, temperature)
+    assert np.array_equal(rho, np.diag(rho.diagonal()))
+    assert np.array_equal(rho.diagonal().real, thermal_weights(freqs, temperature))
+    if temperature == 0.0:
+        assert np.array_equal(rho.diagonal().real, [0.5, 0.5, 0.0, 0.0, 0.0])
 
 
 def test_steady_state_matches_gibbs(eig_cache):

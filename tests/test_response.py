@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from usc_relax import grwa
 from usc_relax.eigen import certified_eigensystem, diagonalize
+from usc_relax.lindblad import coupling_matrix
 from usc_relax.operators import ModelParams, build_polaron_rabi, build_rabi
 from usc_relax.response import (
     SpectrumGrid,
@@ -153,6 +154,55 @@ def test_dipole_band_weight_collapses_deep_usc():
     dressed = band_weight(2.5)
     assert dressed < 0.05 * bare
     assert dressed == pytest.approx(1.638e-3, rel=0.05)
+
+
+def _double_loop_structure_factor(eig, params, channel, temperature, omegas, eta, m_levels):
+    """Reference: per-level Boltzmann weights, a double loop over (n, m), per-line sum."""
+    freqs = eig.frequencies[:m_levels]
+    if temperature == 0.0:
+        weights = (np.abs(freqs - freqs[0]) <= 1e-12).astype(float)
+        weights = weights / weights.sum()
+    else:
+        weights = np.exp(-(freqs - freqs[0]) / temperature)
+        weights /= weights.sum()
+    v = eig.vectors[:, :m_levels]
+    elem2 = np.abs(v.conj().T @ coupling_matrix(params, channel).entries @ v) ** 2
+    peaks = []
+    for n in range(m_levels):
+        if weights[n] == 0.0:
+            continue
+        for m in range(m_levels):
+            strength = weights[n] * elem2[n, m]
+            if strength > 0.0:
+                peaks.append((freqs[m] - freqs[n], strength))
+    values = np.zeros_like(omegas)
+    for w_line, weight in peaks:
+        values += weight * (eta / math.pi) / ((omegas - w_line) ** 2 + eta**2)
+    return tuple(peaks), values
+
+
+@pytest.mark.parametrize("factory, channel", [
+    (cavity_structure_factor, "cavity"),
+    (dipole_structure_factor, "dipole"),
+])
+@pytest.mark.parametrize("params, temperature, m_levels", [
+    # omega_d = 0 at epsilon = 0: two decoupled displaced oscillators, so the
+    # ground level is doubly degenerate and both members carry T = 0 weight
+    (ModelParams(g=0.5, omega_d=0.0, epsilon=0.0, n_fock=30), 0.0, 10),
+    (ModelParams(g=1.0, epsilon=0.3, n_fock=44), 0.2, 24),
+])
+def test_structure_factor_matches_double_loop(factory, channel, params, temperature, m_levels):
+    eig = diagonalize(build_rabi(params))
+    if temperature == 0.0:
+        assert np.count_nonzero(thermal_weights(eig.frequencies[:m_levels], 0.0)) == 2
+    omegas = np.linspace(-3.0, 3.0, 601)
+    grid = factory(eig, params, temperature, omegas, 0.02, m_levels=m_levels)
+    peaks, values = _double_loop_structure_factor(
+        eig, params, channel, temperature, omegas, 0.02, m_levels
+    )
+    assert len(grid.peaks) == len(peaks) > 0
+    assert grid.peaks == peaks
+    assert np.array_equal(grid.values, values)
 
 
 def test_structure_factor_validation():
