@@ -19,6 +19,7 @@ from .operators import (
     displacement_element,
     displacement_matrix,
     polaron_constant,
+    rabi_bands,
 )
 from .eigen import EigenSystem, certified_eigensystem, convergence_check, diagonalize
 from .lindblad import (
@@ -60,6 +61,7 @@ from . import grwa
 __all__ = [
     "ModelParams",
     "build_rabi",
+    "rabi_bands",
     "build_polaron_rabi",
     "build_edm",
     "build_edm_hp",

@@ -11,6 +11,7 @@ import argparse
 import logging
 import math
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -21,14 +22,14 @@ from .dipole import tla_parameters
 from .dynamics import run_tunneling_oscillations
 from .edm import effective_dipole_evolve, gamma_T, total_rate
 from .eigen import diagonalize
-from .operators import build_rabi, default_n_fock, polaron_constant
+from .operators import default_n_fock, polaron_constant, rabi_bands
 from .response import (
     cavity_structure_factor,
     dipole_structure_factor,
     system_impedance,
     transmission,
 )
-from .scan import build_metadata, gap_rows, gap_scan, write_table
+from .scan import build_metadata, gap_rows, gap_scan, log_point, write_table
 
 SPECTRUM_LEVELS = 6
 
@@ -55,13 +56,14 @@ def _cmd_spectrum(config: RunConfig):
             raise ValueError(f"spectrum supports only a g scan axis, got {ax.name!r}")
     rows = []
     for g in g_values:
+        start = time.perf_counter()
         params = replace(config.model, g=float(g))
-        eig = diagonalize(build_rabi(params))
-        shift = polaron_constant(params)
-        exact = eig.frequencies[:SPECTRUM_LEVELS] + shift
+        eig = diagonalize(rabi_bands(params), SPECTRUM_LEVELS)
+        exact = eig.lowest(SPECTRUM_LEVELS)[0] + polaron_constant(params)
         approx = _grwa_levels(params, SPECTRUM_LEVELS)
         for i in range(SPECTRUM_LEVELS):
             rows.append((float(g), i, float(exact[i]), float(approx[i])))
+        log_point("spectrum", {"g": float(g)}, params.n_fock, start)
     return ["g", "level_index", "omega_exact", "omega_grwa"], rows, ()
 
 
@@ -107,8 +109,9 @@ def _cmd_transmission(config: RunConfig):
     omegas = config.response.grid()
     rows = []
     for eps in _epsilon_values(config):
+        start = time.perf_counter()
         params = replace(config.model, epsilon=eps)
-        eig = diagonalize(build_rabi(params))
+        eig = diagonalize(rabi_bands(params), config.m_levels)
         s_c = cavity_structure_factor(
             eig, params, config.temperature, omegas, eta, m_levels=config.m_levels
         )
@@ -116,6 +119,7 @@ def _cmd_transmission(config: RunConfig):
         rows.extend(
             (float(eps), float(w), float(abs(v))) for w, v in zip(omegas, t.values)
         )
+        log_point("transmission", {"epsilon": eps}, params.n_fock, start)
     return ["epsilon", "omega", "value"], rows, ()
 
 
@@ -124,12 +128,14 @@ def _cmd_dipole_response(config: RunConfig):
     omegas = config.response.grid()
     rows = []
     for eps in _epsilon_values(config):
+        start = time.perf_counter()
         params = replace(config.model, epsilon=eps)
-        eig = diagonalize(build_rabi(params))
+        eig = diagonalize(rabi_bands(params), config.m_levels)
         s = dipole_structure_factor(
             eig, params, config.temperature, omegas, eta, m_levels=config.m_levels
         )
         rows.extend((float(eps), float(w), float(v)) for w, v in zip(omegas, s.values))
+        log_point("dipole-response", {"epsilon": eps}, params.n_fock, start)
     return ["epsilon", "omega", "value"], rows, ()
 
 

@@ -27,7 +27,7 @@ from .lindblad import (
     fit_rabi_decay,
     project_pure_state,
 )
-from .operators import ModelParams, _rabi_terms, build_polaron_rabi, default_n_fock
+from .operators import ModelParams, build_polaron_rabi, default_n_fock
 
 
 def right_vacuum_state(params: ModelParams) -> np.ndarray:
@@ -108,10 +108,13 @@ def run_tunneling_oscillations(
     t_final = n_periods * 2.0 * np.pi / omega_ref
     times = np.linspace(0.0, t_final, max(2, int(round(n_periods * points_per_period))))
 
-    # the cached S_x (x) 1 of the dipole bath and 1 (x) a^dag a of the Rabi terms
-    full = {"sx": coupling_matrix(params, "dipole").entries, "photons": _rabi_terms(nf)[0]}
+    # S_x (x) 1 is the dipole bath's cached coupling; 1 (x) a^dag a is diagonal
     v = eig.lowest(m_levels)[1]
-    observables = {name: v.conj().T @ op @ v for name, op in full.items()}
+    photons = np.tile(np.arange(nf, dtype=float), 2)
+    observables = {
+        "sx": v.conj().T @ coupling_matrix(params, "dipole").entries @ v,
+        "photons": (v.conj().T * photons) @ v,
+    }
     traj = evolve(lv, rho0, times, observables=observables, projection_deficit=deficit)
     fit = fit_rabi_decay(times, traj.observables["sx"])
     return TunnelingRun(

@@ -14,8 +14,11 @@ decay of each coherence (Breuer & Petruccione, The Theory of Open Quantum
 Systems).  The gap, the steady state and the time evolution all come from
 those two M x M blocks, so the cost scales as m_levels^3.
 
-Truncation is two-tier: diagonalize at full n_fock, then keep the lowest
-m_levels eigenlevels for the master equation.
+Truncation is two-tier: the Hamiltonian is built at full n_fock, but only
+its lowest m_levels eigenlevels are solved for and kept for the master
+equation.  Inside an exactly degenerate subspace the basis depends on the
+solver, and so do the single matrix elements that touch it; sums over the
+subspace do not.
 """
 
 from __future__ import annotations
@@ -220,16 +223,17 @@ def build_liouvillian(
         raise ValueError(f"need at least 2 levels, got {m_levels}")
     w = eig.lowest(m_levels)[0].copy()
     rates = np.zeros((m_levels, m_levels))
-    for bath in baths:
-        # [to, from]: w_from - w_to
-        gap, elem2 = transition_lines(eig, coupling_matrix(params, bath.channel), m_levels)
+    lines = [transition_lines(eig, coupling_matrix(params, b.channel), m_levels) for b in baths]
+    if lines:
+        gap = lines[0][0]   # [to, from]: w_from - w_to, the same for every bath
         downward = gap >= DEGENERACY_TOL * params.omega_c
         boltz = np.zeros_like(gap)
         if temperature > 0.0:
             x = np.where(downward, gap / temperature, np.inf)
             boltz = np.where(x > 700.0, 0.0, np.exp(-x))
-        down = np.where(downward, bath.spectral_density(gap) * elem2, 0.0) / (1.0 - boltz)
-        rates += down + (down * boltz).T
+        for bath, (_, elem2) in zip(baths, lines):
+            down = np.where(downward, bath.spectral_density(gap) * elem2, 0.0) / (1.0 - boltz)
+            rates += down + (down * boltz).T
     return Liouvillian(
         level_freqs=w, rates=rates, temperature=temperature, baths=tuple(baths)
     )

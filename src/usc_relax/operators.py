@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -224,43 +223,56 @@ def _tensor(mat_op: np.ndarray, ph_op: np.ndarray) -> np.ndarray:
     return np.kron(mat_op, ph_op)
 
 
-@lru_cache(maxsize=4)
-def _rabi_terms(n_fock: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only real (N, S_z, S_x, S_x (a + a^dag)) on the spin-1/2 (x) Fock space.
+@dataclass(frozen=True)
+class BandOperator:
+    """Real symmetric band matrix in LAPACK lower storage, with its basis map.
 
-    They carry no model parameter, so a scan at fixed n_fock builds them once;
-    the arrays are shared between callers and therefore locked against writes.
+    bands[k, j] = H[j + k, j] in the operator's own row order; row r of the
+    library's matter-slow basis is row to_library[r] of that order.
     """
-    a, ad = fock_ladder(n_fock)
-    sx, _, sz = (op.entries.real for op in spin_operators(1))
-    eye_f = np.eye(n_fock)
-    terms = (
-        _tensor(np.eye(2), ad.entries @ a.entries),
-        _tensor(sz, eye_f),
-        _tensor(sx, eye_f),
-        _tensor(sx, a.entries + ad.entries),
-    )
-    for term in terms:
-        term.flags.writeable = False
-    return terms
+
+    dim: int
+    bands: np.ndarray       # (half-bandwidth + 1, dim)
+    to_library: np.ndarray  # (dim,) int
+    label: str = ""
+
+
+def rabi_bands(params: ModelParams) -> BandOperator:
+    """Lab-frame asymmetric Rabi Hamiltonian for spin_n = 1, as a band matrix.
+
+    H = omega_c a^dag a + omega_d s_z + epsilon s_x + g (a + a^dag) s_x.
+    In photon-major order (row 2 n + s, s = 0 for s_z = +1/2) the coupling
+    links only neighbouring photon numbers, so the half-bandwidth is 3; the
+    library's matter-slow row s * n_fock + n maps to band row 2 n + s.
+    Built in O(n_fock); the photon numbers on the diagonal are exact integers.
+    """
+    if params.spin_n != 1:
+        raise ValueError("the Rabi model is the two-level model; use build_edm for spin_n > 1")
+    n_fock = params.n_fock
+    n = np.arange(n_fock, dtype=float)
+    hop = 0.5 * params.g * np.sqrt(n[1:])     # g/2 <n|a^dag|n-1>, with the spin flipped
+    bands = np.zeros((4, 2 * n_fock))
+    bands[0, 0::2] = params.omega_c * n + 0.5 * params.omega_d
+    bands[0, 1::2] = params.omega_c * n - 0.5 * params.omega_d
+    bands[1, 0::2] = 0.5 * params.epsilon      # |n, down><n, up|
+    bands[1, 1:-1:2] = hop                     # |n, up><n-1, down|
+    bands[3, 0:-2:2] = hop                     # |n, down><n-1, up|
+    to_library = np.arange(2 * n_fock).reshape(n_fock, 2).T.ravel()
+    return BandOperator(dim=2 * n_fock, bands=bands, to_library=to_library, label="H_rabi")
 
 
 def build_rabi(params: ModelParams) -> OperatorMatrix:
-    """Lab-frame asymmetric Rabi Hamiltonian for spin_n = 1, as a real matrix.
+    """Dense expansion of rabi_bands(params) in the library basis, a real matrix.
 
-    H = omega_c a^dag a + omega_d s_z + epsilon s_x + g (a + a^dag) s_x.
-    Every term is real symmetric, so H is exactly symmetric.
+    Exactly symmetric: each band fills its lower and upper diagonal.
     """
-    if params.spin_n != 1:
-        raise ValueError("build_rabi is the two-level model; use build_edm for spin_n > 1")
-    num, sz, sx, sx_quad = _rabi_terms(params.n_fock)
-    h = (
-        params.omega_c * num
-        + params.omega_d * sz
-        + params.epsilon * sx
-        + params.g * sx_quad
-    )
-    return _op(h, "H_rabi")
+    band = rabi_bands(params)
+    h = np.zeros((band.dim, band.dim))
+    for k, diagonal in enumerate(band.bands):
+        j = np.arange(band.dim - k)
+        h[j + k, j] = h[j, j + k] = diagonal[: band.dim - k]
+    order = band.to_library
+    return _op(h[np.ix_(order, order)], "H_rabi")
 
 
 def polaron_constant(params: ModelParams) -> float:

@@ -1,11 +1,12 @@
 """Parameter scans over the relaxation-gap phase diagram, plus table emission.
 
-Scan points are independent and run in sequence: each builds its
-Hamiltonian from the config and its axis values, while the parameter-free
-operator terms are built once per Fock truncation and shared.  Each point
-logs one INFO line (axis values, n_fock, seconds).  A failing point is
-recorded as NaN with a log entry instead of aborting the scan; a 400-point
-phase diagram should survive isolated truncation failures.
+Scan points are independent and run in sequence: each builds its band
+Hamiltonian from the config and its axis values and solves it for the
+m_levels the master equation keeps, while the bath couplings are built once
+per Fock truncation and shared.  Each point logs one INFO line (axis
+values, n_fock, seconds), as do the CLI's spectrum and response maps.  A
+failing point is recorded as NaN with a log entry instead of aborting the
+scan; a 400-point phase diagram should survive isolated truncation failures.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from . import __version__
 from .config import RunConfig, ScanAxis, emit_config
 from .eigen import diagonalize
 from .lindblad import build_liouvillian, liouvillian_gap
-from .operators import build_rabi
+from .operators import rabi_bands
 
 log = logging.getLogger("usc_relax.scan")
 
@@ -55,22 +56,30 @@ def _apply_axis_values(config: RunConfig, point: dict[str, float]) -> RunConfig:
     return replace(config, model=model, temperature=temperature)
 
 
+def _where(point: dict[str, float]) -> str:
+    return ", ".join(f"{k}={v:.6g}" for k, v in point.items())
+
+
+def log_point(kind: str, point: dict[str, float], n_fock: int, start: float) -> None:
+    """One INFO line for a finished point: axis values, n_fock, seconds since start."""
+    log.info(
+        "%s point (%s): n_fock=%d, %.4f s",
+        kind, _where(point), n_fock, time.perf_counter() - start,
+    )
+
+
 def _gap_point(config: RunConfig, point: dict[str, float]) -> tuple[float, str | None]:
     start = time.perf_counter()
-    where = ", ".join(f"{k}={v:.6g}" for k, v in point.items())
     try:
         cfg = _apply_axis_values(config, point)
-        eig = diagonalize(build_rabi(cfg.model))
+        eig = diagonalize(rabi_bands(cfg.model), cfg.m_levels)
         lv = build_liouvillian(
             eig, cfg.model, cfg.baths, temperature=cfg.temperature, m_levels=cfg.m_levels
         )
         outcome = liouvillian_gap(lv), None
     except Exception as exc:   # noqa: BLE001 - NaN-and-continue is the contract
-        outcome = math.nan, f"({where}): {exc}"
-    log.info(
-        "gap point (%s): n_fock=%d, %.4f s",
-        where, config.model.n_fock, time.perf_counter() - start,
-    )
+        outcome = math.nan, f"({_where(point)}): {exc}"
+    log_point("gap", point, config.model.n_fock, start)
     return outcome
 
 

@@ -103,3 +103,12 @@ def test_eigensystem_injection_reproduces_run(quick_run):
         eigensystem=eig,
     )
     assert np.allclose(rerun.sx, quick_run.sx, atol=1e-10)
+
+
+def test_photons_match_the_kron_number_operator(quick_run):
+    params = quick_run.params
+    v = certified_eigensystem(params, levels=16, builder=build_polaron_rabi).lowest(16)[1]
+    a, ad = fock_ladder(params.n_fock)
+    num = v.conj().T @ np.kron(np.eye(2), ad.entries @ a.entries) @ v
+    ref = np.einsum("ij,tji->t", num, quick_run.trajectory.states).real
+    assert np.max(np.abs(quick_run.photons - ref)) < 1e-12

@@ -12,11 +12,14 @@ from usc_relax.eigen import (
     convergence_check,
     diagonalize,
 )
+from usc_relax.lindblad import coupling_matrix, transition_lines
 from usc_relax.operators import (
     ModelParams,
     OperatorMatrix,
     build_polaron_rabi,
     build_rabi,
+    default_n_fock,
+    rabi_bands,
 )
 
 
@@ -27,6 +30,50 @@ def test_frequencies_match_numpy():
     assert np.allclose(eig.frequencies, ref, atol=1e-13)
     assert eig.dim == 60
     assert eig.converged_levels == 60
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.3, 1.0, 3.0])
+@pytest.mark.parametrize("g", [0.5, 1.5, 3.0, 5.0])
+def test_band_solve_matches_dense_eigh(g, epsilon):
+    # g = 0 is left out: its exactly degenerate levels fix no basis for either solver
+    params = ModelParams(g=g, epsilon=epsilon, n_fock=default_n_fock(g))
+    levels = 24
+    band = diagonalize(rabi_bands(params), levels)
+    dense = diagonalize(build_rabi(params))
+    assert band.vectors.shape == (params.dim, levels)
+    assert band.converged_levels == levels
+    w = dense.frequencies[:levels]
+    assert np.all(np.abs(band.frequencies - w) <= 1e-12 * np.maximum(1.0, np.abs(w)))
+    if np.min(np.diff(w)) < 1e-5:
+        return   # near-degenerate pairs: each solver may rotate inside the pair
+    for channel in ("cavity", "dipole"):
+        op = coupling_matrix(params, channel)
+        elem_band = transition_lines(band, op, levels)[1]
+        elem_dense = transition_lines(dense, op, levels)[1]
+        assert np.max(np.abs(elem_band - elem_dense)) <= 1e-9
+
+
+def test_dense_levels_are_the_leading_columns_of_the_full_solve():
+    rng = np.random.default_rng(11)
+    h = rng.normal(size=(30, 30))
+    ops = (
+        build_polaron_rabi(ModelParams(g=1.0, epsilon=0.4, n_fock=20)),
+        OperatorMatrix(dim=30, entries=h + h.T, label="random"),
+    )
+    for op in ops:
+        full = diagonalize(op)
+        part = diagonalize(op, 7)
+        assert part.converged_levels == 7
+        assert part.dim == op.dim
+        assert np.array_equal(part.frequencies, full.frequencies[:7])
+        assert np.array_equal(part.vectors, full.vectors[:, :7])
+
+
+@pytest.mark.parametrize("levels", [0, 41])
+def test_levels_outside_the_dimension_are_rejected(levels):
+    for op in (rabi_bands(ModelParams(n_fock=20)), build_rabi(ModelParams(n_fock=20))):
+        with pytest.raises(ValueError, match="outside 1..40"):
+            diagonalize(op, levels)
 
 
 def test_vectors_reconstruct_operator():

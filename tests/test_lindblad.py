@@ -18,6 +18,7 @@ from scipy.linalg import expm
 import oracles
 from usc_relax.eigen import certified_eigensystem, diagonalize
 from usc_relax.lindblad import (
+    DEGENERACY_TOL,
     BathSpec,
     DegenerateSteadyStateError,
     Liouvillian,
@@ -34,9 +35,10 @@ from usc_relax.lindblad import (
     project_pure_state,
     steady_state,
     thermal_occupation,
+    transition_lines,
     transition_rates,
 )
-from usc_relax.operators import ModelParams, build_polaron_rabi, build_rabi
+from usc_relax.operators import ModelParams, build_polaron_rabi, build_rabi, rabi_bands
 from usc_relax.response import thermal_weights
 
 
@@ -191,6 +193,31 @@ def test_matches_dense_kron_generator():
     )
     ref = _oracle_generator(lv)
     assert np.allclose(lv.matrix, ref, atol=1e-13)
+
+
+def _per_bath_rates(eig, params, baths, temperature, m_levels):
+    """The jump rates with the Boltzmann factors formed again for each bath."""
+    rates = np.zeros((m_levels, m_levels))
+    for bath in baths:
+        gap, elem2 = transition_lines(eig, coupling_matrix(params, bath.channel), m_levels)
+        downward = gap >= DEGENERACY_TOL * params.omega_c
+        boltz = np.zeros_like(gap)
+        if temperature > 0.0:
+            x = np.where(downward, gap / temperature, np.inf)
+            boltz = np.where(x > 700.0, 0.0, np.exp(-x))
+        down = np.where(downward, bath.spectral_density(gap) * elem2, 0.0) / (1.0 - boltz)
+        rates += down + (down * boltz).T
+    return rates
+
+
+@pytest.mark.parametrize("temperature", [0.0, 0.1])
+def test_rates_match_per_bath_assembly(temperature):
+    params = ModelParams(g=2.0, epsilon=0.4, n_fock=60)
+    eig = diagonalize(rabi_bands(params), 24)
+    baths = [cavity_bath(0.05), dipole_bath(0.2)]
+    lv = build_liouvillian(eig, params, baths, temperature, m_levels=24)
+    assert np.array_equal(lv.rates, _per_bath_rates(eig, params, baths, temperature, 24))
+    assert not np.any(build_liouvillian(eig, params, [], temperature, m_levels=24).rates)
 
 
 @pytest.mark.parametrize("temperature", [0.0, 0.3])

@@ -21,6 +21,7 @@ from usc_relax.operators import (
     fock_ladder,
     laguerre,
     polaron_constant,
+    rabi_bands,
     spin_operators,
 )
 
@@ -108,6 +109,41 @@ def test_displacement_sign_gauge(n, m, x):
     plus = displacement_element(n, m, x)
     minus = displacement_element(n, m, -x)
     assert minus == pytest.approx((-1.0) ** (n - m) * plus, abs=1e-15, rel=1e-12)
+
+
+def _rabi_four_terms(params, number):
+    """omega_c N + omega_d S_z + epsilon S_x + g S_x (a + a^dag) from Kronecker products."""
+    a, ad = (op.entries for op in fock_ladder(params.n_fock))
+    sx, _, sz = (op.entries.real for op in spin_operators(1))
+    eye_f = np.eye(params.n_fock)
+    return (
+        params.omega_c * np.kron(np.eye(2), number)
+        + params.omega_d * np.kron(sz, eye_f)
+        + params.epsilon * np.kron(sx, eye_f)
+        + params.g * np.kron(sx, a + ad)
+    )
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(g=2.3, epsilon=0.7),
+        dict(g=-1.1, epsilon=-3.0, omega_c=1.3, omega_d=0.6),
+        dict(g=0.0, epsilon=0.0, omega_d=0.0),
+    ],
+)
+def test_rabi_bands_expand_to_the_four_term_sum(kwargs):
+    params = ModelParams(n_fock=89, **kwargs)
+    band = rabi_bands(params)
+    assert band.dim == params.dim
+    assert band.bands.shape == (4, 2 * params.n_fock)
+    # the band writes a^dag a as the integer n, where the product a^dag a
+    # gives fl(sqrt(n) * sqrt(n)), up to 1 ulp off
+    a, ad = (op.entries for op in fock_ladder(params.n_fock))
+    n = np.arange(params.n_fock, dtype=float)
+    assert np.all(np.abs(np.diag(ad @ a) - n) <= np.spacing(n))
+    ref = _rabi_four_terms(params, np.diag(n))
+    assert np.array_equal(build_rabi(params).entries, ref)
 
 
 def test_rabi_spectrum_even_in_g_at_zero_asymmetry():
