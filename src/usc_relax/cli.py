@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import math
 import sys
 import time
 from dataclasses import replace
@@ -34,10 +33,10 @@ from .scan import build_metadata, gap_rows, gap_scan, log_point, write_table
 SPECTRUM_LEVELS = 6
 
 
-def _cmd_gap_scan(config: RunConfig) -> tuple[list[str], list[tuple], tuple[str, ...]]:
+def _cmd_gap_scan(config: RunConfig) -> tuple[dict[str, np.ndarray], tuple[str, ...]]:
     result = gap_scan(config)
     extra = (f"failed points: {len(result.failures)}",)
-    return ["g", "epsilon", "lambda"], gap_rows(config, result), extra
+    return gap_rows(config, result), extra
 
 
 def _grwa_levels(params, n_levels: int) -> list[float]:
@@ -54,17 +53,21 @@ def _cmd_spectrum(config: RunConfig):
             g_values = list(ax.grid())
         else:
             raise ValueError(f"spectrum supports only a g scan axis, got {ax.name!r}")
-    rows = []
+    exact, approx = [], []
     for g in g_values:
         start = time.perf_counter()
         params = replace(config.model, g=float(g))
         eig = diagonalize(rabi_bands(params), SPECTRUM_LEVELS)
-        exact = eig.lowest(SPECTRUM_LEVELS)[0] + polaron_constant(params)
-        approx = _grwa_levels(params, SPECTRUM_LEVELS)
-        for i in range(SPECTRUM_LEVELS):
-            rows.append((float(g), i, float(exact[i]), float(approx[i])))
+        exact.append(eig.lowest(SPECTRUM_LEVELS)[0] + polaron_constant(params))
+        approx.append(_grwa_levels(params, SPECTRUM_LEVELS))
         log_point("spectrum", {"g": float(g)}, params.n_fock, start)
-    return ["g", "level_index", "omega_exact", "omega_grwa"], rows, ()
+    columns = {
+        "g": np.repeat(np.asarray(g_values, dtype=float), SPECTRUM_LEVELS),
+        "level_index": np.tile(np.arange(SPECTRUM_LEVELS), len(g_values)),
+        "omega_exact": np.concatenate(exact),
+        "omega_grwa": np.asarray(approx, dtype=float).reshape(-1),
+    }
+    return columns, ()
 
 
 def _cmd_evolve(config: RunConfig):
@@ -81,18 +84,14 @@ def _cmd_evolve(config: RunConfig):
         n_periods=ev.n_periods,
         points_per_period=ev.points_per_period,
     )
-    rescaled = run.rescaled()
-    rows = [
-        (float(t), float(s), float(r))
-        for t, s, r in zip(run.times, run.sx, rescaled)
-    ]
+    columns = {"t": run.times, "sx": run.sx, "sx_rescaled": run.rescaled()}
     extra = (
         f"fitted omega: {run.fit.omega!r}",
         f"fitted decay: {run.fit.decay!r}",
         f"reference omega_(k,k): {run.omega_ref!r}",
         f"reference decay k*gamma/2: {run.decay_ref!r}",
     )
-    return ["t", "sx", "sx_rescaled"], rows, extra
+    return columns, extra
 
 
 def _epsilon_values(config: RunConfig) -> list[float]:
@@ -104,39 +103,46 @@ def _epsilon_values(config: RunConfig) -> list[float]:
     return [float(v) for v in config.scan[0].grid()]
 
 
-def _cmd_transmission(config: RunConfig):
-    eta = config.response.eta or config.model.omega_c / config.response.q_factor
+def _response_map(config: RunConfig, kind: str, structure_factor, eta: float, value) -> dict:
+    """An epsilon map as (epsilon, omega, value) columns, one omega block per epsilon.
+
+    value turns each epsilon's structure factor into the real values tabulated.
+    """
     omegas = config.response.grid()
-    rows = []
-    for eps in _epsilon_values(config):
+    epsilons = _epsilon_values(config)
+    values = []
+    for eps in epsilons:
         start = time.perf_counter()
         params = replace(config.model, epsilon=eps)
         eig = diagonalize(rabi_bands(params), config.m_levels)
-        s_c = cavity_structure_factor(
+        s = structure_factor(
             eig, params, config.temperature, omegas, eta, m_levels=config.m_levels
         )
-        t = transmission(system_impedance(s_c), config.response.q_factor)
-        rows.extend(
-            (float(eps), float(w), float(abs(v))) for w, v in zip(omegas, t.values)
-        )
-        log_point("transmission", {"epsilon": eps}, params.n_fock, start)
-    return ["epsilon", "omega", "value"], rows, ()
+        values.append(value(s))
+        log_point(kind, {"epsilon": eps}, params.n_fock, start)
+    return {
+        "epsilon": np.repeat(epsilons, len(omegas)),
+        "omega": np.tile(omegas, len(epsilons)),
+        "value": np.concatenate(values),
+    }
+
+
+def _cmd_transmission(config: RunConfig):
+    eta = config.response.eta or config.model.omega_c / config.response.q_factor
+
+    def magnitude(s_c):
+        t = transmission(system_impedance(s_c), config.response.q_factor).values
+        return np.hypot(t.real, t.imag)   # bit-identical to abs() of each value
+
+    return _response_map(config, "transmission", cavity_structure_factor, eta, magnitude), ()
 
 
 def _cmd_dipole_response(config: RunConfig):
     eta = config.response.eta or 0.05 * config.model.omega_c
-    omegas = config.response.grid()
-    rows = []
-    for eps in _epsilon_values(config):
-        start = time.perf_counter()
-        params = replace(config.model, epsilon=eps)
-        eig = diagonalize(rabi_bands(params), config.m_levels)
-        s = dipole_structure_factor(
-            eig, params, config.temperature, omegas, eta, m_levels=config.m_levels
-        )
-        rows.extend((float(eps), float(w), float(v)) for w, v in zip(omegas, s.values))
-        log_point("dipole-response", {"epsilon": eps}, params.n_fock, start)
-    return ["epsilon", "omega", "value"], rows, ()
+    columns = _response_map(
+        config, "dipole-response", dipole_structure_factor, eta, lambda s: s.values
+    )
+    return columns, ()
 
 
 def _cmd_edm_rates(config: RunConfig):
@@ -150,12 +156,15 @@ def _cmd_edm_rates(config: RunConfig):
     if omegas is None:
         omegas = np.linspace(-4.0 * p.omega_c, 4.0 * p.omega_c, 1601)
     gamma_d = p.omega_d**2 * p.n_wells / p.gamma
-    rows = []
-    for w in omegas:
-        up = gamma_T(float(w), p)
-        tot = up - gamma_T(-float(w), p)
-        rows.append((float(w), up, tot, tot / gamma_d))
-    return ["omega", "gamma_T", "gamma_tot", "gamma_tot_over_gamma_d"], rows, ()
+    up = np.array([gamma_T(float(w), p) for w in omegas])
+    tot = up - np.array([gamma_T(-float(w), p) for w in omegas])
+    columns = {
+        "omega": np.asarray(omegas, dtype=float),
+        "gamma_T": up,
+        "gamma_tot": tot,
+        "gamma_tot_over_gamma_d": tot / gamma_d,
+    }
+    return columns, ()
 
 
 def _cmd_edm_evolve(config: RunConfig):
@@ -168,25 +177,30 @@ def _cmd_edm_evolve(config: RunConfig):
     n_points = max(2, round(ev.n_periods * ev.points_per_period) + 1)
     times = np.linspace(0.0, horizon, n_points)
     traj = effective_dipole_evolve(p, ev.m0, times)
-    rows = [
-        (float(t), float(n))
-        for t, n in zip(traj.times, traj.observables["excitation"])
-    ]
-    return ["t", "excitation"], rows, (f"total rate: {gtot!r}",)
+    columns = {"t": traj.times, "excitation": traj.observables["excitation"]}
+    return columns, (f"total rate: {gtot!r}",)
 
 
 def _cmd_tla(config: RunConfig):
     r = tla_parameters(config.well)
-    row = (r.omega_d, r.x_10, r.epsilon, r.gap_ratio, str(r.valid).lower())
-    return ["omega_d", "x_10", "epsilon", "gap_ratio", "valid"], [row], ()
+    columns = {
+        "omega_d": [r.omega_d],
+        "x_10": [r.x_10],
+        "epsilon": [r.epsilon],
+        "gap_ratio": [r.gap_ratio],
+        "valid": [str(r.valid).lower()],
+    }
+    return columns, ()
 
 
 def _cmd_rabi_freq(config: RunConfig):
-    rows = []
-    for k in range(1, 5):
-        for n in range(k, k + 6):
-            rows.append((k, n, grwa.rabi_frequency(k, n, config.model)))
-    return ["k", "n", "omega_kn"], rows, ()
+    pairs = [(k, n) for k in range(1, 5) for n in range(k, k + 6)]
+    columns = {
+        "k": [k for k, _ in pairs],
+        "n": [n for _, n in pairs],
+        "omega_kn": [grwa.rabi_frequency(k, n, config.model) for k, n in pairs],
+    }
+    return columns, ()
 
 
 _COMMANDS = {
@@ -238,13 +252,13 @@ def main(argv: list[str] | None = None) -> int:
             config = replace(config, output=args.output)
         if args.format:
             config = replace(config, fmt=args.format)
-        columns, rows, extra = _COMMANDS[args.command](config)
+        columns, extra = _COMMANDS[args.command](config)
         metadata = build_metadata(config, extra=extra)
         if config.output:
             with open(config.output, "w") as stream:
-                write_table(stream, metadata, columns, rows, config.fmt)
+                write_table(stream, metadata, columns, config.fmt)
         else:
-            write_table(sys.stdout, metadata, columns, rows, config.fmt)
+            write_table(sys.stdout, metadata, columns, config.fmt)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

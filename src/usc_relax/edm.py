@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -125,23 +126,33 @@ def resolve_cutoff(p: EdmParams) -> int:
     return p.sum_cutoff
 
 
-def gamma_T(omega: float, p: EdmParams) -> float:
-    """Photon-ladder relaxation rate at probe frequency omega.
-
-    Positive omega near k*omega_c probes k-photon emission (cooling when
-    omega = epsilon); the mirrored argument gives the heating rate.
-    """
+@lru_cache(maxsize=16)
+def _rate_terms(p: EdmParams) -> tuple[np.ndarray, np.ndarray, float]:
+    """The omega-independent parts of gamma_T: (q, r) weights, q - r shifts, prefactor."""
     cutoff = resolve_cutoff(p)
     x2 = p.x**2
     nbar = p.nbar
     wq = _ladder_weights(x2 * (1.0 + nbar), cutoff)
     wr = _ladder_weights(x2 * nbar, cutoff)
     q = np.arange(cutoff + 1)
-    delta = omega - p.omega_c * (q[:, None] - q[None, :])   # (q, r) grid
-    lor = (p.gamma**2 / 4.0) / (delta**2 + p.gamma**2 / 4.0)
+    shifts = p.omega_c * (q[:, None] - q[None, :])   # (q, r) grid
     weights = wq[:, None] * wr[None, :]
     weights[0, 0] = 0.0
     prefactor = (p.omega_d**2 * p.n_wells / p.gamma) * math.exp(-x2 * (1.0 + 2.0 * nbar))
+    for a in (shifts, weights):
+        a.flags.writeable = False
+    return weights, shifts, prefactor
+
+
+def gamma_T(omega: float, p: EdmParams) -> float:
+    """Photon-ladder relaxation rate at probe frequency omega.
+
+    Positive omega near k*omega_c probes k-photon emission (cooling when
+    omega = epsilon); the mirrored argument gives the heating rate.
+    """
+    weights, shifts, prefactor = _rate_terms(p)
+    delta = omega - shifts
+    lor = (p.gamma**2 / 4.0) / (delta**2 + p.gamma**2 / 4.0)
     return float(prefactor * (weights * lor).sum())
 
 

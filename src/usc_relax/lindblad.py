@@ -343,7 +343,8 @@ def evolve(
     """Propagate d(rho)/dt = L rho exactly on the given time grid.
 
     Populations step through expm(W dt) between grid points (W may be
-    defective at T = 0, so no eigendecomposition); each coherence is
+    defective at T = 0, so no eigendecomposition), one expm per distinct
+    step, so a uniform grid costs one; each coherence is
     rho_ij(0) exp(lam_ij t).
     """
     m = lv.m_levels
@@ -355,10 +356,12 @@ def evolve(
     elapsed = (times - times[0])[:, None, None]
     states = rho0 * np.exp(lv.coherence_rates * elapsed)
     w_gen = lv.population_generator
+    steps, which = np.unique(np.diff(times), return_inverse=True)
+    propagators = [expm(w_gen * dt) for dt in steps]
     pops = np.diag(rho0)
     diag = np.arange(m)
-    for k, dt in enumerate(np.diff(times), start=1):
-        pops = expm(w_gen * dt) @ pops
+    for k, i in enumerate(which.tolist(), start=1):
+        pops = propagators[i] @ pops
         states[k, diag, diag] = pops
     obs = {}
     if observables:

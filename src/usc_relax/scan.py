@@ -7,6 +7,10 @@ per Fock truncation and shared.  Each point logs one INFO line (axis
 values, n_fock, seconds), as do the CLI's spectrum and response maps.  A
 failing point is recorded as NaN with a log entry instead of aborting the
 scan; a 400-point phase diagram should survive isolated truncation failures.
+
+Tables are emitted by column: every CLI subcommand hands write_table its
+columns as arrays, and CSV cells are formatted per column, a few thousand
+rows at a time, with one repr per distinct float bit pattern.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Iterable, TextIO
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -27,6 +31,8 @@ from .lindblad import build_liouvillian, liouvillian_gap
 from .operators import rabi_bands
 
 log = logging.getLogger("usc_relax.scan")
+
+CHUNK_ROWS = 4096   # CSV rows formatted and written at once
 
 
 @dataclass(frozen=True)
@@ -119,39 +125,52 @@ def build_metadata(config: RunConfig, extra: Iterable[str] = ()) -> tuple[str, .
     return tuple(lines)
 
 
-def _format_cell(value: object) -> str:
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return repr(value)
-    return str(value)
+def _csv_cells(column: np.ndarray) -> list[str]:
+    """CSV text of one column: repr per distinct float bit pattern, str otherwise."""
+    if column.dtype != np.float64:
+        return [str(v) for v in column.tolist()]
+    # unique on the bits, not the values: -0.0 and 0.0 print differently
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
+def _json_cells(column: np.ndarray) -> list:
+    cells = column.tolist()
+    if column.dtype == np.float64:
+        return [None if math.isnan(v) else v for v in cells]
+    return cells
 
 
 def write_table(
     stream: TextIO,
     metadata: Iterable[str],
-    columns: list[str],
-    rows: Iterable[tuple],
+    columns: dict[str, Sequence],
     fmt: str = "csv",
 ) -> None:
-    """Emit a table with a self-describing metadata header.
+    """Emit a table, given by column (name -> values), under a metadata header.
 
-    CSV prefixes every metadata line with '#'; JSON carries the same fields
-    structurally (NaN becomes null so the output stays standard JSON).
+    CSV prefixes every metadata line with '#' and writes floats as their
+    shortest round-trip repr, CHUNK_ROWS rows at a time; JSON carries the
+    same fields structurally (NaN becomes null so the output stays standard
+    JSON).  Every column must have the same length.
     """
+    names = list(columns)
+    data = [np.ascontiguousarray(columns[name]) for name in names]
+    n_rows = len(data[0]) if data else 0
+    if any(col.shape != (n_rows,) for col in data):
+        raise ValueError("table columns must be 1-D and of equal length")
     if fmt == "csv":
         for line in metadata:
             stream.write(f"# {line}\n")
-        stream.write(f"# columns: {','.join(columns)}\n")
-        for row in rows:
-            stream.write(",".join(_format_cell(v) for v in row) + "\n")
+        stream.write(f"# columns: {','.join(names)}\n")
+        for lo in range(0, n_rows, CHUNK_ROWS):
+            cells = [_csv_cells(col[lo:lo + CHUNK_ROWS]) for col in data]
+            stream.write("\n".join(map(",".join, zip(*cells))) + "\n")
     elif fmt == "json":
-        clean_rows = [
-            [None if isinstance(v, float) and math.isnan(v) else v for v in row]
-            for row in rows
-        ]
+        rows = list(zip(*map(_json_cells, data)))   # tuples encode as JSON arrays
         json.dump(
-            {"metadata": list(metadata), "columns": columns, "rows": clean_rows},
+            {"metadata": list(metadata), "columns": names, "rows": rows},
             stream,
             indent=2,
         )
@@ -160,12 +179,11 @@ def write_table(
         raise ValueError(f"unknown format {fmt!r}")
 
 
-def gap_rows(config: RunConfig, result: ScanResult) -> list[tuple]:
-    """Flatten a gap ScanResult to (g, epsilon, lambda) rows, row-major."""
-    rows = []
-    flat = result.values.reshape(-1)
-    for point, value in zip(scan_points(result.axes), flat):
-        g = point.get("g", config.model.g)
-        eps = point.get("epsilon", config.model.epsilon)
-        rows.append((float(g), float(eps), float(value)))
-    return rows
+def gap_rows(config: RunConfig, result: ScanResult) -> dict[str, np.ndarray]:
+    """A gap ScanResult as the (g, epsilon, lambda) table columns, row-major."""
+    points = scan_points(result.axes)
+    return {
+        "g": np.array([p.get("g", config.model.g) for p in points], dtype=float),
+        "epsilon": np.array([p.get("epsilon", config.model.epsilon) for p in points], dtype=float),
+        "lambda": result.values.reshape(-1),
+    }

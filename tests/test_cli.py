@@ -2,17 +2,19 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from usc_relax import grwa
-from usc_relax.cli import main
+from usc_relax.cli import _cmd_transmission, main
 from usc_relax.config import RunConfig, parse_config
 from usc_relax.dipole import WellParams, tla_parameters
 from usc_relax.eigen import diagonalize
 from usc_relax.lindblad import BathSpec, build_liouvillian, liouvillian_gap
-from usc_relax.operators import ModelParams, build_rabi
+from usc_relax.operators import ModelParams, build_rabi, rabi_bands
+from usc_relax.response import cavity_structure_factor, system_impedance, transmission
 
 
 def run_cli(*argv: str) -> int:
@@ -125,6 +127,28 @@ def test_transmission_table(tmp_path):
     assert np.all((vals >= 0.0) & (vals <= 1.0))
     # two polariton branches: transmission dips at the dressed lines
     assert vals.min() < 0.2
+
+
+def test_transmission_column_is_scalar_abs_of_each_value():
+    config = parse_config(
+        "model.g = 2.5\nmodel.n_fock = 64\nscan = epsilon, -1.5, 1.5, 3\n"
+        "response.omega_points = 301\ntemperature = 0.2\n"
+    )
+    columns, _ = _cmd_transmission(config)
+    omegas = config.response.grid()
+    eta = config.model.omega_c / config.response.q_factor
+    expected = []
+    for eps in (-1.5, 0.0, 1.5):
+        params = replace(config.model, epsilon=eps)
+        s_c = cavity_structure_factor(
+            diagonalize(rabi_bands(params), config.m_levels), params, 0.2, omegas, eta,
+            m_levels=config.m_levels,
+        )
+        t = transmission(system_impedance(s_c), config.response.q_factor)
+        expected.extend(abs(v) for v in t.values)
+    assert columns["value"].tolist() == expected
+    assert columns["epsilon"].tolist() == [e for e in (-1.5, 0.0, 1.5) for _ in omegas]
+    assert columns["omega"].tolist() == omegas.tolist() * 3
 
 
 def test_dipole_response_table_with_epsilon_scan(tmp_path):

@@ -18,6 +18,7 @@ import oracles
 from usc_relax import grwa
 from usc_relax.edm import (
     EdmParams,
+    _ladder_weights,
     NoNetCoolingError,
     TruncationLeakWarning,
     effective_dipole_evolve,
@@ -112,6 +113,29 @@ def test_peaks_sit_on_integer_multiples():
     assert np.max(np.abs(hot - np.round(hot))) < 2e-3
     cold = local_max_freqs(EdmParams(g=1.0, gamma=0.1, temperature=0.0))
     assert np.all(cold > 0.5)  # no anti-Stokes lines at T = 0
+
+
+def _gamma_T_per_call(omega, p):
+    """Reference: the rate with every omega-independent term rebuilt on each call."""
+    cutoff = resolve_cutoff(p)
+    x2 = p.x**2
+    nbar = p.nbar
+    wq = _ladder_weights(x2 * (1.0 + nbar), cutoff)
+    wr = _ladder_weights(x2 * nbar, cutoff)
+    q = np.arange(cutoff + 1)
+    delta = omega - p.omega_c * (q[:, None] - q[None, :])
+    lor = (p.gamma**2 / 4.0) / (delta**2 + p.gamma**2 / 4.0)
+    weights = wq[:, None] * wr[None, :]
+    weights[0, 0] = 0.0
+    prefactor = (p.omega_d**2 * p.n_wells / p.gamma) * math.exp(-x2 * (1.0 + 2.0 * nbar))
+    return float(prefactor * (weights * lor).sum())
+
+
+@pytest.mark.parametrize("temperature", [0.0, 2.0])
+def test_gamma_T_comb_matches_per_call_rate(temperature):
+    p = EdmParams(g=1.3, omega_d=0.8, n_wells=2, gamma=0.1, temperature=temperature)
+    comb = np.linspace(-4.0, 4.0, 1601)
+    assert [gamma_T(float(w), p) for w in comb] == [_gamma_T_per_call(float(w), p) for w in comb]
 
 
 def test_resonance_ratios_follow_detailed_balance():

@@ -251,6 +251,51 @@ def test_evolve_with_coherences_matches_expm_of_dense_oracle():
         assert np.max(np.abs(state - ref)) < 1e-12
 
 
+def _six_level_liouvillian():
+    params = ModelParams.auto(g=1.5, epsilon=0.3)
+    eig = certified_eigensystem(params, levels=6, builder=build_polaron_rabi)
+    return build_liouvillian(
+        eig, params, [cavity_bath(0.04), dipole_bath(0.16)], temperature=0.25, m_levels=6
+    )
+
+
+def test_evolve_on_a_uniform_grid_matches_per_step_expm():
+    lv = _six_level_liouvillian()
+    rho0 = np.zeros((6, 6), dtype=complex)
+    rho0[5, 5] = rho0[2, 2] = 0.5
+    rho0[2, 5] = rho0[5, 2] = 0.25
+    times = np.linspace(0.0, 13.3, 301)
+    assert len(np.unique(np.diff(times))) > 1   # steps that differ in their last bits
+    traj = evolve(lv, rho0, times)
+    pops = np.diag(rho0)
+    for k, dt in enumerate(np.diff(times), start=1):
+        pops = expm(lv.population_generator * dt) @ pops
+        assert np.array_equal(np.diag(traj.states[k]), pops)
+    ref = rho0 * np.exp(lv.coherence_rates * (times - times[0])[:, None, None])
+    off = ~np.eye(6, dtype=bool)
+    assert np.array_equal(traj.states[:, off], ref[:, off])
+
+
+def test_evolve_calls_expm_once_per_distinct_step(monkeypatch):
+    import usc_relax.lindblad as lindblad
+
+    steps = []
+
+    def counting_expm(a):
+        steps.append(a)
+        return expm(a)
+
+    monkeypatch.setattr(lindblad, "expm", counting_expm)
+    lv = _six_level_liouvillian()
+    rho0 = np.diag([0.0, 0.0, 0.0, 0.0, 0.0, 1.0]).astype(complex)
+    times = np.linspace(0.0, 13.3, 301)
+    evolve(lv, rho0, times)
+    assert len(steps) == len(np.unique(np.diff(times))) < 10
+    steps.clear()
+    evolve(lv, rho0, np.array([0.0, 1.0, 2.0, 4.0, 5.0, 7.0]))
+    assert len(steps) == 2
+
+
 # ---------------------------------------------------------------------------
 # thermalization
 # ---------------------------------------------------------------------------
