@@ -1,8 +1,9 @@
 """Relaxation and response of a dipole ultrastrongly coupled to an LC cavity.
 
-The package builds the quantum Rabi model and its polaron-frame variants,
-diagonalizes them, assembles thermalizing Lindblad generators in the
-eigenbasis, and extracts the observables a circuit experiment would see:
+The package solves the lab-frame quantum Rabi model as a band matrix for
+the retained levels only (the dense polaron-frame builder is kept as a
+reference), assembles thermalizing Lindblad generators in the eigenbasis,
+and extracts the observables a circuit experiment would see:
 Liouvillian gaps, multi-photon Rabi oscillations, transmission and dipole
 response spectra, and cavity-mediated cooling rates of a multi-well dipole.
 """
@@ -11,8 +12,6 @@ __version__ = "0.1.0"
 
 from .operators import (
     ModelParams,
-    build_edm,
-    build_edm_hp,
     build_polaron_rabi,
     build_rabi,
     default_n_fock,
@@ -63,8 +62,6 @@ __all__ = [
     "build_rabi",
     "rabi_bands",
     "build_polaron_rabi",
-    "build_edm",
-    "build_edm_hp",
     "polaron_constant",
     "default_n_fock",
     "displacement_element",

@@ -109,7 +109,6 @@ class RunConfig:
     m_levels: int = 24
     output: str | None = None
     fmt: str = "csv"
-    seed: int = 0                # reserved; nothing stochastic yet
 
     def __post_init__(self) -> None:
         if len(self.scan) > 2:
@@ -135,7 +134,6 @@ _SCALARS = {
     "m_levels": int,
     "output": str,
     "format": str,
-    "seed": int,
 }
 
 
@@ -264,7 +262,6 @@ def parse_config(text: str) -> RunConfig:
         m_levels=int(scalars.get("m_levels", 24)),
         output=scalars.get("output"),
         fmt=str(scalars.get("format", "csv")),
-        seed=int(scalars.get("seed", 0)),
     )
 
 
@@ -303,7 +300,6 @@ def emit_config(config: RunConfig) -> str:
     lines.append(f"m_levels = {config.m_levels}")
     lines.append(f"output = {_format_value(config.output)}")
     lines.append(f"format = {config.fmt}")
-    lines.append(f"seed = {config.seed}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,10 +1,11 @@
 """Scenario runner for resonant multi-photon tunneling oscillations.
 
-Prepares the dipole in its upper well with an empty cavity (the polaron
-|right, 0> state), evolves under the thermal master equation at a k-photon
-resonance epsilon = k omega_c, and fits the damped tunneling oscillation.
-The run happens in the polaron frame, where the initial state is simple and
-the jump operators are the same as in the lab frame.
+Prepares the dipole in its upper well with the cavity in its displaced
+vacuum (the polaron |right, 0> state), evolves under the thermal master
+equation at a k-photon resonance epsilon = k omega_c, and fits the damped
+tunneling oscillation.  The run happens in the lab frame on the band
+solver; the jump operators commute with the polaron map, so only the
+initial state carries the frame.
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import EigenSystem, certified_eigensystem
+from .eigen import certified_eigensystem
 from .grwa import rabi_frequency
 from .lindblad import (
-    BathSpec,
     RabiFit,
     Trajectory,
     build_liouvillian,
@@ -27,17 +27,22 @@ from .lindblad import (
     fit_rabi_decay,
     project_pure_state,
 )
-from .operators import ModelParams, build_polaron_rabi, default_n_fock
+from .operators import ModelParams, default_n_fock, displacement_element
 
 
 def right_vacuum_state(params: ModelParams) -> np.ndarray:
-    """|right, 0>: the s_x = +1/2 dipole state with the cavity in vacuum."""
+    """The polaron |right, 0> in the lab frame: |s_x = +1/2> (x) a coherent state.
+
+    The cavity amplitudes are <n| exp[x (a - a^dag)] |0> with x = g / (2 omega_c),
+    so a + (g/omega_c) S_x annihilates the state.  The Fock truncation drops the
+    coherent-state tail; the state is not renormalized, so that loss shows up
+    in the projection deficit.
+    """
     if params.spin_n != 1:
         raise ValueError("tunneling scenario is defined for the two-level model")
-    psi = np.zeros(params.dim, dtype=complex)
-    psi[0] = 1.0 / np.sqrt(2.0)                # |up, 0>
-    psi[params.n_fock] = 1.0 / np.sqrt(2.0)    # |down, 0>
-    return psi
+    x = params.g / (2.0 * params.omega_c)
+    cavity = np.array([displacement_element(n, 0, x) for n in range(params.n_fock)])
+    return np.kron(np.ones(2) / np.sqrt(2.0), cavity).astype(complex)   # |up> + |down>
 
 
 @dataclass(frozen=True)
@@ -49,7 +54,6 @@ class TunnelingRun:
     gamma: float
     times: np.ndarray
     sx: np.ndarray
-    photons: np.ndarray
     trajectory: Trajectory
     omega_ref: float        # closed-form |Omega_(k,k)|
     decay_ref: float        # k gamma / 2
@@ -79,7 +83,6 @@ def run_tunneling_oscillations(
     m_levels: int = 20,
     n_periods: float = 6.5,
     points_per_period: int = 60,
-    eigensystem: EigenSystem | None = None,
 ) -> TunnelingRun:
     """Simulate <s_x>(t) from |right, 0> at the k-photon resonance.
 
@@ -92,10 +95,7 @@ def run_tunneling_oscillations(
     nf = default_n_fock(g) if n_fock is None else n_fock
     params = ModelParams(g=g, epsilon=float(k), n_fock=nf)
     baths = [cavity_bath(gamma, params.omega_c), dipole_bath(4.0 * gamma, params.omega_d)]
-    if eigensystem is None:
-        eig = certified_eigensystem(params, levels=m_levels, builder=build_polaron_rabi)
-    else:
-        eig = eigensystem
+    eig = certified_eigensystem(params, levels=m_levels)
     lv = build_liouvillian(eig, params, baths, temperature=temperature, m_levels=m_levels)
     rho0, deficit = project_pure_state(eig, right_vacuum_state(params), m_levels)
 
@@ -108,13 +108,9 @@ def run_tunneling_oscillations(
     t_final = n_periods * 2.0 * np.pi / omega_ref
     times = np.linspace(0.0, t_final, max(2, int(round(n_periods * points_per_period))))
 
-    # S_x (x) 1 is the dipole bath's cached coupling; 1 (x) a^dag a is diagonal
+    # S_x (x) 1 is the dipole bath's cached coupling
     v = eig.lowest(m_levels)[1]
-    photons = np.tile(np.arange(nf, dtype=float), 2)
-    observables = {
-        "sx": v.conj().T @ coupling_matrix(params, "dipole").entries @ v,
-        "photons": (v.conj().T * photons) @ v,
-    }
+    observables = {"sx": v.conj().T @ coupling_matrix(params, "dipole").entries @ v}
     traj = evolve(lv, rho0, times, observables=observables, projection_deficit=deficit)
     fit = fit_rabi_decay(times, traj.observables["sx"])
     return TunnelingRun(
@@ -123,7 +119,6 @@ def run_tunneling_oscillations(
         gamma=gamma,
         times=times,
         sx=traj.observables["sx"],
-        photons=traj.observables["photons"],
         trajectory=traj,
         omega_ref=omega_ref,
         decay_ref=k * gamma / 2.0,

@@ -11,10 +11,11 @@ depend on the solver (band or dense).
 
 The truncation is two-tier: the master equation keeps only the lowest
 m_levels eigenlevels, so callers ask diagonalize() for those levels alone.
-The lab-frame Rabi Hamiltonian arrives as a BandOperator and is solved for
-just those levels (LAPACK dsbevx); dense operators (polaron frame, extended
-Dicke) go through a full eigh.  EigenSystem.lowest() hands every caller its
-retained levels behind one converged-levels check.
+Every production solve is the lab-frame Rabi Hamiltonian, which arrives as
+a BandOperator and is solved for just those levels (LAPACK dsbevx).  Dense
+operators, such as the polaron-frame reference builder, go through a full
+eigh.  EigenSystem.lowest() hands every caller its retained levels behind
+one converged-levels check.
 """
 
 from __future__ import annotations

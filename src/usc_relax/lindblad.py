@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -165,6 +165,7 @@ class Liouvillian:
     is exactly a Pauli rate equation on the populations plus an independent
     exponential decay of each coherence; nothing else needs storing.  The
     jumps themselves are the nonzero entries of rates, summed over baths.
+    Both blocks are formed once, on first use, and are read-only.
     """
 
     level_freqs: np.ndarray          # (M,)
@@ -176,17 +177,21 @@ class Liouvillian:
     def m_levels(self) -> int:
         return len(self.level_freqs)
 
-    @property
+    @cached_property
     def population_generator(self) -> np.ndarray:
-        """W = K - diag(sum_to K): d(p)/dt = W p on the populations."""
-        return self.rates - np.diag(self.rates.sum(axis=0))
+        """W = K - diag(sum_to K): d(p)/dt = W p on the populations (read-only)."""
+        gen = self.rates - np.diag(self.rates.sum(axis=0))
+        gen.flags.writeable = False
+        return gen
 
-    @property
+    @cached_property
     def coherence_rates(self) -> np.ndarray:
-        """lam_ij = -(G_i + G_j)/2 - i(w_i - w_j), with G the total out-rates."""
+        """lam_ij = -(G_i + G_j)/2 - i(w_i - w_j), with G the total out-rates (read-only)."""
         out = self.rates.sum(axis=0)
         w = self.level_freqs
-        return -(out[:, None] + out[None, :]) / 2.0 - 1j * (w[:, None] - w[None, :])
+        lam = -(out[:, None] + out[None, :]) / 2.0 - 1j * (w[:, None] - w[None, :])
+        lam.flags.writeable = False
+        return lam
 
     @property
     def matrix(self) -> np.ndarray:
@@ -196,12 +201,6 @@ class Liouvillian:
         pops = np.arange(m) * (m + 1)
         lsup[np.ix_(pops, pops)] += self.rates
         return lsup
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """d(rho)/dt for a density matrix in the retained eigenbasis."""
-        out = self.coherence_rates * rho
-        np.fill_diagonal(out, self.population_generator @ np.diag(rho))
-        return out
 
 
 def build_liouvillian(

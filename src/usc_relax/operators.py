@@ -17,8 +17,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# Hard cap on the Hilbert-space dimension of any assembled Hamiltonian.
-# Dense diagonalization beyond this is almost certainly a mistake upstream.
+# Hard cap on the Hilbert-space dimension of any model.  It bounds the dense
+# dim x dim coupling operators and the dense reference builders; a dense
+# matrix beyond this is almost certainly a mistake upstream.
 DIM_CAP = 4096
 
 
@@ -247,7 +248,7 @@ def rabi_bands(params: ModelParams) -> BandOperator:
     Built in O(n_fock); the photon numbers on the diagonal are exact integers.
     """
     if params.spin_n != 1:
-        raise ValueError("the Rabi model is the two-level model; use build_edm for spin_n > 1")
+        raise ValueError("the Rabi model is the two-level model; spin_n > 1 has no band builder")
     n_fock = params.n_fock
     n = np.arange(n_fock, dtype=float)
     hop = 0.5 * params.g * np.sqrt(n[1:])     # g/2 <n|a^dag|n-1>, with the spin flipped
@@ -295,7 +296,8 @@ def build_polaron_rabi(params: ModelParams) -> OperatorMatrix:
         - g^2/(4 omega_c),
     with s_pm^x = s_z -+ ... the ladder operators along the s_x axis.  The
     trailing constant keeps the spectrum identical to the lab frame (the
-    transform of omega_c a^dag a + g(a+a^dag)s_x leaves it behind).
+    transform of omega_c a^dag a + g(a+a^dag)s_x leaves it behind).  No
+    production path solves it; it is the dense frame-equivalence reference.
     """
     if params.spin_n != 1:
         raise ValueError("build_polaron_rabi is the two-level model")
@@ -312,53 +314,3 @@ def build_polaron_rabi(params: ModelParams) -> OperatorMatrix:
         - polaron_constant(params) * np.eye(2 * params.n_fock)
     )
     return _op(h, "H_rabi_polaron")
-
-
-def build_edm(params: ModelParams) -> OperatorMatrix:
-    """Extended Dicke model with the quadratic S_x^2 term.
-
-    H = omega_c a^dag a + omega_d S_z + g (a + a^dag) S_x
-        + (g^2/omega_c) S_x^2 + epsilon S_x
-    on the spin-N/2 (x) Fock product space.  At spin_n = 1 this is the Rabi
-    Hamiltonian plus the constant g^2/(4 omega_c).
-    """
-    a, ad = fock_ladder(params.n_fock)
-    sx, _, sz = spin_operators(params.spin_n)
-    eye_s = np.eye(params.spin_n + 1)
-    eye_f = np.eye(params.n_fock)
-    h = (
-        params.omega_c * _tensor(eye_s, ad.entries @ a.entries)
-        + params.omega_d * _tensor(sz.entries, eye_f)
-        + params.epsilon * _tensor(sx.entries, eye_f)
-        + params.g * _tensor(sx.entries, a.entries + ad.entries)
-        + (params.g**2 / params.omega_c) * _tensor(sx.entries @ sx.entries, eye_f)
-    )
-    return _op(h, "H_edm")
-
-
-def build_edm_hp(params: ModelParams, n_boson: int) -> OperatorMatrix:
-    """Holstein-Primakoff form of the polaron extended Dicke model.
-
-    H = omega_c a^dag a + epsilon b^dag b
-        + (omega_d sqrt(N) / 2) [D(g/omega_c) b^dag + D^dag(g/omega_c) b]
-    with b the dipole excitation mode truncated at n_boson states.  Valid in
-    the lowest-wells regime <b^dag b> << N; also exercised at small g where
-    the coupling reduces to a linear drive (two displaced oscillators).
-    """
-    if n_boson < 2:
-        raise ValueError(f"n_boson must be at least 2, got {n_boson}")
-    if n_boson * params.n_fock > DIM_CAP:
-        raise ValueError(
-            f"requested dimension {n_boson * params.n_fock} exceeds the dense cap {DIM_CAP}"
-        )
-    a, ad = fock_ladder(params.n_fock)
-    b, bd = fock_ladder(n_boson)
-    dmat = displacement_matrix(params.n_fock, params.g / params.omega_c).entries
-    eye_b = np.eye(n_boson)
-    coupling = 0.5 * params.omega_d * math.sqrt(params.spin_n)
-    h = (
-        params.omega_c * _tensor(eye_b, ad.entries @ a.entries)
-        + params.epsilon * _tensor(bd.entries @ b.entries, np.eye(params.n_fock))
-        + coupling * (_tensor(bd.entries, dmat) + _tensor(b.entries, dmat.conj().T))
-    )
-    return _op(h, "H_edm_hp")

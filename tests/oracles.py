@@ -5,6 +5,9 @@ matrices come from `scipy.linalg.expm`, double-well levels from a Numerov
 shooting integration, dipole emission rates from direct quadrature of the
 displacement autocorrelation function, and Lindblad generators from a dense
 Kronecker construction.  Slow and simple beats fast and shared.
+
+The dense extended Dicke builders live here too: the library has no
+spin-N Hamiltonian yet, and these serve as references for the one it gets.
 """
 
 from __future__ import annotations
@@ -13,6 +16,14 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import expm
 from scipy.optimize import brentq
+
+from usc_relax.operators import (
+    ModelParams,
+    OperatorMatrix,
+    displacement_matrix,
+    fock_ladder,
+    spin_operators,
+)
 
 
 def displacement_via_expm(x: float, n_fock: int) -> np.ndarray:
@@ -122,7 +133,61 @@ def dense_lindblad_generator(
     return gen
 
 
+def apply_liouvillian(lv, rho: np.ndarray) -> np.ndarray:
+    """d(rho)/dt of a Liouvillian for a density matrix in its retained eigenbasis.
+
+    Coherences decay at their own rates; populations follow the Pauli rate
+    matrix.  Read straight off the two blocks the Liouvillian stores.
+    """
+    out = lv.coherence_rates * rho
+    np.fill_diagonal(out, lv.population_generator @ np.diag(rho))
+    return out
+
+
 def two_by_two_eigvals(a: float, b: float, c: float) -> tuple[float, float]:
     """Eigenvalues of [[a, c], [c, b]] straight from numpy, sorted ascending."""
     w = np.linalg.eigvalsh(np.array([[a, c], [c, b]], dtype=float))
     return float(w[0]), float(w[1])
+
+
+def build_edm(params: ModelParams) -> OperatorMatrix:
+    """Extended Dicke model with the quadratic S_x^2 term.
+
+    H = omega_c a^dag a + omega_d S_z + g (a + a^dag) S_x
+        + (g^2/omega_c) S_x^2 + epsilon S_x
+    on the spin-N/2 (x) Fock product space.  At spin_n = 1 this is the Rabi
+    Hamiltonian plus the constant g^2/(4 omega_c).
+    """
+    a, ad = fock_ladder(params.n_fock)
+    sx, _, sz = spin_operators(params.spin_n)
+    eye_s = np.eye(params.spin_n + 1)
+    eye_f = np.eye(params.n_fock)
+    h = (
+        params.omega_c * np.kron(eye_s, ad.entries @ a.entries)
+        + params.omega_d * np.kron(sz.entries, eye_f)
+        + params.epsilon * np.kron(sx.entries, eye_f)
+        + params.g * np.kron(sx.entries, a.entries + ad.entries)
+        + (params.g**2 / params.omega_c) * np.kron(sx.entries @ sx.entries, eye_f)
+    )
+    return OperatorMatrix(dim=h.shape[0], entries=h, label="H_edm")
+
+
+def build_edm_hp(params: ModelParams, n_boson: int) -> OperatorMatrix:
+    """Holstein-Primakoff form of the polaron extended Dicke model.
+
+    H = omega_c a^dag a + epsilon b^dag b
+        + (omega_d sqrt(N) / 2) [D(g/omega_c) b^dag + D^dag(g/omega_c) b]
+    with b the dipole excitation mode truncated at n_boson states.  Valid in
+    the lowest-wells regime <b^dag b> << N; also exercised at small g where
+    the coupling reduces to a linear drive (two displaced oscillators).
+    """
+    a, ad = fock_ladder(params.n_fock)
+    b, bd = fock_ladder(n_boson)
+    dmat = displacement_matrix(params.n_fock, params.g / params.omega_c).entries
+    coupling = 0.5 * params.omega_d * np.sqrt(params.spin_n)
+    h = (
+        params.omega_c * np.kron(np.eye(n_boson), ad.entries @ a.entries)
+        + params.epsilon * np.kron(bd.entries @ b.entries, np.eye(params.n_fock))
+        + coupling * (np.kron(bd.entries, dmat) + np.kron(b.entries, dmat.conj().T))
+    )
+    return OperatorMatrix(dim=h.shape[0], entries=h, label="H_edm_hp")

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from usc_relax import grwa
 from usc_relax.cli import _cmd_transmission, main
@@ -300,3 +301,25 @@ def test_gap_scan_requires_bath(capsys):
     assert run_cli("gap-scan", "--set", "scan = g, 1, 2, 2") == 2
     assert "bath" in capsys.readouterr().err
 
+
+
+# ---------------------------------------------------------------------------
+# one Hamiltonian path
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ("gap-scan", "--set", "scan = g, 1.0, 2.0, 2", "--set", "bath = cavity, ohmic, 0.02, 1.0"),
+    ("spectrum", "--set", "model.g = 1.5"),
+    ("evolve", "--set", "model.g = 2.0", "--set", "evolve.m_levels = 12",
+     "--set", "evolve.n_periods = 5.5", "--set", "evolve.points_per_period = 24"),
+    ("transmission", "--set", "model.g = 0.5", "--set", "response.omega_points = 201"),
+    ("dipole-response", "--set", "model.g = 0.5", "--set", "response.omega_points = 201"),
+], ids=lambda argv: argv[0])
+def test_subcommands_run_no_dense_hamiltonian_solve(argv, tmp_path, monkeypatch):
+    # every production solve goes through the band solver for the retained levels
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense eigh called on a CLI path")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+    assert run_cli(*argv, "--output", str(tmp_path / "out.csv")) == 0

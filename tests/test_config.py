@@ -36,7 +36,6 @@ def sample_config() -> RunConfig:
         m_levels=20,
         output="out.csv",
         fmt="csv",
-        seed=7,
     )
 
 
@@ -63,15 +62,13 @@ def test_default_config_round_trips():
     gamma=st.floats(1e-4, 1.0),
     temp=st.floats(0.0, 3.0),
     points=st.integers(1, 500),
-    seed=st.integers(0, 10**6),
 )
-def test_round_trip_survives_arbitrary_values(g, epsilon, omega_c, gamma, temp, points, seed):
+def test_round_trip_survives_arbitrary_values(g, epsilon, omega_c, gamma, temp, points):
     c = RunConfig(
         model=ModelParams(omega_c=omega_c, g=g, epsilon=epsilon, n_fock=48),
         edm=EdmParams(gamma=gamma, temperature=temp),
         scan=(ScanAxis(name="epsilon", start=-1.0, stop=epsilon, points=points),),
         temperature=temp,
-        seed=seed,
     )
     assert parse_config(emit_config(c)) == c
 
@@ -144,6 +141,7 @@ def test_scan_axis_grid():
     [
         ("nonsense line\n", "key = value"),
         ("quux = 3\n", "unknown key 'quux'"),
+        ("seed = 0\n", "unknown key 'seed'"),
         ("widget.g = 3\n", "unknown group 'widget'"),
         ("model.coupling = 3\n", "model has no field 'coupling'"),
         ("model.g = fast\n", "expected a number"),

@@ -147,7 +147,7 @@ def test_generator_preserves_trace_and_hermiticity():
     for _ in range(20):
         probe = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
         probe = probe + probe.conj().T
-        out = lv.apply(probe)
+        out = oracles.apply_liouvillian(lv, probe)
         assert abs(np.trace(out)) < 1e-12 * np.linalg.norm(probe)
         assert np.linalg.norm(out - out.conj().T) < 1e-12 * np.linalg.norm(out)
 
@@ -309,7 +309,7 @@ def test_gibbs_state_is_stationary(g, temperature, eig_cache):
         eig, params, [cavity_bath(0.05), dipole_bath(0.2)], temperature, m_levels=12
     )
     rho = gibbs_state(lv.level_freqs, temperature)
-    residual = np.linalg.norm(lv.apply(rho))
+    residual = np.linalg.norm(oracles.apply_liouvillian(lv, rho))
     assert residual < 1e-12
 
 
@@ -440,3 +440,13 @@ def test_fit_rejects_short_series():
     values = np.cos(0.3 * times)  # under two periods
     with pytest.raises(ValueError, match="periods"):
         fit_rabi_decay(times, values)
+
+
+def test_generator_blocks_are_built_once_and_read_only():
+    params = ModelParams.auto(g=1.0, epsilon=0.3)
+    eig = diagonalize(rabi_bands(params), 8)
+    lv = build_liouvillian(eig, params, [cavity_bath(0.05)], temperature=0.2, m_levels=8)
+    for name in ("population_generator", "coherence_rates"):
+        block = getattr(lv, name)
+        assert getattr(lv, name) is block
+        assert not block.flags.writeable

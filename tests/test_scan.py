@@ -143,7 +143,7 @@ def test_write_table_by_column_matches_per_cell_writer(fmt):
     valid = np.where(np.arange(n) % 2 == 0, "true", "false")
     columns = {"mixed": mixed, "repeated": repeated, "index": index, "valid": valid}
     rows = list(zip(mixed.tolist(), repeated.tolist(), index.tolist(), valid.tolist()))
-    metadata = ("usc-relax test", "seed = 5")
+    metadata = ("usc-relax test", "m_levels = 5")
     new, ref = io.StringIO(), io.StringIO()
     write_table(new, metadata, columns, fmt)
     _row_table(ref, metadata, list(columns), rows, fmt)
