@@ -377,7 +377,9 @@ def project_pure_state(eig: EigenSystem, psi: np.ndarray, m_levels: int) -> tupl
     """Project |psi> onto the retained eigenlevels; returns (rho0, lost weight).
 
     The projected state is renormalized, so rho0 is a valid density matrix;
-    the deficit quantifies how much of |psi> the truncation discarded.
+    the deficit quantifies how much of |psi> the truncation discarded.  It
+    is formed as 1 - weight, so it is good only to ~1e-15 absolute: a
+    deficit of 1e-5 carries ~1e-10 relative rounding.
     """
     coeff = eig.lowest(m_levels)[1].conj().T @ psi
     weight = float(np.real(coeff.conj() @ coeff))

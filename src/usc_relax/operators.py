@@ -228,8 +228,9 @@ def _tensor(mat_op: np.ndarray, ph_op: np.ndarray) -> np.ndarray:
 class BandOperator:
     """Real symmetric band matrix in LAPACK lower storage, with its basis map.
 
-    bands[k, j] = H[j + k, j] in the operator's own row order; row r of the
-    library's matter-slow basis is row to_library[r] of that order.
+    bands[k, j] = H[j + k, j] in the operator's own row order, with zeros
+    where j + k runs past the last row; row r of the library's matter-slow
+    basis is row to_library[r] of that order.
     """
 
     dim: int
@@ -242,23 +243,25 @@ def rabi_bands(params: ModelParams) -> BandOperator:
     """Lab-frame asymmetric Rabi Hamiltonian for spin_n = 1, as a band matrix.
 
     H = omega_c a^dag a + omega_d s_z + epsilon s_x + g (a + a^dag) s_x.
-    In photon-major order (row 2 n + s, s = 0 for s_z = +1/2) the coupling
-    links only neighbouring photon numbers, so the half-bandwidth is 3; the
-    library's matter-slow row s * n_fock + n maps to band row 2 n + s.
+    The rows run along the two parity chains: row 2 n + c holds |n, s> with
+    s = (n + c) mod 2 (s = 0 for s_z = +1/2).  The coupling g keeps a chain
+    and steps n by one (offset 2), epsilon flips s at fixed n and so links
+    the chains (offset 1): the half-bandwidth is 2.  The library's
+    matter-slow row s * n_fock + n maps to band row 2 n + (n + s) mod 2.
     Built in O(n_fock); the photon numbers on the diagonal are exact integers.
     """
     if params.spin_n != 1:
         raise ValueError("the Rabi model is the two-level model; spin_n > 1 has no band builder")
     n_fock = params.n_fock
     n = np.arange(n_fock, dtype=float)
-    hop = 0.5 * params.g * np.sqrt(n[1:])     # g/2 <n|a^dag|n-1>, with the spin flipped
-    bands = np.zeros((4, 2 * n_fock))
-    bands[0, 0::2] = params.omega_c * n + 0.5 * params.omega_d
-    bands[0, 1::2] = params.omega_c * n - 0.5 * params.omega_d
-    bands[1, 0::2] = 0.5 * params.epsilon      # |n, down><n, up|
-    bands[1, 1:-1:2] = hop                     # |n, up><n-1, down|
-    bands[3, 0:-2:2] = hop                     # |n, down><n-1, up|
-    to_library = np.arange(2 * n_fock).reshape(n_fock, 2).T.ravel()
+    zeeman = np.where(n % 2 == 0, 0.5, -0.5) * params.omega_d   # omega_d s_z on chain 0
+    bands = np.zeros((3, 2 * n_fock))
+    bands[0, 0::2] = params.omega_c * n + zeeman
+    bands[0, 1::2] = params.omega_c * n - zeeman
+    bands[1, 0::2] = 0.5 * params.epsilon      # |n, 1 - s><n, s|, across the chains
+    bands[2, :-2] = 0.5 * params.g * np.repeat(np.sqrt(n[1:]), 2)   # |n, 1 - s><n - 1, s|
+    s, m = np.divmod(np.arange(2 * n_fock), n_fock)   # library row s * n_fock + m
+    to_library = 2 * m + (m + s) % 2
     return BandOperator(dim=2 * n_fock, bands=bands, to_library=to_library, label="H_rabi")
 
 

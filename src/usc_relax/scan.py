@@ -129,9 +129,16 @@ def _csv_cells(column: np.ndarray) -> list[str]:
     """CSV text of one column: repr per distinct float bit pattern, str otherwise."""
     if column.dtype != np.float64:
         return [str(v) for v in column.tolist()]
-    # unique on the bits, not the values: -0.0 and 0.0 print differently
-    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-    text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    # distinct bits, not values: -0.0 and 0.0 print differently.  A stable
+    # argsort finds them without np.unique, whose first call costs ~0.5 MB of RSS.
+    bits = column.view(np.int64)
+    order = np.argsort(bits, kind="stable")
+    ordered = bits[order]
+    first = np.ones(len(bits), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    text = np.array([repr(v) for v in ordered[first].view(np.float64).tolist()], dtype=object)
+    inverse = np.empty(len(bits), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
     return text[inverse].tolist()
 
 

@@ -4,7 +4,8 @@ Everything here deliberately avoids the code paths under test: displacement
 matrices come from `scipy.linalg.expm`, double-well levels from a Numerov
 shooting integration, dipole emission rates from direct quadrature of the
 displacement autocorrelation function, and Lindblad generators from a dense
-Kronecker construction.  Slow and simple beats fast and shared.
+Kronecker construction, and band eigenvalues from scipy's `eig_banded`
+(LAPACK dsbevx).  Slow and simple beats fast and shared.
 
 The dense extended Dicke builders live here too: the library has no
 spin-N Hamiltonian yet, and these serve as references for the one it gets.
@@ -14,10 +15,11 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import expm
+from scipy.linalg import eig_banded, expm
 from scipy.optimize import brentq
 
 from usc_relax.operators import (
+    BandOperator,
     ModelParams,
     OperatorMatrix,
     displacement_matrix,
@@ -142,6 +144,13 @@ def apply_liouvillian(lv, rho: np.ndarray) -> np.ndarray:
     out = lv.coherence_rates * rho
     np.fill_diagonal(out, lv.population_generator @ np.diag(rho))
     return out
+
+
+def band_eigvals_via_dsbevx(op: BandOperator, levels: int) -> np.ndarray:
+    """Lowest `levels` eigenvalues of a band operator, by bisection."""
+    return eig_banded(
+        op.bands, lower=True, eigvals_only=True, select="i", select_range=(0, levels - 1)
+    )
 
 
 def two_by_two_eigvals(a: float, b: float, c: float) -> tuple[float, float]:

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 
+from oracles import band_eigvals_via_dsbevx
+from usc_relax import eigen
 from usc_relax.eigen import (
     ConvergenceReport,
     _fix_phases,
@@ -51,6 +56,79 @@ def test_band_solve_matches_dense_eigh(g, epsilon):
         elem_band = transition_lines(band, op, levels)[1]
         elem_dense = transition_lines(dense, op, levels)[1]
         assert np.max(np.abs(elem_band - elem_dense)) <= 1e-9
+
+
+def _assert_band_solve_matches_oracle(params, levels):
+    """Eigenvalues against eig_banded, residuals and orthonormality against ||H||."""
+    eig = diagonalize(rabi_bands(params), levels)
+    w = band_eigvals_via_dsbevx(rabi_bands(params), levels)
+    assert np.all(np.abs(eig.frequencies - w) <= 1e-12 * np.maximum(1.0, np.abs(w)))
+    h = build_rabi(params).entries
+    eps_norm = np.finfo(float).eps * np.linalg.norm(h, 2)
+    residual = np.linalg.norm(h @ eig.vectors - eig.vectors * eig.frequencies, axis=0)
+    assert np.max(residual) <= 32.0 * eps_norm
+    gram = eig.vectors.T @ eig.vectors
+    assert np.max(np.abs(gram - np.eye(levels))) <= 64.0 * np.finfo(float).eps
+    return eig
+
+
+def test_band_solve_survives_exact_degeneracy(monkeypatch):
+    # g = omega_d = epsilon = 0 leaves H = omega_c n, each level doubly
+    # degenerate and exact, so every shifted block has an exact zero pivot
+    infos = []
+    factor = eigen.dgbtrf
+
+    def spy(*args, **kwargs):
+        out = factor(*args, **kwargs)
+        infos.append(out[2])
+        return out
+
+    monkeypatch.setattr(eigen, "dgbtrf", spy)
+    params = ModelParams(g=0.0, epsilon=0.0, omega_d=0.0, n_fock=30)
+    eig = _assert_band_solve_matches_oracle(params, 24)
+    assert infos and infos[0] > 0
+    assert np.array_equal(eig.frequencies, np.repeat(np.arange(12.0), 2))
+
+
+@pytest.mark.parametrize(("g", "spacing"), [(5.0, 3.9e-6), (6.0, 1.6e-8)])
+def test_band_solve_separates_deep_usc_doublets(g, spacing):
+    params = ModelParams(g=g, epsilon=0.0, n_fock=default_n_fock(g))
+    eig = _assert_band_solve_matches_oracle(params, 24)
+    assert np.min(np.diff(eig.frequencies)) == pytest.approx(spacing, rel=0.05)
+
+
+def test_band_solve_of_every_level_equals_dense_eigh():
+    params = ModelParams(g=1.2, epsilon=0.4, n_fock=12)
+    band = diagonalize(rabi_bands(params))
+    w, v = np.linalg.eigh(build_rabi(params).entries)
+    assert band.converged_levels == params.dim
+    assert np.all(np.abs(band.frequencies - w) <= 1e-12 * np.maximum(1.0, np.abs(w)))
+    assert np.max(np.abs(band.vectors - _fix_phases(v))) <= 1e-12
+
+
+def test_band_solve_leaves_the_bands_alone():
+    op = rabi_bands(ModelParams(g=2.0, epsilon=1.0, n_fock=60))
+    before = op.bands.copy()
+    # LAPACK works in place on Fortran-ordered input unless told not to
+    for bands in (op.bands, np.asfortranarray(op.bands)):
+        diagonalize(replace(op, bands=bands), 24)
+        assert np.array_equal(bands, before)
+
+
+def test_band_solve_rejects_non_finite_bands():
+    op = rabi_bands(ModelParams(g=2.0, epsilon=1.0, n_fock=20))
+    op.bands[2, 5] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        diagonalize(op, 10)
+
+
+def test_band_solve_raises_when_the_residual_bound_is_not_met(monkeypatch):
+    rng = np.random.default_rng(2)
+    monkeypatch.setattr(
+        eigen, "dgbtrs", lambda lu, kl, ku, b, ipiv: (rng.standard_normal(b.shape), 0)
+    )
+    with pytest.raises(LinAlgError, match="inverse iteration"):
+        diagonalize(rabi_bands(ModelParams(g=2.0, epsilon=1.0, n_fock=40)), 10)
 
 
 def test_dense_levels_are_the_leading_columns_of_the_full_solve():

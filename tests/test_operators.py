@@ -134,7 +134,7 @@ def test_rabi_bands_expand_to_the_four_term_sum(kwargs):
     params = ModelParams(n_fock=89, **kwargs)
     band = rabi_bands(params)
     assert band.dim == params.dim
-    assert band.bands.shape == (4, 2 * params.n_fock)
+    assert band.bands.shape == (3, 2 * params.n_fock)
     # the band writes a^dag a as the integer n, where the product a^dag a
     # gives fl(sqrt(n) * sqrt(n)), up to 1 ulp off
     a, ad = (op.entries for op in fock_ladder(params.n_fock))
