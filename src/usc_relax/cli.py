@@ -46,13 +46,15 @@ def _grwa_levels(params, n_levels: int) -> list[float]:
     return grwa.asymmetric_levels(params, k, n_levels)
 
 
+def _axis_values(config: RunConfig, default: float) -> list[float]:
+    """The grid of the command's one scan axis, or [default] without a scan."""
+    if not config.scan:
+        return [default]
+    return [float(v) for v in config.scan[0].grid()]
+
+
 def _cmd_spectrum(config: RunConfig):
-    g_values = [config.model.g]
-    for ax in config.scan:
-        if ax.name == "g":
-            g_values = list(ax.grid())
-        else:
-            raise ValueError(f"spectrum supports only a g scan axis, got {ax.name!r}")
+    g_values = _axis_values(config, config.model.g)
     exact, approx = [], []
     for g in g_values:
         start = time.perf_counter()
@@ -76,10 +78,9 @@ def _cmd_evolve(config: RunConfig):
     n_fock = max(config.model.n_fock, default_n_fock(config.model.g, config.model.omega_c))
     run = run_tunneling_oscillations(
         k=ev.k,
-        g=config.model.g,
+        params=replace(config.model, n_fock=n_fock),
         gamma=ev.gamma,
         temperature=config.temperature,
-        n_fock=n_fock,
         m_levels=ev.m_levels,
         n_periods=ev.n_periods,
         points_per_period=ev.points_per_period,
@@ -94,22 +95,13 @@ def _cmd_evolve(config: RunConfig):
     return columns, extra
 
 
-def _epsilon_values(config: RunConfig) -> list[float]:
-    if not config.scan:
-        return [config.model.epsilon]
-    if len(config.scan) > 1 or config.scan[0].name != "epsilon":
-        names = ", ".join(ax.name for ax in config.scan)
-        raise ValueError(f"response maps scan only epsilon, got axes: {names}")
-    return [float(v) for v in config.scan[0].grid()]
-
-
 def _response_map(config: RunConfig, kind: str, structure_factor, eta: float, value) -> dict:
     """An epsilon map as (epsilon, omega, value) columns, one omega block per epsilon.
 
     value turns each epsilon's structure factor into the real values tabulated.
     """
     omegas = config.response.grid()
-    epsilons = _epsilon_values(config)
+    epsilons = _axis_values(config, config.model.epsilon)
     values = []
     for eps in epsilons:
         start = time.perf_counter()
@@ -147,13 +139,9 @@ def _cmd_dipole_response(config: RunConfig):
 
 def _cmd_edm_rates(config: RunConfig):
     p = config.edm
-    omegas = None
-    for ax in config.scan:
-        if ax.name == "omega":
-            omegas = ax.grid()
-        else:
-            raise ValueError(f"edm-rates scans only omega, got {ax.name!r}")
-    if omegas is None:
+    if config.scan:
+        omegas = config.scan[0].grid()
+    else:
         omegas = np.linspace(-4.0 * p.omega_c, 4.0 * p.omega_c, 1601)
     gamma_d = p.omega_d**2 * p.n_wells / p.gamma
     up = np.array([gamma_T(float(w), p) for w in omegas])
@@ -203,17 +191,33 @@ def _cmd_rabi_freq(config: RunConfig):
     return columns, ()
 
 
+# each subcommand with the scan axes it accepts, each at most once
 _COMMANDS = {
-    "gap-scan": _cmd_gap_scan,
-    "spectrum": _cmd_spectrum,
-    "evolve": _cmd_evolve,
-    "transmission": _cmd_transmission,
-    "dipole-response": _cmd_dipole_response,
-    "edm-rates": _cmd_edm_rates,
-    "edm-evolve": _cmd_edm_evolve,
-    "tla": _cmd_tla,
-    "rabi-freq": _cmd_rabi_freq,
+    "gap-scan": (_cmd_gap_scan, ("g", "epsilon", "T")),
+    "spectrum": (_cmd_spectrum, ("g",)),
+    "evolve": (_cmd_evolve, ()),
+    "transmission": (_cmd_transmission, ("epsilon",)),
+    "dipole-response": (_cmd_dipole_response, ("epsilon",)),
+    "edm-rates": (_cmd_edm_rates, ("omega",)),
+    "edm-evolve": (_cmd_edm_evolve, ()),
+    "tla": (_cmd_tla, ()),
+    "rabi-freq": (_cmd_rabi_freq, ()),
 }
+
+
+def _check_scan_axes(command: str, config: RunConfig) -> None:
+    accepted = _COMMANDS[command][1]
+    names = [ax.name for ax in config.scan]
+    if set(names) <= set(accepted) and len(set(names)) == len(names):
+        return
+    got = ", ".join(names)
+    if not accepted:
+        raise ValueError(f"{command} takes no scan axis, got {got}")
+    if len(accepted) == 1:
+        article = "an" if accepted[0][0] in "aeiou" else "a"
+        raise ValueError(f"{command} supports only {article} {accepted[0]} scan axis, got {got}")
+    allowed = ", ".join(accepted[:-1]) + " or " + accepted[-1]
+    raise ValueError(f"{command} supports only distinct {allowed} scan axes, got {got}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -252,7 +256,8 @@ def main(argv: list[str] | None = None) -> int:
             config = replace(config, output=args.output)
         if args.format:
             config = replace(config, fmt=args.format)
-        columns, extra = _COMMANDS[args.command](config)
+        _check_scan_axes(args.command, config)
+        columns, extra = _COMMANDS[args.command][0](config)
         metadata = build_metadata(config, extra=extra)
         if config.output:
             with open(config.output, "w") as stream:

@@ -10,7 +10,7 @@ initial state carries the frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .lindblad import (
     fit_rabi_decay,
     project_pure_state,
 )
-from .operators import ModelParams, default_n_fock, displacement_element
+from .operators import ModelParams, displacement_element
 
 
 def right_vacuum_state(params: ModelParams) -> np.ndarray:
@@ -76,24 +76,23 @@ class TunnelingRun:
 
 def run_tunneling_oscillations(
     k: int,
-    g: float = 3.0,
+    params: ModelParams = ModelParams.auto(g=3.0),
     gamma: float = 0.002,
     temperature: float = 0.0,
-    n_fock: int | None = None,
     m_levels: int = 20,
     n_periods: float = 6.5,
     points_per_period: int = 60,
 ) -> TunnelingRun:
     """Simulate <s_x>(t) from |right, 0> at the k-photon resonance.
 
-    The dipole bath strength is kappa = 4 gamma (the regime where cavity
-    losses set the slow scale).  The time grid covers n_periods of the
-    closed-form Omega_(k,k).
+    params sets the model; its epsilon is replaced by the resonance
+    k omega_c.  The dipole bath strength is kappa = 4 gamma (the regime
+    where cavity losses set the slow scale).  The time grid covers n_periods
+    of the closed-form Omega_(k,k).
     """
     if k < 1:
         raise ValueError(f"resonance order k must be >= 1, got {k}")
-    nf = default_n_fock(g) if n_fock is None else n_fock
-    params = ModelParams(g=g, epsilon=float(k), n_fock=nf)
+    params = replace(params, epsilon=k * params.omega_c)
     baths = [cavity_bath(gamma, params.omega_c), dipole_bath(4.0 * gamma, params.omega_d)]
     eig = certified_eigensystem(params, levels=m_levels)
     lv = build_liouvillian(eig, params, baths, temperature=temperature, m_levels=m_levels)
@@ -102,7 +101,7 @@ def run_tunneling_oscillations(
     omega_ref = abs(rabi_frequency(k, k, params))
     if omega_ref < 1e-12:
         raise ValueError(
-            f"tunneling frequency Omega_({k},{k}) vanishes at g={g}; "
+            f"tunneling frequency Omega_({k},{k}) vanishes at g={params.g}; "
             "there is no oscillation to time"
         )
     t_final = n_periods * 2.0 * np.pi / omega_ref

@@ -187,10 +187,17 @@ def write_table(
 
 
 def gap_rows(config: RunConfig, result: ScanResult) -> dict[str, np.ndarray]:
-    """A gap ScanResult as the (g, epsilon, lambda) table columns, row-major."""
+    """A gap ScanResult as (g, epsilon[, T], lambda) table columns, row-major.
+
+    The T column appears only when T is scanned; otherwise the header's
+    temperature holds for every row.
+    """
     points = scan_points(result.axes)
-    return {
+    columns = {
         "g": np.array([p.get("g", config.model.g) for p in points], dtype=float),
         "epsilon": np.array([p.get("epsilon", config.model.epsilon) for p in points], dtype=float),
-        "lambda": result.values.reshape(-1),
     }
+    if any(ax.name == "T" for ax in result.axes):
+        columns["T"] = np.array([p["T"] for p in points], dtype=float)
+    columns["lambda"] = result.values.reshape(-1)
+    return columns

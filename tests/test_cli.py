@@ -297,6 +297,67 @@ def test_wrong_scan_axis_exits_2(capsys):
     assert "only a g scan axis" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, axes", [
+    ("evolve", ["g, 1, 3, 3"]),
+    ("edm-evolve", ["g, 1, 3, 3"]),
+    ("tla", ["g, 1, 3, 3"]),
+    ("rabi-freq", ["epsilon, 0, 1, 2"]),
+    ("transmission", ["g, 1, 3, 3"]),
+    ("dipole-response", ["T, 0, 1, 3"]),
+    ("edm-rates", ["g, 1, 3, 3"]),
+    ("gap-scan", ["omega, 0, 1, 3"]),
+    ("spectrum", ["g, 1, 2, 2", "g, 3, 4, 2"]),
+], ids=lambda v: v if isinstance(v, str) else "+".join(a.split(",")[0] for a in v))
+def test_every_subcommand_rejects_scan_axes_it_does_not_run(command, axes, capsys):
+    # a scan that never ran must not be echoed in a table header
+    argv = [command, "--set", "bath = cavity, ohmic, 0.02, 1.0"]
+    for axis in axes:
+        argv += ["--set", f"scan = {axis}"]
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{command} " in captured.err and "scan ax" in captured.err
+
+
+def test_gap_scan_over_temperature_has_a_temperature_column(tmp_path):
+    out = tmp_path / "gap.csv"
+    code = run_cli(
+        "gap-scan",
+        "--set", "model.g = 1.0",
+        "--set", "scan = T, 0.05, 0.3, 3",
+        "--set", "bath = cavity, ohmic, 0.02, 1.0",
+        "--output", str(out),
+    )
+    assert code == 0
+    _, columns, rows = read_csv(out)
+    assert columns == ["g", "epsilon", "T", "lambda"]
+    assert [float(r[2]) for r in rows] == [0.05, 0.175, 0.3]
+    assert len({r[3] for r in rows}) == 3   # the gap moves with the bath temperature
+
+
+def test_evolve_runs_the_configured_model(tmp_path):
+    # omega_d and omega_c reach the run: the resonance sits at epsilon = k omega_c
+    fitted = {}
+    for omega_c, omega_d in ((1.0, 1.0), (1.0, 0.5), (1.5, 1.0)):
+        out = tmp_path / f"evolve_{omega_c}_{omega_d}.csv"
+        code = run_cli(
+            "evolve",
+            "--set", "model.g = 2.0",
+            "--set", f"model.omega_c = {omega_c}",
+            "--set", f"model.omega_d = {omega_d}",
+            "--set", "evolve.m_levels = 12",
+            "--set", "evolve.points_per_period = 24",
+            "--output", str(out),
+        )
+        assert code == 0
+        meta, _, _ = read_csv(out)
+        values = dict(line.split(": ", 1) for line in meta if ": " in line)
+        params = ModelParams(omega_c=omega_c, omega_d=omega_d, g=2.0, epsilon=omega_c)
+        assert float(values["reference omega_(k,k)"]) == abs(grwa.rabi_frequency(1, 1, params))
+        fitted[omega_c, omega_d] = float(values["fitted omega"])
+    assert len(set(fitted.values())) == 3
+
+
 def test_gap_scan_requires_bath(capsys):
     assert run_cli("gap-scan", "--set", "scan = g, 1, 2, 2") == 2
     assert "bath" in capsys.readouterr().err

@@ -32,7 +32,7 @@ from usc_relax.operators import (
 @pytest.fixture(scope="module")
 def quick_run() -> TunnelingRun:
     return run_tunneling_oscillations(
-        k=1, g=2.0, gamma=0.002, m_levels=16, n_periods=6.5, points_per_period=40
+        k=1, params=ModelParams.auto(g=2.0), gamma=0.002, m_levels=16, n_periods=6.5, points_per_period=40
     )
 
 
@@ -57,7 +57,7 @@ def test_input_validation():
     with pytest.raises(ValueError, match="k must be >= 1"):
         run_tunneling_oscillations(k=0)
     with pytest.raises(ValueError, match="vanishes"):
-        run_tunneling_oscillations(k=1, g=0.0)
+        run_tunneling_oscillations(k=1, params=ModelParams.auto(g=0.0))
 
 
 def test_references_match_closed_forms(quick_run):
@@ -108,7 +108,7 @@ def test_trajectory_sanity(quick_run):
 def test_lab_frame_run_matches_polaron_frame_reference(g, k):
     # the same scenario assembled in the polaron frame, where |right, 0> is
     # a product state; the couplings commute with the polaron map
-    run = run_tunneling_oscillations(k=k, g=g, gamma=0.002)
+    run = run_tunneling_oscillations(k=k, params=ModelParams.auto(g=g), gamma=0.002)
     params = run.params
     eig = certified_eigensystem(params, levels=20, builder=build_polaron_rabi)
     baths = [cavity_bath(0.002), dipole_bath(0.008)]
