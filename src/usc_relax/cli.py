@@ -60,7 +60,7 @@ def _cmd_spectrum(config: RunConfig):
         start = time.perf_counter()
         params = replace(config.model, g=float(g))
         eig = diagonalize(rabi_bands(params), SPECTRUM_LEVELS)
-        exact.append(eig.lowest(SPECTRUM_LEVELS)[0] + polaron_constant(params))
+        exact.append(eig.frequencies + polaron_constant(params))
         approx.append(_grwa_levels(params, SPECTRUM_LEVELS))
         log_point("spectrum", {"g": float(g)}, params.n_fock, start)
     columns = {
@@ -86,7 +86,11 @@ def _cmd_evolve(config: RunConfig):
         points_per_period=ev.points_per_period,
     )
     columns = {"t": run.times, "sx": run.sx, "sx_rescaled": run.rescaled()}
+    # the config echo above holds the requested model; these say what ran
     extra = (
+        f"run epsilon: {run.params.epsilon!r}",
+        f"run n_fock: {run.params.n_fock}",
+        f"projection deficit: {run.trajectory.projection_deficit!r}",
         f"fitted omega: {run.fit.omega!r}",
         f"fitted decay: {run.fit.decay!r}",
         f"reference omega_(k,k): {run.omega_ref!r}",
@@ -107,9 +111,7 @@ def _response_map(config: RunConfig, kind: str, structure_factor, eta: float, va
         start = time.perf_counter()
         params = replace(config.model, epsilon=eps)
         eig = diagonalize(rabi_bands(params), config.m_levels)
-        s = structure_factor(
-            eig, params, config.temperature, omegas, eta, m_levels=config.m_levels
-        )
+        s = structure_factor(eig, params, config.temperature, omegas, eta)
         values.append(value(s))
         log_point(kind, {"epsilon": eps}, params.n_fock, start)
     return {

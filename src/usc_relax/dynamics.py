@@ -95,8 +95,8 @@ def run_tunneling_oscillations(
     params = replace(params, epsilon=k * params.omega_c)
     baths = [cavity_bath(gamma, params.omega_c), dipole_bath(4.0 * gamma, params.omega_d)]
     eig = certified_eigensystem(params, levels=m_levels)
-    lv = build_liouvillian(eig, params, baths, temperature=temperature, m_levels=m_levels)
-    rho0, deficit = project_pure_state(eig, right_vacuum_state(params), m_levels)
+    lv = build_liouvillian(eig, params, baths, temperature=temperature)
+    rho0, deficit = project_pure_state(eig, right_vacuum_state(params))
 
     omega_ref = abs(rabi_frequency(k, k, params))
     if omega_ref < 1e-12:
@@ -108,7 +108,7 @@ def run_tunneling_oscillations(
     times = np.linspace(0.0, t_final, max(2, int(round(n_periods * points_per_period))))
 
     # S_x (x) 1 is the dipole bath's cached coupling
-    v = eig.lowest(m_levels)[1]
+    v = eig.vectors
     observables = {"sx": v.conj().T @ coupling_matrix(params, "dipole").entries @ v}
     traj = evolve(lv, rho0, times, observables=observables, projection_deficit=deficit)
     fit = fit_rabi_decay(times, traj.observables["sx"])

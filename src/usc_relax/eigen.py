@@ -9,15 +9,15 @@ real eigenvectors, whose gauge is then a sign.  Inside an exactly
 degenerate subspace no gauge rule fixes the basis, so there the vectors
 depend on the solver (band or dense).
 
-The truncation is two-tier: the master equation keeps only the lowest
-m_levels eigenlevels, so callers ask diagonalize() for those levels alone.
-Every production solve is the lab-frame Rabi Hamiltonian, which arrives as
-a BandOperator and is solved for just those levels: one eigenvalues-only
-sweep (LAPACK dsbev), then inverse iteration on the band for the vectors,
-which must meet a residual bound or raise.  No n x n reduction matrix is
-ever formed.  Dense operators, such as the polaron-frame reference builder,
-go through a full eigh.  EigenSystem.lowest() hands every caller its
-retained levels behind one converged-levels check.
+The truncation is two-tier: the master equation keeps only the lowest M
+eigenlevels, and an EigenSystem is exactly those levels.  diagonalize()
+and certified_eigensystem() are where M is chosen; every consumer takes
+it from the eigensystem.  Every production solve is the lab-frame Rabi
+Hamiltonian, which arrives as a BandOperator and is solved for just those
+levels: one eigenvalues-only sweep (LAPACK dsbev), then inverse iteration
+on the band for the vectors, which must meet a residual bound or raise.
+No n x n reduction matrix is ever formed.  Dense operators, such as the
+polaron-frame reference builder, go through a full eigh.
 """
 
 from __future__ import annotations
@@ -41,25 +41,10 @@ MAX_SWEEPS = 4             # inverse-iteration sweeps before a band solve gives 
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Sorted eigenfrequencies and gauge-fixed eigenvectors.
+    """The retained levels: sorted eigenfrequencies and gauge-fixed eigenvectors."""
 
-    converged_levels counts the prefix of levels certified against the
-    numerical residual (every level solved for, by diagonalize) or against
-    Fock truncation when produced by certified_eigensystem.
-    """
-
-    frequencies: np.ndarray  # the lowest levels solved for, ascending
-    vectors: np.ndarray  # (dim, levels); column n is the eigenvector of frequencies[n]
-    dim: int
-    converged_levels: int
-
-    def lowest(self, m_levels: int) -> tuple[np.ndarray, np.ndarray]:
-        """Frequencies and vectors of the lowest m_levels, all of them converged."""
-        if m_levels > self.converged_levels:
-            raise ValueError(
-                f"m_levels={m_levels} exceeds the {self.converged_levels} converged levels"
-            )
-        return self.frequencies[:m_levels], self.vectors[:, :m_levels]
+    frequencies: np.ndarray  # (M,) the lowest levels solved for, ascending
+    vectors: np.ndarray  # (dim, M); column n is the eigenvector of frequencies[n]
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
@@ -174,9 +159,7 @@ def diagonalize(op: OperatorMatrix | BandOperator, levels: int | None = None) ->
             h = h.real
         freqs, vecs = np.linalg.eigh(h)
         freqs, vecs = freqs[:count], vecs[:, :count]
-    return EigenSystem(
-        frequencies=freqs, vectors=_fix_phases(vecs), dim=op.dim, converged_levels=count
-    )
+    return EigenSystem(frequencies=freqs, vectors=_fix_phases(vecs))
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,14 @@ Because every jump is rank one between eigenlevels, the generator is exactly
 a Pauli rate matrix W on the populations plus an independent exponential
 decay of each coherence (Breuer & Petruccione, The Theory of Open Quantum
 Systems).  The gap, the steady state and the time evolution all come from
-those two M x M blocks, so the cost scales as m_levels^3.
+those two M x M blocks, so the cost scales as M^3.
 
 Truncation is two-tier: the Hamiltonian is built at full n_fock, but only
-its lowest m_levels eigenlevels are solved for and kept for the master
-equation.  Inside an exactly degenerate subspace the basis depends on the
-solver, and so do the single matrix elements that touch it; sums over the
-subspace do not.
+its lowest M eigenlevels are solved for and kept for the master equation.
+Those M levels are the EigenSystem handed in; no function here takes a
+second level count.  Inside an exactly degenerate subspace the basis
+depends on the solver, and so do the single matrix elements that touch it;
+sums over the subspace do not.
 """
 
 from __future__ import annotations
@@ -131,30 +132,12 @@ def coupling_matrix(params: ModelParams, channel: str) -> OperatorMatrix:
     return _coupling_operator(params.n_fock, params.spin_n, channel)
 
 
-def transition_lines(
-    eig: EigenSystem, op: OperatorMatrix, m_levels: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Line list of the m_levels lowest levels: (w[n, m] = w_m - w_n, |<n|X|m>|^2)."""
-    if op.dim != eig.dim:
-        raise ValueError(f"operator dim {op.dim} != eigensystem dim {eig.dim}")
-    w, v = eig.lowest(m_levels)
+def transition_lines(eig: EigenSystem, op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Line list of the retained levels: (w[n, m] = w_m - w_n, |<n|X|m>|^2)."""
+    w, v = eig.frequencies, eig.vectors
+    if op.dim != len(v):
+        raise ValueError(f"operator dim {op.dim} != eigensystem dim {len(v)}")
     return w[None, :] - w[:, None], np.abs(v.conj().T @ op.entries @ v) ** 2
-
-
-def transition_rates(
-    eig: EigenSystem, op: OperatorMatrix, bath: BathSpec, m_levels: int
-) -> np.ndarray:
-    """Base golden-rule rates G[n, m] = J(|w_mn|) |<n|X|m>|^2, zero diagonal.
-
-    Symmetric in (n, m); thermal (1 + N_T) / N_T weights are applied by the
-    Liouvillian assembly, not here.
-    """
-    if m_levels < 2:
-        raise ValueError(f"need at least 2 levels, got {m_levels}")
-    omega, elem2 = transition_lines(eig, op, m_levels)
-    rates = bath.spectral_density(omega) * elem2
-    np.fill_diagonal(rates, 0.0)
-    return rates
 
 
 @dataclass(frozen=True)
@@ -208,9 +191,8 @@ def build_liouvillian(
     params: ModelParams,
     baths: Sequence[BathSpec],
     temperature: float = 0.0,
-    m_levels: int = 24,
 ) -> Liouvillian:
-    """Assemble the thermal jump rates on the m_levels lowest eigenlevels.
+    """Assemble the thermal jump rates on the retained eigenlevels.
 
     Exactly degenerate pairs (|w_mn| < 1e-9 omega_c) get rate zero, which is
     also what J(0) = 0 dictates.  Upward and downward coefficients are built
@@ -218,11 +200,11 @@ def build_liouvillian(
     """
     if temperature < 0.0:
         raise ValueError(f"temperature must be >= 0, got {temperature}")
-    if m_levels < 2:
-        raise ValueError(f"need at least 2 levels, got {m_levels}")
-    w = eig.lowest(m_levels)[0].copy()
-    rates = np.zeros((m_levels, m_levels))
-    lines = [transition_lines(eig, coupling_matrix(params, b.channel), m_levels) for b in baths]
+    m = len(eig.frequencies)
+    if m < 2:
+        raise ValueError(f"need at least 2 levels, got {m}")
+    rates = np.zeros((m, m))
+    lines = [transition_lines(eig, coupling_matrix(params, b.channel)) for b in baths]
     if lines:
         gap = lines[0][0]   # [to, from]: w_from - w_to, the same for every bath
         downward = gap >= DEGENERACY_TOL * params.omega_c
@@ -234,7 +216,10 @@ def build_liouvillian(
             down = np.where(downward, bath.spectral_density(gap) * elem2, 0.0) / (1.0 - boltz)
             rates += down + (down * boltz).T
     return Liouvillian(
-        level_freqs=w, rates=rates, temperature=temperature, baths=tuple(baths)
+        level_freqs=eig.frequencies.copy(),
+        rates=rates,
+        temperature=temperature,
+        baths=tuple(baths),
     )
 
 
@@ -373,7 +358,7 @@ def evolve(
     )
 
 
-def project_pure_state(eig: EigenSystem, psi: np.ndarray, m_levels: int) -> tuple[np.ndarray, float]:
+def project_pure_state(eig: EigenSystem, psi: np.ndarray) -> tuple[np.ndarray, float]:
     """Project |psi> onto the retained eigenlevels; returns (rho0, lost weight).
 
     The projected state is renormalized, so rho0 is a valid density matrix;
@@ -381,7 +366,7 @@ def project_pure_state(eig: EigenSystem, psi: np.ndarray, m_levels: int) -> tupl
     is formed as 1 - weight, so it is good only to ~1e-15 absolute: a
     deficit of 1e-5 carries ~1e-10 relative rounding.
     """
-    coeff = eig.lowest(m_levels)[1].conj().T @ psi
+    coeff = eig.vectors.conj().T @ psi
     weight = float(np.real(coeff.conj() @ coeff))
     if weight <= 0.0:
         raise ValueError("state has no weight on the retained levels")

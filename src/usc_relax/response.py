@@ -7,9 +7,10 @@ ratios survive in the transmission function, so a single unit knob would
 multiply through without changing any reported shape.
 
 The lines are the master equation's own line list (lindblad.transition_lines)
-over the m_levels retained eigenlevels, weighted by the same Boltzmann
-populations as its Gibbs state; requests whose thermal tail weight beyond
-the last level would exceed 1e-6 are rejected rather than silently truncated.
+over the retained eigenlevels, which are all the levels of the EigenSystem
+handed in, weighted by the same Boltzmann populations as its Gibbs state;
+requests whose thermal tail weight beyond the last level would exceed 1e-6
+are rejected rather than silently truncated.
 The Lorentzians are summed over blocks of lines broadcast on the frequency
 grid, in line order, so each value equals the per-line sum bit for bit.
 """
@@ -86,7 +87,6 @@ def _structure_factor(
     temperature: float,
     omegas: np.ndarray,
     eta: float,
-    m_levels: int,
     kind: str,
 ) -> SpectrumGrid:
     if eta <= 0.0:
@@ -94,7 +94,7 @@ def _structure_factor(
     omegas = np.asarray(omegas, dtype=float)
     if omegas.ndim != 1 or np.any(np.diff(omegas) <= 0.0):
         raise ValueError("frequency grid must be strictly ascending")
-    omega, elem2 = transition_lines(eig, coupling_matrix(params, channel), m_levels)
+    omega, elem2 = transition_lines(eig, coupling_matrix(params, channel))
     # omega[0] holds the level energies above the ground level
     strength = thermal_weights(omega[0], temperature)[:, None] * elem2
     keep = strength > 0.0   # row-major: by initial level n, then final level m
@@ -115,11 +115,10 @@ def cavity_structure_factor(
     temperature: float,
     omegas: np.ndarray,
     eta: float,
-    m_levels: int = 24,
 ) -> SpectrumGrid:
     """S_c(w): thermally weighted quadrature lines |<n|a - a^dag|m>|^2."""
     return _structure_factor(
-        eig, params, "cavity", temperature, omegas, eta, m_levels, "cavity_structure"
+        eig, params, "cavity", temperature, omegas, eta, "cavity_structure"
     )
 
 
@@ -129,11 +128,10 @@ def dipole_structure_factor(
     temperature: float,
     omegas: np.ndarray,
     eta: float,
-    m_levels: int = 24,
 ) -> SpectrumGrid:
     """S_dip(w): thermally weighted dipole lines |<n|s_x|m>|^2."""
     return _structure_factor(
-        eig, params, "dipole", temperature, omegas, eta, m_levels, "dipole_structure"
+        eig, params, "dipole", temperature, omegas, eta, "dipole_structure"
     )
 
 

@@ -1,12 +1,13 @@
 """Parameter scans over the relaxation-gap phase diagram, plus table emission.
 
 Scan points are independent and run in sequence: each builds its band
-Hamiltonian from the config and its axis values and solves it for the
-m_levels the master equation keeps, while the bath couplings are built once
-per Fock truncation and shared.  Each point logs one INFO line (axis
-values, n_fock, seconds), as do the CLI's spectrum and response maps.  A
-failing point is recorded as NaN with a log entry instead of aborting the
-scan; a 400-point phase diagram should survive isolated truncation failures.
+Hamiltonian from the config and its axis values and solves it for exactly
+the m_levels the master equation keeps, which the assembly then takes from
+the eigensystem; the bath couplings are built once per Fock truncation and
+shared.  Each point logs one INFO line (axis values, n_fock, seconds), as
+do the CLI's spectrum and response maps.  A failing point is recorded as
+NaN with a log entry instead of aborting the scan; a 400-point phase
+diagram should survive isolated truncation failures.
 
 Tables are emitted by column: every CLI subcommand hands write_table its
 columns as arrays, and CSV cells are formatted per column, a few thousand
@@ -79,9 +80,7 @@ def _gap_point(config: RunConfig, point: dict[str, float]) -> tuple[float, str |
     try:
         cfg = _apply_axis_values(config, point)
         eig = diagonalize(rabi_bands(cfg.model), cfg.m_levels)
-        lv = build_liouvillian(
-            eig, cfg.model, cfg.baths, temperature=cfg.temperature, m_levels=cfg.m_levels
-        )
+        lv = build_liouvillian(eig, cfg.model, cfg.baths, temperature=cfg.temperature)
         outcome = liouvillian_gap(lv), None
     except Exception as exc:   # noqa: BLE001 - NaN-and-continue is the contract
         outcome = math.nan, f"({_where(point)}): {exc}"

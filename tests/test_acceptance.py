@@ -51,8 +51,8 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 def relaxation_gap(g: float, epsilon: float) -> float:
     params = ModelParams(g=g, epsilon=epsilon, n_fock=80)
-    eig = diagonalize(build_rabi(params))
-    lv = build_liouvillian(eig, params, RATE_BATHS, temperature=0.0, m_levels=24)
+    eig = diagonalize(build_rabi(params), 24)
+    lv = build_liouvillian(eig, params, RATE_BATHS, temperature=0.0)
     return liouvillian_gap(lv)
 
 
@@ -66,10 +66,10 @@ def test_criterion_1_gibbs_stationarity():
     for g in (0.0, 1.0, 3.0):
         for eps in (0.0, 1.0):
             params = ModelParams.auto(g=g, epsilon=eps)
-            eig = diagonalize(build_rabi(params))
+            eig = diagonalize(build_rabi(params), 24)
             for temp in (0.0, 0.2, 0.5):
                 lv = build_liouvillian(
-                    eig, params, RATE_BATHS, temperature=temp, m_levels=24
+                    eig, params, RATE_BATHS, temperature=temp
                 )
                 rho_g = gibbs_state(lv.level_freqs, temp)
                 worst_res = max(
@@ -283,8 +283,8 @@ def _transmission_peaks(omegas, values, rel=0.25):
 
 def _transmission_column(g, eps, omegas, q=100.0, temp=0.2):
     params = ModelParams.auto(g=g, epsilon=float(eps))
-    eig = diagonalize(build_rabi(params))
-    s = cavity_structure_factor(eig, params, temp, omegas, 1.0 / q, m_levels=24)
+    eig = diagonalize(build_rabi(params), 24)
+    s = cavity_structure_factor(eig, params, temp, omegas, 1.0 / q)
     return np.abs(transmission(system_impedance(s), q).values)
 
 

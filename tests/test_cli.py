@@ -12,9 +12,10 @@ from usc_relax import grwa
 from usc_relax.cli import _cmd_transmission, main
 from usc_relax.config import RunConfig, parse_config
 from usc_relax.dipole import WellParams, tla_parameters
+from usc_relax.dynamics import run_tunneling_oscillations
 from usc_relax.eigen import diagonalize
 from usc_relax.lindblad import BathSpec, build_liouvillian, liouvillian_gap
-from usc_relax.operators import ModelParams, build_rabi, rabi_bands
+from usc_relax.operators import ModelParams, build_rabi, default_n_fock, rabi_bands
 from usc_relax.response import cavity_structure_factor, system_impedance, transmission
 
 
@@ -67,10 +68,9 @@ def test_gap_scan_single_point_matches_direct_call(tmp_path):
     [row] = rows
     params = ModelParams(g=2.0)
     lv = build_liouvillian(
-        diagonalize(build_rabi(params)),
+        diagonalize(build_rabi(params), 24),
         params,
         (BathSpec(channel="cavity", law="ohmic", strength=0.02, ref_freq=1.0),),
-        m_levels=24,
     )
     assert float(row[0]) == 2.0
     assert float(row[2]) == pytest.approx(liouvillian_gap(lv), rel=1e-12)
@@ -142,8 +142,7 @@ def test_transmission_column_is_scalar_abs_of_each_value():
     for eps in (-1.5, 0.0, 1.5):
         params = replace(config.model, epsilon=eps)
         s_c = cavity_structure_factor(
-            diagonalize(rabi_bands(params), config.m_levels), params, 0.2, omegas, eta,
-            m_levels=config.m_levels,
+            diagonalize(rabi_bands(params), config.m_levels), params, 0.2, omegas, eta
         )
         t = transmission(system_impedance(s_c), config.response.q_factor)
         expected.extend(abs(v) for v in t.values)
@@ -356,6 +355,32 @@ def test_evolve_runs_the_configured_model(tmp_path):
         assert float(values["reference omega_(k,k)"]) == abs(grwa.rabi_frequency(1, 1, params))
         fitted[omega_c, omega_d] = float(values["fitted omega"])
     assert len(set(fitted.values())) == 3
+
+
+def test_evolve_header_says_how_the_run_was_made(tmp_path):
+    # the config echo keeps the requested epsilon = 0 and n_fock = 40; the run
+    # used epsilon = k omega_c and the coupling's n_fock, and the header says so
+    out = tmp_path / "evolve.csv"
+    code = run_cli(
+        "evolve",
+        "--set", "model.g = 2.0",
+        "--set", "evolve.k = 2",
+        "--set", "evolve.m_levels = 12",
+        "--set", "evolve.points_per_period = 24",
+        "--output", str(out),
+    )
+    assert code == 0
+    meta, _, _ = read_csv(out)
+    assert "model.epsilon = 0.0" in meta and "model.n_fock = 40" in meta
+    values = dict(line.split(": ", 1) for line in meta if ": " in line)
+    assert float(values["run epsilon"]) == 2.0
+    assert int(values["run n_fock"]) == default_n_fock(2.0)
+    run = run_tunneling_oscillations(
+        k=2, params=ModelParams(g=2.0, n_fock=default_n_fock(2.0)),
+        m_levels=12, points_per_period=24,
+    )
+    assert float(values["projection deficit"]) == run.trajectory.projection_deficit
+    assert 0.0 < run.trajectory.projection_deficit < 1e-3
 
 
 def test_gap_scan_requires_bath(capsys):

@@ -112,11 +112,11 @@ def test_lab_frame_run_matches_polaron_frame_reference(g, k):
     params = run.params
     eig = certified_eigensystem(params, levels=20, builder=build_polaron_rabi)
     baths = [cavity_bath(0.002), dipole_bath(0.008)]
-    lv = build_liouvillian(eig, params, baths, temperature=0.0, m_levels=20)
+    lv = build_liouvillian(eig, params, baths, temperature=0.0)
     psi = np.zeros(params.dim, dtype=complex)
     psi[0] = psi[params.n_fock] = 1.0 / np.sqrt(2.0)
-    rho0, deficit = project_pure_state(eig, psi, 20)
-    v = eig.lowest(20)[1]
+    rho0, deficit = project_pure_state(eig, psi)
+    v = eig.vectors
     sx = v.conj().T @ coupling_matrix(params, "dipole").entries @ v
     ref = evolve(lv, rho0, run.times, observables={"sx": sx}).observables["sx"]
     assert np.max(np.abs(run.sx - ref)) < 1e-10

@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+import importlib
+import inspect
+import pkgutil
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
 
 from oracles import band_eigvals_via_dsbevx
+import usc_relax
 from usc_relax import eigen
 from usc_relax.eigen import (
     ConvergenceReport,
+    EigenSystem,
     _fix_phases,
     certified_eigensystem,
     convergence_check,
@@ -33,8 +38,7 @@ def test_frequencies_match_numpy():
     eig = diagonalize(op)
     ref = np.linalg.eigvalsh(op.entries)
     assert np.allclose(eig.frequencies, ref, atol=1e-13)
-    assert eig.dim == 60
-    assert eig.converged_levels == 60
+    assert eig.vectors.shape == (60, 60)
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.3, 1.0, 3.0])
@@ -44,17 +48,16 @@ def test_band_solve_matches_dense_eigh(g, epsilon):
     params = ModelParams(g=g, epsilon=epsilon, n_fock=default_n_fock(g))
     levels = 24
     band = diagonalize(rabi_bands(params), levels)
-    dense = diagonalize(build_rabi(params))
+    dense = diagonalize(build_rabi(params), levels)
     assert band.vectors.shape == (params.dim, levels)
-    assert band.converged_levels == levels
-    w = dense.frequencies[:levels]
+    w = dense.frequencies
     assert np.all(np.abs(band.frequencies - w) <= 1e-12 * np.maximum(1.0, np.abs(w)))
     if np.min(np.diff(w)) < 1e-5:
         return   # near-degenerate pairs: each solver may rotate inside the pair
     for channel in ("cavity", "dipole"):
         op = coupling_matrix(params, channel)
-        elem_band = transition_lines(band, op, levels)[1]
-        elem_dense = transition_lines(dense, op, levels)[1]
+        elem_band = transition_lines(band, op)[1]
+        elem_dense = transition_lines(dense, op)[1]
         assert np.max(np.abs(elem_band - elem_dense)) <= 1e-9
 
 
@@ -101,7 +104,7 @@ def test_band_solve_of_every_level_equals_dense_eigh():
     params = ModelParams(g=1.2, epsilon=0.4, n_fock=12)
     band = diagonalize(rabi_bands(params))
     w, v = np.linalg.eigh(build_rabi(params).entries)
-    assert band.converged_levels == params.dim
+    assert band.vectors.shape == (params.dim, params.dim)
     assert np.all(np.abs(band.frequencies - w) <= 1e-12 * np.maximum(1.0, np.abs(w)))
     assert np.max(np.abs(band.vectors - _fix_phases(v))) <= 1e-12
 
@@ -141,8 +144,7 @@ def test_dense_levels_are_the_leading_columns_of_the_full_solve():
     for op in ops:
         full = diagonalize(op)
         part = diagonalize(op, 7)
-        assert part.converged_levels == 7
-        assert part.dim == op.dim
+        assert part.vectors.shape == (op.dim, 7)
         assert np.array_equal(part.frequencies, full.frequencies[:7])
         assert np.array_equal(part.vectors, full.vectors[:, :7])
 
@@ -230,7 +232,7 @@ def test_convergence_check_reports_drift():
 def test_certified_eigensystem_accepts_adequate_truncation():
     params = ModelParams.auto(g=2.0)
     eig = certified_eigensystem(params, levels=10, builder=build_polaron_rabi)
-    assert eig.converged_levels == 10
+    assert eig.vectors.shape == (params.dim, 10)
     ref = np.linalg.eigvalsh(build_polaron_rabi(params).entries)[:10]
     assert np.allclose(eig.frequencies[:10], ref, atol=1e-12)
 
@@ -244,3 +246,22 @@ def test_certified_eigensystem_rejects_undertruncation():
 def test_convergence_check_needs_two_sizes():
     with pytest.raises(ValueError, match="two Fock sizes"):
         convergence_check(ModelParams(n_fock=20), (20,))
+
+
+def test_the_eigensystem_is_the_one_level_count():
+    # an EigenSystem is exactly the retained levels, so nothing that takes
+    # one may take a second level count beside it
+    assert tuple(f.name for f in fields(EigenSystem)) == ("frequencies", "vectors")
+    takers, offenders = [], []
+    for info in pkgutil.iter_modules(usc_relax.__path__):
+        module = importlib.import_module(f"usc_relax.{info.name}")
+        for name, func in inspect.getmembers(module, inspect.isfunction):
+            if name.startswith("_") or func.__module__ != module.__name__:
+                continue
+            params = inspect.signature(func).parameters
+            if any("EigenSystem" in str(p.annotation) for p in params.values()):
+                takers.append(f"{info.name}.{name}")
+                if {"m_levels", "levels"} & set(params):
+                    offenders.append(f"{info.name}.{name}")
+    assert "lindblad.build_liouvillian" in takers
+    assert offenders == []

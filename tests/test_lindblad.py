@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import oracles
-from usc_relax.eigen import certified_eigensystem, diagonalize
+from usc_relax.eigen import EigenSystem, certified_eigensystem, diagonalize
 from usc_relax.lindblad import (
     DEGENERACY_TOL,
     BathSpec,
@@ -36,15 +36,14 @@ from usc_relax.lindblad import (
     steady_state,
     thermal_occupation,
     transition_lines,
-    transition_rates,
 )
 from usc_relax.operators import ModelParams, build_polaron_rabi, build_rabi, rabi_bands
 from usc_relax.response import thermal_weights
 
 
-def _qubit_system(omega_d=0.7, n_fock=8):
+def _qubit_system(levels, omega_d=0.7, n_fock=8):
     params = ModelParams(g=0.0, omega_d=omega_d, epsilon=0.0, n_fock=n_fock)
-    eig = diagonalize(build_rabi(params))
+    eig = diagonalize(build_rabi(params), levels)
     return params, eig
 
 
@@ -122,17 +121,6 @@ def test_coupling_matrix_shapes_and_symmetry():
         coupling_matrix(params, "flux")
 
 
-def test_transition_rates_structure():
-    params, eig = _qubit_system()
-    rates = transition_rates(eig, coupling_matrix(params, "dipole"), dipole_bath(0.1), 6)
-    assert rates.shape == (6, 6)
-    assert np.allclose(rates, rates.T)
-    assert np.all(np.diag(rates) == 0.0)
-    assert np.all(rates >= 0.0)
-    with pytest.raises(ValueError, match="m_levels"):
-        transition_rates(eig, coupling_matrix(params, "dipole"), dipole_bath(0.1), 100)
-
-
 # ---------------------------------------------------------------------------
 # Liouvillian assembly
 # ---------------------------------------------------------------------------
@@ -141,7 +129,7 @@ def test_generator_preserves_trace_and_hermiticity():
     params = ModelParams.auto(g=1.0, epsilon=0.3)
     eig = certified_eigensystem(params, levels=10, builder=build_polaron_rabi)
     lv = build_liouvillian(
-        eig, params, [cavity_bath(0.05), dipole_bath(0.2)], temperature=0.3, m_levels=10
+        eig, params, [cavity_bath(0.05), dipole_bath(0.2)], temperature=0.3
     )
     rng = np.random.default_rng(11)
     for _ in range(20):
@@ -156,7 +144,7 @@ def test_exactly_one_stationary_mode():
     params = ModelParams.auto(g=1.0, epsilon=0.3)
     eig = certified_eigensystem(params, levels=10, builder=build_polaron_rabi)
     lv = build_liouvillian(
-        eig, params, [cavity_bath(0.05), dipole_bath(0.2)], temperature=0.2, m_levels=10
+        eig, params, [cavity_bath(0.05), dipole_bath(0.2)], temperature=0.2
     )
     vals = liouvillian_eigenvalues(lv)
     assert np.count_nonzero(np.abs(vals) < 1e-9) == 1
@@ -167,7 +155,7 @@ def test_upward_downward_ratio_is_exact_boltzmann():
     params = ModelParams.auto(g=2.0, epsilon=0.4)
     eig = certified_eigensystem(params, levels=8, builder=build_polaron_rabi)
     temperature = 0.35
-    lv = build_liouvillian(eig, params, [cavity_bath(0.05)], temperature, m_levels=8)
+    lv = build_liouvillian(eig, params, [cavity_bath(0.05)], temperature)
     up = list(zip(*np.nonzero(np.tril(lv.rates, -1))))   # rates[to, from], to > from
     assert up, "finite temperature must produce upward jumps"
     for to, frm in up:
@@ -180,7 +168,7 @@ def test_upward_downward_ratio_is_exact_boltzmann():
 def test_zero_temperature_has_no_upward_jumps():
     params = ModelParams.auto(g=2.0)
     eig = certified_eigensystem(params, levels=8, builder=build_polaron_rabi)
-    lv = build_liouvillian(eig, params, [cavity_bath(0.05)], 0.0, m_levels=8)
+    lv = build_liouvillian(eig, params, [cavity_bath(0.05)], 0.0)
     assert not np.any(np.tril(lv.rates))   # every jump rates[to, from] has from > to
 
 
@@ -189,17 +177,18 @@ def test_matches_dense_kron_generator():
     params = ModelParams.auto(g=1.5, epsilon=0.3)
     eig = certified_eigensystem(params, levels=8, builder=build_polaron_rabi)
     lv = build_liouvillian(
-        eig, params, [cavity_bath(0.04), dipole_bath(0.16)], temperature=0.25, m_levels=8
+        eig, params, [cavity_bath(0.04), dipole_bath(0.16)], temperature=0.25
     )
     ref = _oracle_generator(lv)
     assert np.allclose(lv.matrix, ref, atol=1e-13)
 
 
-def _per_bath_rates(eig, params, baths, temperature, m_levels):
+def _per_bath_rates(eig, params, baths, temperature):
     """The jump rates with the Boltzmann factors formed again for each bath."""
-    rates = np.zeros((m_levels, m_levels))
+    m = len(eig.frequencies)
+    rates = np.zeros((m, m))
     for bath in baths:
-        gap, elem2 = transition_lines(eig, coupling_matrix(params, bath.channel), m_levels)
+        gap, elem2 = transition_lines(eig, coupling_matrix(params, bath.channel))
         downward = gap >= DEGENERACY_TOL * params.omega_c
         boltz = np.zeros_like(gap)
         if temperature > 0.0:
@@ -215,9 +204,16 @@ def test_rates_match_per_bath_assembly(temperature):
     params = ModelParams(g=2.0, epsilon=0.4, n_fock=60)
     eig = diagonalize(rabi_bands(params), 24)
     baths = [cavity_bath(0.05), dipole_bath(0.2)]
-    lv = build_liouvillian(eig, params, baths, temperature, m_levels=24)
-    assert np.array_equal(lv.rates, _per_bath_rates(eig, params, baths, temperature, 24))
-    assert not np.any(build_liouvillian(eig, params, [], temperature, m_levels=24).rates)
+    lv = build_liouvillian(eig, params, baths, temperature)
+    assert np.array_equal(lv.rates, _per_bath_rates(eig, params, baths, temperature))
+    assert not np.any(build_liouvillian(eig, params, [], temperature).rates)
+
+
+def test_build_liouvillian_rejects_a_single_level():
+    params = ModelParams(g=1.0, n_fock=20)
+    one = diagonalize(rabi_bands(params), 1)
+    with pytest.raises(ValueError, match="at least 2 levels, got 1"):
+        build_liouvillian(one, params, [cavity_bath(0.05)])
 
 
 @pytest.mark.parametrize("temperature", [0.0, 0.3])
@@ -226,7 +222,7 @@ def test_gap_matches_dense_oracle_spectrum(temperature, eig_cache):
     params = ModelParams.auto(g=3.0, epsilon=0.0)
     eig = eig_cache(params, levels=20)
     lv = build_liouvillian(
-        eig, params, [cavity_bath(0.05), dipole_bath(0.2)], temperature, m_levels=20
+        eig, params, [cavity_bath(0.05), dipole_bath(0.2)], temperature
     )
     vals = np.linalg.eigvals(_oracle_generator(lv))
     vals = vals[np.lexsort((np.abs(vals.imag), -vals.real))]
@@ -238,7 +234,7 @@ def test_evolve_with_coherences_matches_expm_of_dense_oracle():
     params = ModelParams.auto(g=1.5, epsilon=0.3)
     eig = certified_eigensystem(params, levels=8, builder=build_polaron_rabi)
     lv = build_liouvillian(
-        eig, params, [cavity_bath(0.04), dipole_bath(0.16)], temperature=0.25, m_levels=8
+        eig, params, [cavity_bath(0.04), dipole_bath(0.16)], temperature=0.25
     )
     rng = np.random.default_rng(3)
     psi = rng.normal(size=8) + 1j * rng.normal(size=8)
@@ -255,7 +251,7 @@ def _six_level_liouvillian():
     params = ModelParams.auto(g=1.5, epsilon=0.3)
     eig = certified_eigensystem(params, levels=6, builder=build_polaron_rabi)
     return build_liouvillian(
-        eig, params, [cavity_bath(0.04), dipole_bath(0.16)], temperature=0.25, m_levels=6
+        eig, params, [cavity_bath(0.04), dipole_bath(0.16)], temperature=0.25
     )
 
 
@@ -306,7 +302,7 @@ def test_gibbs_state_is_stationary(g, temperature, eig_cache):
     params = ModelParams.auto(g=g, epsilon=1.0)
     eig = eig_cache(params, levels=12)
     lv = build_liouvillian(
-        eig, params, [cavity_bath(0.05), dipole_bath(0.2)], temperature, m_levels=12
+        eig, params, [cavity_bath(0.05), dipole_bath(0.2)], temperature
     )
     rho = gibbs_state(lv.level_freqs, temperature)
     residual = np.linalg.norm(oracles.apply_liouvillian(lv, rho))
@@ -329,7 +325,7 @@ def test_steady_state_matches_gibbs(eig_cache):
     params = ModelParams.auto(g=1.0, epsilon=1.0)
     eig = eig_cache(params, levels=12)
     lv = build_liouvillian(
-        eig, params, [cavity_bath(0.05), dipole_bath(0.2)], temperature=0.2, m_levels=12
+        eig, params, [cavity_bath(0.05), dipole_bath(0.2)], temperature=0.2
     )
     rho = steady_state(lv)
     ref = gibbs_state(lv.level_freqs, 0.2)
@@ -338,8 +334,8 @@ def test_steady_state_matches_gibbs(eig_cache):
 
 def test_decoupled_sector_reports_degenerate_kernel():
     # cavity-only bath at g = 0 leaves the qubit populations untouched
-    params, eig = _qubit_system()
-    lv = build_liouvillian(eig, params, [cavity_bath(0.05)], 0.0, m_levels=6)
+    params, eig = _qubit_system(6)
+    lv = build_liouvillian(eig, params, [cavity_bath(0.05)], 0.0)
     with pytest.raises(DegenerateSteadyStateError, match="kernel dimension"):
         steady_state(lv)
 
@@ -366,17 +362,15 @@ def test_two_absorbing_levels_report_degenerate_kernel():
 def test_weak_coupling_gap_is_half_gamma():
     gamma = 0.05
     params = ModelParams(g=0.0, epsilon=0.0, n_fock=30)
-    eig = diagonalize(build_rabi(params))
-    lv = build_liouvillian(
-        eig, params, [cavity_bath(gamma), dipole_bath(4 * gamma)], 0.0, m_levels=12
-    )
+    eig = diagonalize(build_rabi(params), 12)
+    lv = build_liouvillian(eig, params, [cavity_bath(gamma), dipole_bath(4 * gamma)], 0.0)
     assert liouvillian_gap(lv) == pytest.approx(-gamma / 2.0, abs=1e-9)
 
 
 def test_two_level_amplitude_damping_spectrum():
     kappa = 0.2
-    params, eig = _qubit_system(omega_d=0.7)
-    lv = build_liouvillian(eig, params, [dipole_bath(kappa)], 0.0, m_levels=2)
+    params, eig = _qubit_system(2, omega_d=0.7)
+    lv = build_liouvillian(eig, params, [dipole_bath(kappa)], 0.0)
     rate = kappa * 0.7**3 * 0.25  # J(omega_d) |<g|s_x|e>|^2
     vals = liouvillian_eigenvalues(lv)
     # {0, -rate/2 +- i omega_d, -rate}
@@ -392,8 +386,8 @@ def test_two_level_amplitude_damping_spectrum():
 
 def test_evolution_matches_exponential_decay():
     kappa = 0.2
-    params, eig = _qubit_system(omega_d=0.7)
-    lv = build_liouvillian(eig, params, [dipole_bath(kappa)], 0.0, m_levels=2)
+    params, eig = _qubit_system(2, omega_d=0.7)
+    lv = build_liouvillian(eig, params, [dipole_bath(kappa)], 0.0)
     rate = kappa * 0.7**3 * 0.25
     rho0 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
     times = np.linspace(0.0, 3.0 / rate, 40)
@@ -408,11 +402,9 @@ def test_project_pure_state_accounting():
     eig = certified_eigensystem(params, levels=6, builder=build_polaron_rabi)
     # the fifth excited eigenvector is outside a 4-level retention
     psi = (eig.vectors[:, 0] + eig.vectors[:, 5]) / math.sqrt(2.0)
-    rho0, deficit = project_pure_state(eig, psi, 4)
+    rho0, deficit = project_pure_state(EigenSystem(eig.frequencies[:4], eig.vectors[:, :4]), psi)
     assert deficit == pytest.approx(0.5, abs=1e-12)
     assert np.trace(rho0).real == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError, match="converged"):
-        project_pure_state(eig, psi, 20)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +437,7 @@ def test_fit_rejects_short_series():
 def test_generator_blocks_are_built_once_and_read_only():
     params = ModelParams.auto(g=1.0, epsilon=0.3)
     eig = diagonalize(rabi_bands(params), 8)
-    lv = build_liouvillian(eig, params, [cavity_bath(0.05)], temperature=0.2, m_levels=8)
+    lv = build_liouvillian(eig, params, [cavity_bath(0.05)], temperature=0.2)
     for name in ("population_generator", "coherence_rates"):
         block = getattr(lv, name)
         assert getattr(lv, name) is block

@@ -70,9 +70,9 @@ def test_thermal_weights_reject_truncation_leak():
 
 def test_bare_cavity_single_line():
     params = ModelParams(g=0.0, epsilon=0.0, n_fock=30)
-    eig = diagonalize(build_rabi(params))
+    eig = diagonalize(build_rabi(params), 12)
     omegas = np.linspace(0.2, 1.8, 801)
-    grid = cavity_structure_factor(eig, params, 0.0, omegas, eta=0.02, m_levels=12)
+    grid = cavity_structure_factor(eig, params, 0.0, omegas, eta=0.02)
     lines = [(f, w) for f, w in grid.peaks if w > 1e-12]
     assert len(lines) == 1
     freq, weight = lines[0]
@@ -87,7 +87,7 @@ def test_peak_positions_match_dressed_doublet_at_small_g():
     params = ModelParams.auto(g=0.2)
     eig = _eig(params, levels=12)
     omegas = np.linspace(0.5, 1.5, 501)
-    grid = cavity_structure_factor(eig, params, 0.0, omegas, eta=0.01, m_levels=12)
+    grid = cavity_structure_factor(eig, params, 0.0, omegas, eta=0.01)
     strong = sorted(
         [(f, w) for f, w in grid.peaks if w > 0.01], key=lambda t: -t[1]
     )[:2]
@@ -192,11 +192,11 @@ def _double_loop_structure_factor(eig, params, channel, temperature, omegas, eta
     (ModelParams(g=1.0, epsilon=0.3, n_fock=44), 0.2, 24),
 ])
 def test_structure_factor_matches_double_loop(factory, channel, params, temperature, m_levels):
-    eig = diagonalize(build_rabi(params))
+    eig = diagonalize(build_rabi(params), m_levels)
     if temperature == 0.0:
         assert np.count_nonzero(thermal_weights(eig.frequencies[:m_levels], 0.0)) == 2
     omegas = np.linspace(-3.0, 3.0, 601)
-    grid = factory(eig, params, temperature, omegas, 0.02, m_levels=m_levels)
+    grid = factory(eig, params, temperature, omegas, 0.02)
     peaks, values = _double_loop_structure_factor(
         eig, params, channel, temperature, omegas, 0.02, m_levels
     )
@@ -207,14 +207,12 @@ def test_structure_factor_matches_double_loop(factory, channel, params, temperat
 
 def test_structure_factor_validation():
     params = ModelParams(g=0.0, n_fock=20)
-    eig = diagonalize(build_rabi(params))
+    eig = diagonalize(build_rabi(params), 8)
     omegas = np.linspace(0.0, 2.0, 50)
     with pytest.raises(ValueError, match="broadening"):
-        cavity_structure_factor(eig, params, 0.0, omegas, eta=0.0, m_levels=8)
+        cavity_structure_factor(eig, params, 0.0, omegas, eta=0.0)
     with pytest.raises(ValueError, match="ascending"):
-        cavity_structure_factor(eig, params, 0.0, omegas[::-1], eta=0.01, m_levels=8)
-    with pytest.raises(ValueError, match="converged"):
-        cavity_structure_factor(eig, params, 0.0, omegas, eta=0.01, m_levels=100)
+        cavity_structure_factor(eig, params, 0.0, omegas[::-1], eta=0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +233,7 @@ def test_system_impedance_is_minus_i_omega_s():
     params = ModelParams.auto(g=0.5)
     eig = _eig(params, levels=12)
     omegas = np.linspace(0.3, 1.7, 201)
-    s_c = cavity_structure_factor(eig, params, 0.0, omegas, eta=0.02, m_levels=12)
+    s_c = cavity_structure_factor(eig, params, 0.0, omegas, eta=0.02)
     z = system_impedance(s_c)
     assert z.kind == "impedance"
     assert np.allclose(z.values, -1j * omegas * s_c.values)

@@ -39,7 +39,7 @@ def test_gap_scan_is_unchanged_by_operator_cache_and_matches_direct_calls():
         params = ModelParams(g=point["g"], epsilon=point["epsilon"], n_fock=40)
         lv = build_liouvillian(
             diagonalize(rabi_bands(params), 12), params, config.baths,
-            temperature=0.1, m_levels=12,
+            temperature=0.1,
         )
         assert value == liouvillian_gap(lv)
 
