@@ -20,7 +20,7 @@ from .operators import (
     polaron_constant,
     rabi_bands,
 )
-from .eigen import EigenSystem, certified_eigensystem, convergence_check, diagonalize
+from .eigen import EigenSystem, certified_eigensystem, diagonalize
 from .lindblad import (
     BathSpec,
     Liouvillian,
@@ -69,7 +69,6 @@ __all__ = [
     "EigenSystem",
     "diagonalize",
     "certified_eigensystem",
-    "convergence_check",
     "BathSpec",
     "cavity_bath",
     "dipole_bath",

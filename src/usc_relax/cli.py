@@ -3,6 +3,12 @@
 Every subcommand reads an optional config file (see config module for the
 grammar), applies --set overrides, and emits a CSV or JSON table with a
 self-describing metadata header.  Nothing is plotted; outputs are tables.
+
+Every point a table reports is solved by eigen.certified_eigensystem, so
+its levels are certified against the Fock truncation.  A gap-scan point
+that fails becomes a NaN row counted in "failed points"; in every other
+subcommand the failure ends the run with exit status 2.  model.n_fock =
+auto is resolved from the base g, so a g scan that outgrows it fails.
 """
 
 from __future__ import annotations
@@ -20,8 +26,8 @@ from .config import RunConfig, apply_overrides, load_config
 from .dipole import tla_parameters
 from .dynamics import run_tunneling_oscillations
 from .edm import effective_dipole_evolve, gamma_T, total_rate
-from .eigen import diagonalize
-from .operators import default_n_fock, polaron_constant, rabi_bands
+from .eigen import certified_eigensystem
+from .operators import default_n_fock, polaron_constant
 from .response import (
     cavity_structure_factor,
     dipole_structure_factor,
@@ -59,7 +65,7 @@ def _cmd_spectrum(config: RunConfig):
     for g in g_values:
         start = time.perf_counter()
         params = replace(config.model, g=float(g))
-        eig = diagonalize(rabi_bands(params), SPECTRUM_LEVELS)
+        eig = certified_eigensystem(params, SPECTRUM_LEVELS)
         exact.append(eig.frequencies + polaron_constant(params))
         approx.append(_grwa_levels(params, SPECTRUM_LEVELS))
         log_point("spectrum", {"g": float(g)}, params.n_fock, start)
@@ -110,7 +116,7 @@ def _response_map(config: RunConfig, kind: str, structure_factor, eta: float, va
     for eps in epsilons:
         start = time.perf_counter()
         params = replace(config.model, epsilon=eps)
-        eig = diagonalize(rabi_bands(params), config.m_levels)
+        eig = certified_eigensystem(params, config.m_levels)
         s = structure_factor(eig, params, config.temperature, omegas, eta)
         values.append(value(s))
         log_point(kind, {"epsilon": eps}, params.n_fock, start)

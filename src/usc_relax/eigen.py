@@ -18,13 +18,18 @@ levels: one eigenvalues-only sweep (LAPACK dsbev), then inverse iteration
 on the band for the vectors, which must meet a residual bound or raise.
 No n x n reduction matrix is ever formed.  Dense operators, such as the
 polaron-frame reference builder, go through a full eigh.
+
+certified_eigensystem() is the one production solve: it certifies the
+Fock truncation from the retained vectors themselves, with no second
+eigensolve.  Padded with zeros, each vector's residual in the operator at
+n_fock + FOCK_MARGIN must be at most CERTIFY_TOL, or the call raises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import LinAlgError
@@ -33,8 +38,8 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs, dgeqrf, dorgqr, dsbev
 from .operators import BandOperator, ModelParams, OperatorMatrix, rabi_bands
 
 HERMITICITY_TOL = 1e-10    # relative Frobenius asymmetry diagonalize() accepts
-DRIFT_TOL = 1e-6           # absolute level drift that still counts as converged
-FOCK_MARGIN = 20           # extra Fock states certified_eigensystem compares against
+CERTIFY_TOL = 1e-6         # residual norm, hence level error, a certified level may carry
+FOCK_MARGIN = 20           # extra Fock states of the operator the residuals are taken in
 RESIDUAL_TOL = 16.0        # band residual bound, in units of eps * ||H||
 MAX_SWEEPS = 4             # inverse-iteration sweeps before a band solve gives up
 
@@ -162,53 +167,30 @@ def diagonalize(op: OperatorMatrix | BandOperator, levels: int | None = None) ->
     return EigenSystem(frequencies=freqs, vectors=_fix_phases(vecs))
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Per-level frequency drift across a ladder of Fock truncations."""
+def _padding_residuals(
+    big: OperatorMatrix | BandOperator, vectors: np.ndarray, kept: np.ndarray
+) -> np.ndarray:
+    """Per-column norm of big @ pad(vectors) on the rows the zero padding adds.
 
-    fock_sizes: tuple[int, ...]
-    drifts: np.ndarray  # shape (len(fock_sizes) - 1, n_levels)
-    converged_levels: int
-
-
-def _drift_ladder(
-    params: ModelParams,
-    fock_sizes: Sequence[int],
-    n_levels: int,
-    builder: Callable[[ModelParams], OperatorMatrix | BandOperator],
-) -> tuple[ConvergenceReport, list[EigenSystem]]:
-    """The drift report plus the lowest n_levels at each of its sorted sizes."""
-    sizes = sorted(set(int(s) for s in fock_sizes))
-    if len(sizes) < 2:
-        raise ValueError("need at least two Fock sizes to measure drift")
-    eigs = [diagonalize(builder(replace(params, n_fock=size)), n_levels) for size in sizes]
-    drifts = np.abs(np.diff(np.array([e.frequencies for e in eigs]), axis=0))
-    final = drifts[-1]
-    converged = 0
-    for lvl in range(n_levels):
-        if final[lvl] < DRIFT_TOL:
-            converged = lvl + 1
-        else:
-            break
-    report = ConvergenceReport(
-        fock_sizes=tuple(sizes), drifts=drifts, converged_levels=converged
-    )
-    return report, eigs
-
-
-def convergence_check(
-    params: ModelParams,
-    fock_sizes: Sequence[int],
-    n_levels: int = 12,
-    builder: Callable[[ModelParams], OperatorMatrix | BandOperator] = rabi_bands,
-) -> ConvergenceReport:
-    """Re-diagonalize at increasing n_fock and report eigenvalue drift.
-
-    converged_levels is the largest prefix of levels whose drift between
-    the two largest truncations stays below DRIFT_TOL (absolute, in the
-    energy units of the Hamiltonian).
+    kept lists, in order, the rows of big's library basis that the smaller
+    truncation keeps; pad() places the vectors there.  On the kept rows the
+    product is the smaller operator's own, so only the added rows are formed.
+    A band operator's kept rows lead its band order, so just the
+    half-bandwidth rows past them couple back; a dense operator's coupling
+    block is read off its entries.
     """
-    return _drift_ladder(params, fock_sizes, n_levels, builder)[0]
+    if isinstance(big, BandOperator):
+        padded = np.zeros((big.dim, vectors.shape[1]), dtype=vectors.dtype)
+        padded[big.to_library[kept]] = vectors
+        dim, half = len(kept), big.bands.shape[0] - 1
+        tail = np.zeros((half, vectors.shape[1]), dtype=vectors.dtype)
+        for k in range(1, half + 1):
+            tail[:k] += big.bands[k, dim - k:dim, None] * padded[dim - k:dim]
+    else:
+        added = np.ones(big.dim, dtype=bool)
+        added[kept] = False
+        tail = big.entries[np.ix_(added, kept)] @ vectors
+    return np.linalg.norm(tail, axis=0)
 
 
 def certified_eigensystem(
@@ -216,19 +198,34 @@ def certified_eigensystem(
     levels: int,
     builder: Callable[[ModelParams], OperatorMatrix | BandOperator] = rabi_bands,
 ) -> EigenSystem:
-    """Diagonalize at params.n_fock and certify the lowest `levels` by drift.
+    """The lowest `levels` at params.n_fock, certified by their own residuals.
 
-    The drift is measured against params.n_fock + FOCK_MARGIN.
-    Raises if the requested prefix is not converged at the stated truncation;
-    callers should enlarge n_fock rather than trust drifting levels.  The
-    returned eigensystem is the drift ladder's own solve at params.n_fock.
+    One solve, diagonalize(builder(params), levels).  Each retained vector,
+    padded with zeros, is multiplied by the builder's operator at
+    params.n_fock + FOCK_MARGIN, of which the solved operator is the leading
+    block in every matter sector.  The residual norm bounds the distance
+    from the level to the nearest eigenvalue of that larger operator, with
+    no separation estimate needed (the Hermitian residual bound; Parlett,
+    The Symmetric Eigenvalue Problem).  Within the block the residual is the solver's own,
+    O(eps ||H||); only the added rows are formed (_padding_residuals), and
+    for rabi_bands they are the g sqrt(N)/2 coupling out of photon N - 1.
+    Raises if any level's residual exceeds CERTIFY_TOL; callers should
+    enlarge n_fock rather than trust those levels.  The certificate only
+    accepts or refuses: the returned eigensystem is the solve itself.
     """
-    report, eigs = _drift_ladder(
-        params, (params.n_fock, params.n_fock + FOCK_MARGIN), levels, builder
+    eig = diagonalize(builder(params), levels)
+    n_big = params.n_fock + FOCK_MARGIN
+    sectors = np.arange(params.spin_n + 1)[:, None]
+    kept = (sectors * n_big + np.arange(params.n_fock)).ravel()
+    residuals = _padding_residuals(
+        builder(replace(params, n_fock=n_big)), eig.vectors, kept
     )
-    if report.converged_levels < levels:
+    failed = np.count_nonzero(residuals > CERTIFY_TOL)
+    if failed:
         raise ValueError(
-            f"only {report.converged_levels}/{levels} levels converged at "
-            f"n_fock={params.n_fock}; increase the truncation"
+            f"{failed}/{levels} levels have residuals above {CERTIFY_TOL:g} "
+            f"(largest {residuals.max():.3e}) at g={params.g:g}, "
+            f"epsilon={params.epsilon:g}, n_fock={params.n_fock}; "
+            "increase the truncation"
         )
-    return eigs[report.fock_sizes.index(params.n_fock)]
+    return eig

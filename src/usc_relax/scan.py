@@ -1,12 +1,13 @@
 """Parameter scans over the relaxation-gap phase diagram, plus table emission.
 
-Scan points are independent and run in sequence: each builds its band
-Hamiltonian from the config and its axis values and solves it for exactly
-the m_levels the master equation keeps, which the assembly then takes from
+Scan points are independent and run in sequence: each solves its model,
+from the config and its axis values, for exactly the m_levels the master
+equation keeps (certified_eigensystem), and the assembly takes them from
 the eigensystem; the bath couplings are built once per Fock truncation and
 shared.  Each point logs one INFO line (axis values, n_fock, seconds), as
-do the CLI's spectrum and response maps.  A failing point is recorded as
-NaN with a log entry instead of aborting the scan; a 400-point phase
+do the CLI's spectrum and response maps.  A failing point, such as one
+whose levels the Fock truncation does not certify, is recorded as NaN with
+a log entry and counted, instead of aborting the scan; a 400-point phase
 diagram should survive isolated truncation failures.
 
 Tables are emitted by column: every CLI subcommand hands write_table its
@@ -27,9 +28,8 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, ScanAxis, emit_config
-from .eigen import diagonalize
+from .eigen import certified_eigensystem
 from .lindblad import build_liouvillian, liouvillian_gap
-from .operators import rabi_bands
 
 log = logging.getLogger("usc_relax.scan")
 
@@ -79,7 +79,7 @@ def _gap_point(config: RunConfig, point: dict[str, float]) -> tuple[float, str |
     start = time.perf_counter()
     try:
         cfg = _apply_axis_values(config, point)
-        eig = diagonalize(rabi_bands(cfg.model), cfg.m_levels)
+        eig = certified_eigensystem(cfg.model, cfg.m_levels)
         lv = build_liouvillian(eig, cfg.model, cfg.baths, temperature=cfg.temperature)
         outcome = liouvillian_gap(lv), None
     except Exception as exc:   # noqa: BLE001 - NaN-and-continue is the contract

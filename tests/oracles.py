@@ -7,25 +7,35 @@ displacement autocorrelation function, and Lindblad generators from a dense
 Kronecker construction, and band eigenvalues from scipy's `eig_banded`
 (LAPACK dsbevx).  Slow and simple beats fast and shared.
 
+The Fock-truncation drift ladder re-solves at larger cutoffs: it is the
+independent cross-check of the library's one-solve residual certificate.
+
 The dense extended Dicke builders live here too: the library has no
 spin-N Hamiltonian yet, and these serve as references for the one it gets.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
+
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import eig_banded, expm
 from scipy.optimize import brentq
 
+from usc_relax.eigen import EigenSystem, diagonalize
 from usc_relax.operators import (
     BandOperator,
     ModelParams,
     OperatorMatrix,
     displacement_matrix,
     fock_ladder,
+    rabi_bands,
     spin_operators,
 )
+
+DRIFT_TOL = 1e-6   # absolute level drift that still counts as converged
 
 
 def displacement_via_expm(x: float, n_fock: int) -> np.ndarray:
@@ -151,6 +161,55 @@ def band_eigvals_via_dsbevx(op: BandOperator, levels: int) -> np.ndarray:
     return eig_banded(
         op.bands, lower=True, eigvals_only=True, select="i", select_range=(0, levels - 1)
     )
+
+
+@dataclass(frozen=True)
+class ConvergenceReport:
+    """Per-level frequency drift across a ladder of Fock truncations."""
+
+    fock_sizes: tuple[int, ...]
+    drifts: np.ndarray  # shape (len(fock_sizes) - 1, n_levels)
+    converged_levels: int
+
+
+def drift_ladder(
+    params: ModelParams,
+    fock_sizes: Sequence[int],
+    n_levels: int,
+    builder: Callable[[ModelParams], OperatorMatrix | BandOperator],
+) -> tuple[ConvergenceReport, list[EigenSystem]]:
+    """The drift report plus the lowest n_levels at each of its sorted sizes."""
+    sizes = sorted(set(int(s) for s in fock_sizes))
+    if len(sizes) < 2:
+        raise ValueError("need at least two Fock sizes to measure drift")
+    eigs = [diagonalize(builder(replace(params, n_fock=size)), n_levels) for size in sizes]
+    drifts = np.abs(np.diff(np.array([e.frequencies for e in eigs]), axis=0))
+    final = drifts[-1]
+    converged = 0
+    for lvl in range(n_levels):
+        if final[lvl] < DRIFT_TOL:
+            converged = lvl + 1
+        else:
+            break
+    report = ConvergenceReport(
+        fock_sizes=tuple(sizes), drifts=drifts, converged_levels=converged
+    )
+    return report, eigs
+
+
+def convergence_check(
+    params: ModelParams,
+    fock_sizes: Sequence[int],
+    n_levels: int = 12,
+    builder: Callable[[ModelParams], OperatorMatrix | BandOperator] = rabi_bands,
+) -> ConvergenceReport:
+    """Re-diagonalize at increasing n_fock and report eigenvalue drift.
+
+    converged_levels is the largest prefix of levels whose drift between
+    the two largest truncations stays below DRIFT_TOL (absolute, in the
+    energy units of the Hamiltonian).
+    """
+    return drift_ladder(params, fock_sizes, n_levels, builder)[0]
 
 
 def two_by_two_eigvals(a: float, b: float, c: float) -> tuple[float, float]:

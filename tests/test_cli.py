@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from usc_relax import grwa
+from usc_relax import cli, dynamics, eigen, grwa, scan
 from usc_relax.cli import _cmd_transmission, main
 from usc_relax.config import RunConfig, parse_config
 from usc_relax.dipole import WellParams, tla_parameters
@@ -409,3 +409,53 @@ def test_subcommands_run_no_dense_hamiltonian_solve(argv, tmp_path, monkeypatch)
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     monkeypatch.setattr(scipy.linalg, "eigh", refuse)
     assert run_cli(*argv, "--output", str(tmp_path / "out.csv")) == 0
+
+
+@pytest.mark.parametrize(("argv", "points"), [
+    (("gap-scan", "--set", "scan = g, 1.0, 2.0, 2", "--set", "bath = cavity, ohmic, 0.02, 1.0"), 2),
+    (("spectrum", "--set", "scan = g, 0.5, 1.5, 3"), 3),
+    (("evolve", "--set", "model.g = 2.0", "--set", "evolve.m_levels = 12",
+      "--set", "evolve.n_periods = 5.5", "--set", "evolve.points_per_period = 24"), 1),
+    (("transmission", "--set", "model.g = 0.5", "--set", "response.omega_points = 201",
+      "--set", "scan = epsilon, -0.5, 0.5, 2"), 2),
+    (("dipole-response", "--set", "model.g = 0.5", "--set", "response.omega_points = 201",
+      "--set", "scan = epsilon, 0.0, 1.0, 3"), 3),
+], ids=lambda v: v[0] if isinstance(v, tuple) else None)
+def test_every_point_is_one_certified_solve(argv, points, tmp_path, monkeypatch):
+    calls = []
+    certify = eigen.certified_eigensystem
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return certify(*args, **kwargs)
+
+    # rebind the name in every module that imported it
+    for module in (cli, dynamics, scan):
+        assert module.certified_eigensystem is certify
+        monkeypatch.setattr(module, "certified_eigensystem", spy)
+    assert run_cli(*argv, "--output", str(tmp_path / "out.csv")) == 0
+    assert len(calls) == points
+
+
+@pytest.mark.parametrize("command", ["spectrum", "transmission", "dipole-response"])
+def test_undertruncated_point_exits_2(command, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    argv = (command, "--set", "model.g = 3.0", "--set", "model.n_fock = 12")
+    assert run_cli(*argv, "--output", str(out)) == 2
+    assert "increase the truncation" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gap_scan_undertruncated_points_are_nan(tmp_path):
+    out = tmp_path / "gap.csv"
+    code = run_cli(
+        "gap-scan",
+        "--set", "scan = g, 2.5, 3.0, 2",
+        "--set", "bath = cavity, ohmic, 0.05, 1.0",
+        "--set", "model.n_fock=14",
+        "--output", str(out),
+    )
+    assert code == 0
+    meta, _, rows = read_csv(out)
+    assert "failed points: 2" in meta
+    assert [row[2] for row in rows] == ["nan", "nan"]

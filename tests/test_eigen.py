@@ -11,17 +11,10 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
 
-from oracles import band_eigvals_via_dsbevx
+from oracles import ConvergenceReport, band_eigvals_via_dsbevx, convergence_check, drift_ladder
 import usc_relax
 from usc_relax import eigen
-from usc_relax.eigen import (
-    ConvergenceReport,
-    EigenSystem,
-    _fix_phases,
-    certified_eigensystem,
-    convergence_check,
-    diagonalize,
-)
+from usc_relax.eigen import EigenSystem, _fix_phases, certified_eigensystem, diagonalize
 from usc_relax.lindblad import coupling_matrix, transition_lines
 from usc_relax.operators import (
     ModelParams,
@@ -241,6 +234,71 @@ def test_certified_eigensystem_rejects_undertruncation():
     params = ModelParams(g=3.0, epsilon=0.0, n_fock=12)
     with pytest.raises(ValueError, match="increase the truncation"):
         certified_eigensystem(params, levels=12, builder=build_rabi)
+
+
+def test_certified_eigensystem_solves_once(monkeypatch):
+    solves = []
+    solve = eigen.diagonalize
+
+    def spy(*args, **kwargs):
+        solves.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(eigen, "diagonalize", spy)
+    params = ModelParams(g=2.0, epsilon=1.0, n_fock=40)
+    eig = certified_eigensystem(params, levels=24)
+    assert len(solves) == 1
+    assert np.array_equal(eig.frequencies, solve(rabi_bands(params), 24).frequencies)
+
+
+@pytest.mark.parametrize("builder", [rabi_bands, build_rabi, build_polaron_rabi])
+@pytest.mark.parametrize(("g", "epsilon", "n_fock"), [(3.0, 0.0, 14), (3.0, 2.0, 40), (6.0, 0.0, 60)])
+def test_padding_residuals_are_the_padded_vectors_full_residuals(builder, g, epsilon, n_fock):
+    # only the added rows are formed; against the whole product in the larger operator
+    params = ModelParams(g=g, epsilon=epsilon, n_fock=n_fock)
+    eig = diagonalize(builder(params), 20)
+    big = replace(params, n_fock=n_fock + eigen.FOCK_MARGIN)
+    kept = (np.arange(2)[:, None] * big.n_fock + np.arange(n_fock)).ravel()
+    h = (build_polaron_rabi if builder is build_polaron_rabi else build_rabi)(big).entries
+    padded = np.zeros((big.dim, 20), dtype=eig.vectors.dtype)
+    padded[kept] = eig.vectors
+    full = np.linalg.norm(h @ padded - padded * eig.frequencies, axis=0)
+    cheap = eigen._padding_residuals(builder(big), eig.vectors, kept)
+    assert np.max(full) > 1e-6   # each point has a level the certificate refuses
+    assert np.max(np.abs(cheap - full)) <= 1e-12 * max(1.0, np.max(full))
+
+
+# the cutoff that converges 24 levels to 1e-8, per g
+NEEDED_N_FOCK = {1.0: 24, 3.0: 36, 5.0: 52, 6.0: 60}
+
+
+def test_certified_levels_are_within_the_tolerance_of_the_converged_ones():
+    outcomes = []
+    for g, needed in NEEDED_N_FOCK.items():
+        for epsilon in (0.0, 1.0):
+            for n_fock in range(needed - 8, needed + 9):
+                params = ModelParams(g=g, epsilon=epsilon, n_fock=n_fock)
+                try:
+                    eig = certified_eigensystem(params, levels=24)
+                except ValueError as exc:
+                    assert "increase the truncation" in str(exc)
+                    outcomes.append(False)
+                    continue
+                _, ladder = drift_ladder(params, (n_fock, n_fock + 120), 24, rabi_bands)
+                assert np.max(np.abs(eig.frequencies - ladder[-1].frequencies)) <= eigen.CERTIFY_TOL
+                outcomes.append(True)
+    assert any(outcomes) and not all(outcomes)
+
+
+@pytest.mark.xfail(
+    raises=ValueError, strict=True,
+    reason="the first-order residual bound is loose: 1.08e-6 where the levels drift 4e-14",
+)
+def test_first_order_certificate_accepts_converged_levels():
+    params = ModelParams(g=3.0, epsilon=2.0, n_fock=40)
+    report = convergence_check(params, (40, 160), n_levels=20)
+    assert report.converged_levels == 20
+    certified_eigensystem(params, levels=20)
 
 
 def test_convergence_check_needs_two_sizes():
