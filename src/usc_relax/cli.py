@@ -4,9 +4,11 @@ Every subcommand reads an optional config file (see config module for the
 grammar), applies --set overrides, and emits a CSV or JSON table with a
 self-describing metadata header.  Nothing is plotted; outputs are tables.
 
-Every point a table reports is solved by eigen.certified_eigensystem, so
-its levels are certified against the Fock truncation.  A gap-scan point
-that fails becomes a NaN row counted in "failed points"; in every other
+gap-scan, spectrum, transmission and dipole-response are point maps: each
+gives scan.map_points a function returning one point's columns.  Every
+point a table reports is solved by eigen.certified_eigensystem, so its
+levels are certified against the Fock truncation.  A gap-scan point that
+fails becomes a NaN row counted in "failed points"; in every other
 subcommand the failure ends the run with exit status 2.  model.n_fock =
 auto is resolved from the base g, so a g scan that outgrows it fails.
 """
@@ -16,7 +18,6 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -34,15 +35,14 @@ from .response import (
     system_impedance,
     transmission,
 )
-from .scan import build_metadata, gap_rows, gap_scan, log_point, write_table
+from .scan import at_point, build_metadata, gap_scan, map_points, write_table
 
 SPECTRUM_LEVELS = 6
 
 
 def _cmd_gap_scan(config: RunConfig) -> tuple[dict[str, np.ndarray], tuple[str, ...]]:
-    result = gap_scan(config)
-    extra = (f"failed points: {len(result.failures)}",)
-    return gap_rows(config, result), extra
+    columns, failures = gap_scan(config)
+    return columns, (f"failed points: {len(failures)}",)
 
 
 def _grwa_levels(params, n_levels: int) -> list[float]:
@@ -52,30 +52,18 @@ def _grwa_levels(params, n_levels: int) -> list[float]:
     return grwa.asymmetric_levels(params, k, n_levels)
 
 
-def _axis_values(config: RunConfig, default: float) -> list[float]:
-    """The grid of the command's one scan axis, or [default] without a scan."""
-    if not config.scan:
-        return [default]
-    return [float(v) for v in config.scan[0].grid()]
-
-
 def _cmd_spectrum(config: RunConfig):
-    g_values = _axis_values(config, config.model.g)
-    exact, approx = [], []
-    for g in g_values:
-        start = time.perf_counter()
-        params = replace(config.model, g=float(g))
+    def spectrum_point(point):
+        params = at_point(config, point).model
         eig = certified_eigensystem(params, SPECTRUM_LEVELS)
-        exact.append(eig.frequencies + polaron_constant(params))
-        approx.append(_grwa_levels(params, SPECTRUM_LEVELS))
-        log_point("spectrum", {"g": float(g)}, params.n_fock, start)
-    columns = {
-        "g": np.repeat(np.asarray(g_values, dtype=float), SPECTRUM_LEVELS),
-        "level_index": np.tile(np.arange(SPECTRUM_LEVELS), len(g_values)),
-        "omega_exact": np.concatenate(exact),
-        "omega_grwa": np.asarray(approx, dtype=float).reshape(-1),
-    }
-    return columns, ()
+        return {
+            "g": np.full(SPECTRUM_LEVELS, params.g),
+            "level_index": np.arange(SPECTRUM_LEVELS),
+            "omega_exact": eig.frequencies + polaron_constant(params),
+            "omega_grwa": np.asarray(_grwa_levels(params, SPECTRUM_LEVELS), dtype=float),
+        }
+
+    return map_points(config, "spectrum", spectrum_point), ()
 
 
 def _cmd_evolve(config: RunConfig):
@@ -111,20 +99,18 @@ def _response_map(config: RunConfig, kind: str, structure_factor, eta: float, va
     value turns each epsilon's structure factor into the real values tabulated.
     """
     omegas = config.response.grid()
-    epsilons = _axis_values(config, config.model.epsilon)
-    values = []
-    for eps in epsilons:
-        start = time.perf_counter()
-        params = replace(config.model, epsilon=eps)
-        eig = certified_eigensystem(params, config.m_levels)
-        s = structure_factor(eig, params, config.temperature, omegas, eta)
-        values.append(value(s))
-        log_point(kind, {"epsilon": eps}, params.n_fock, start)
-    return {
-        "epsilon": np.repeat(epsilons, len(omegas)),
-        "omega": np.tile(omegas, len(epsilons)),
-        "value": np.concatenate(values),
-    }
+
+    def response_point(point):
+        cfg = at_point(config, point)
+        eig = certified_eigensystem(cfg.model, cfg.m_levels)
+        s = structure_factor(eig, cfg.model, cfg.temperature, omegas, eta)
+        return {
+            "epsilon": np.full(len(omegas), cfg.model.epsilon),
+            "omega": omegas,
+            "value": value(s),
+        }
+
+    return map_points(config, kind, response_point)
 
 
 def _cmd_transmission(config: RunConfig):

@@ -1,14 +1,17 @@
-"""Parameter scans over the relaxation-gap phase diagram, plus table emission.
+"""Point maps over the scan axes, the relaxation-gap scan, and table emission.
 
-Scan points are independent and run in sequence: each solves its model,
-from the config and its axis values, for exactly the m_levels the master
-equation keeps (certified_eigensystem), and the assembly takes them from
-the eigensystem; the bath couplings are built once per Fock truncation and
-shared.  Each point logs one INFO line (axis values, n_fock, seconds), as
-do the CLI's spectrum and response maps.  A failing point, such as one
-whose levels the Fock truncation does not certify, is recorded as NaN with
-a log entry and counted, instead of aborting the scan; a 400-point phase
-diagram should survive isolated truncation failures.
+map_points is the one loop over scan points: gap-scan, spectrum,
+transmission and dipole-response each hand it a point function that
+returns that point's named columns, axis values included, and it joins
+them in scan order (a run without a scan is the single point {}).  Points
+are independent and run in sequence; each logs one INFO line (axis values,
+n_fock, seconds).  Every point solves its model, with the point's axis
+values applied (at_point), for exactly the levels it reports
+(certified_eigensystem).  A gap-scan point that fails, such as one whose
+levels the Fock truncation does not certify, is recorded as NaN with a log
+entry and counted, instead of aborting the scan; a 400-point phase diagram
+should survive isolated truncation failures.  A failing point of any other
+map ends the map.
 
 Tables are emitted by column: every CLI subcommand hands write_table its
 columns as arrays, and CSV cells are formatted per column, a few thousand
@@ -21,8 +24,8 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, replace
-from typing import Iterable, Sequence, TextIO
+from dataclasses import replace
+from typing import Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -36,21 +39,8 @@ log = logging.getLogger("usc_relax.scan")
 CHUNK_ROWS = 4096   # CSV rows formatted and written at once
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    """Gridded scan output plus the reason for every failed (NaN) point."""
-
-    axes: tuple[ScanAxis, ...]
-    values: np.ndarray            # shape = tuple of axis point counts
-    failures: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        expected = tuple(ax.points for ax in self.axes)
-        if self.values.shape != expected:
-            raise ValueError(f"values shape {self.values.shape} != axes shape {expected}")
-
-
-def _apply_axis_values(config: RunConfig, point: dict[str, float]) -> RunConfig:
+def at_point(config: RunConfig, point: dict[str, float]) -> RunConfig:
+    """The config with one scan point's axis values (g, epsilon, T) applied."""
     model = config.model
     temperature = config.temperature
     for name, value in point.items():
@@ -59,33 +49,12 @@ def _apply_axis_values(config: RunConfig, point: dict[str, float]) -> RunConfig:
         elif name == "T":
             temperature = float(value)
         else:
-            raise ValueError(f"axis {name!r} is not a gap-scan parameter (use g, epsilon, T)")
+            raise ValueError(f"axis {name!r} is not a point parameter (use g, epsilon, T)")
     return replace(config, model=model, temperature=temperature)
 
 
 def _where(point: dict[str, float]) -> str:
     return ", ".join(f"{k}={v:.6g}" for k, v in point.items())
-
-
-def log_point(kind: str, point: dict[str, float], n_fock: int, start: float) -> None:
-    """One INFO line for a finished point: axis values, n_fock, seconds since start."""
-    log.info(
-        "%s point (%s): n_fock=%d, %.4f s",
-        kind, _where(point), n_fock, time.perf_counter() - start,
-    )
-
-
-def _gap_point(config: RunConfig, point: dict[str, float]) -> tuple[float, str | None]:
-    start = time.perf_counter()
-    try:
-        cfg = _apply_axis_values(config, point)
-        eig = certified_eigensystem(cfg.model, cfg.m_levels)
-        lv = build_liouvillian(eig, cfg.model, cfg.baths, temperature=cfg.temperature)
-        outcome = liouvillian_gap(lv), None
-    except Exception as exc:   # noqa: BLE001 - NaN-and-continue is the contract
-        outcome = math.nan, f"({_where(point)}): {exc}"
-    log_point("gap", point, config.model.n_fock, start)
-    return outcome
 
 
 def scan_points(axes: tuple[ScanAxis, ...]) -> list[dict[str, float]]:
@@ -99,8 +68,36 @@ def scan_points(axes: tuple[ScanAxis, ...]) -> list[dict[str, float]]:
     return points
 
 
-def gap_scan(config: RunConfig) -> ScanResult:
-    """Liouvillian gap over a 1- or 2-axis (g, epsilon, T) grid."""
+def map_points(
+    config: RunConfig,
+    kind: str,
+    point_columns: Callable[[dict[str, float]], dict[str, Sequence]],
+) -> dict[str, np.ndarray]:
+    """Every scan point's columns, joined in scan order.
+
+    point_columns(point) returns one point's named columns, its axis values
+    included; every point must return the same names.  Each finished point
+    logs one INFO line (axis values, n_fock, seconds); an exception from a
+    point ends the map.
+    """
+    parts = []
+    for point in scan_points(config.scan):
+        start = time.perf_counter()
+        parts.append(point_columns(point))
+        log.info(
+            "%s point (%s): n_fock=%d, %.4f s",
+            kind, _where(point), config.model.n_fock, time.perf_counter() - start,
+        )
+    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+
+
+def gap_scan(config: RunConfig) -> tuple[dict[str, np.ndarray], tuple[str, ...]]:
+    """Liouvillian gap over a 1- or 2-axis (g, epsilon, T) grid.
+
+    Returns the (g, epsilon[, T], lambda) table columns, row-major, and the
+    reason for every failed point.  The T column appears only when T is
+    scanned; otherwise the header's temperature holds for every row.
+    """
     if not config.scan:
         raise ValueError("gap-scan needs at least one scan axis (add scan = ...)")
     if not config.baths:
@@ -108,13 +105,30 @@ def gap_scan(config: RunConfig) -> ScanResult:
     for ax in config.scan:
         if ax.name == "omega":
             raise ValueError("gap-scan axes must be g, epsilon, or T, not omega")
-    outcomes = [_gap_point(config, point) for point in scan_points(config.scan)]
-    values = np.array([v for v, _ in outcomes])
-    failures = tuple(msg for _, msg in outcomes if msg is not None)
+    failures = []
+
+    def gap_point(point: dict[str, float]) -> dict[str, list[float]]:
+        try:
+            cfg = at_point(config, point)
+            eig = certified_eigensystem(cfg.model, cfg.m_levels)
+            lv = build_liouvillian(eig, cfg.model, cfg.baths, temperature=cfg.temperature)
+            value = liouvillian_gap(lv)
+        except Exception as exc:   # noqa: BLE001 - NaN-and-continue is the contract
+            value = math.nan
+            failures.append(f"({_where(point)}): {exc}")
+        columns = {
+            "g": [float(point.get("g", config.model.g))],
+            "epsilon": [float(point.get("epsilon", config.model.epsilon))],
+        }
+        if "T" in point:
+            columns["T"] = [point["T"]]
+        columns["lambda"] = [value]
+        return columns
+
+    columns = map_points(config, "gap", gap_point)
     for msg in failures:
         log.warning("scan point failed %s", msg)
-    shape = tuple(ax.points for ax in config.scan)
-    return ScanResult(axes=config.scan, values=values.reshape(shape), failures=failures)
+    return columns, tuple(failures)
 
 
 def build_metadata(config: RunConfig, extra: Iterable[str] = ()) -> tuple[str, ...]:
@@ -183,20 +197,3 @@ def write_table(
         stream.write("\n")
     else:
         raise ValueError(f"unknown format {fmt!r}")
-
-
-def gap_rows(config: RunConfig, result: ScanResult) -> dict[str, np.ndarray]:
-    """A gap ScanResult as (g, epsilon[, T], lambda) table columns, row-major.
-
-    The T column appears only when T is scanned; otherwise the header's
-    temperature holds for every row.
-    """
-    points = scan_points(result.axes)
-    columns = {
-        "g": np.array([p.get("g", config.model.g) for p in points], dtype=float),
-        "epsilon": np.array([p.get("epsilon", config.model.epsilon) for p in points], dtype=float),
-    }
-    if any(ax.name == "T" for ax in result.axes):
-        columns["T"] = np.array([p["T"] for p in points], dtype=float)
-    columns["lambda"] = result.values.reshape(-1)
-    return columns

@@ -1,4 +1,4 @@
-"""Gap scans: shared operator caches, band solves, per-point logging; table emission."""
+"""Point maps: gap scans, band solves, per-point logging, scan-order joins; table emission."""
 
 from __future__ import annotations
 
@@ -31,11 +31,11 @@ model.n_fock = 40
 
 def test_gap_scan_is_unchanged_by_operator_cache_and_matches_direct_calls():
     config = parse_config(_SCAN_3X3)
-    warm = gap_scan(config).values
+    warm = gap_scan(config)[0]["lambda"]
     _coupling_operator.cache_clear()
-    cold = gap_scan(config).values
+    cold = gap_scan(config)[0]["lambda"]
     assert np.array_equal(warm, cold)
-    for point, value in zip(scan_points(config.scan), cold.reshape(-1)):
+    for point, value in zip(scan_points(config.scan), cold):
         params = ModelParams(g=point["g"], epsilon=point["epsilon"], n_fock=40)
         lv = build_liouvillian(
             diagonalize(rabi_bands(params), 12), params, config.baths,
@@ -55,10 +55,10 @@ def test_gap_scan_never_builds_the_dense_rabi_matrix(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("usc_relax") and hasattr(module, "build_rabi"):
             monkeypatch.setattr(module, "build_rabi", dense_build)
-    result = gap_scan(parse_config(_SCAN_3X3))
+    columns, failures = gap_scan(parse_config(_SCAN_3X3))
     assert calls == []
-    assert result.failures == ()
-    assert np.all(np.isfinite(result.values))
+    assert failures == ()
+    assert np.all(np.isfinite(columns["lambda"]))
 
 
 def test_verbose_gap_scan_logs_one_info_line_per_point(caplog, capsys):
@@ -109,6 +109,39 @@ def test_verbose_maps_log_one_info_line_per_point(command, axis, values, caplog,
         assert "n_fock=40" in message
         assert message.endswith(" s")
     assert loud.out == quiet.out
+
+
+@pytest.mark.parametrize(
+    "command, axis, values, fixed",
+    [
+        # n_fock = 20 certifies g = 1 but not g = 3: one finite row, one NaN row
+        ("gap-scan", "g", ("1.0", "3.0"),
+         ("bath = cavity, ohmic, 0.05, 1.0", "model.epsilon = 0.5", "model.n_fock = 20",
+          "m_levels = 12")),
+        ("gap-scan", "T", ("0.05", "0.3"),
+         ("bath = cavity, ohmic, 0.02, 1.0", "model.g = 1.0", "m_levels = 12")),
+        ("spectrum", "g", ("1.0", "2.0"), ()),
+        ("transmission", "epsilon", ("-0.5", "0.5"),
+         ("model.g = 0.5", "response.omega_points = 21")),
+        ("dipole-response", "epsilon", ("-0.5", "0.5"),
+         ("model.g = 0.5", "response.omega_points = 21")),
+    ],
+)
+def test_two_point_scan_is_its_one_point_runs_joined(command, axis, values, fixed, tmp_path):
+    def body(*scan):
+        out = tmp_path / "table.csv"
+        argv = [command, "--output", str(out)]
+        for assignment in (*fixed, *scan):
+            argv += ["--set", assignment]
+        assert main(argv) == 0
+        return [line for line in out.read_text().splitlines() if not line.startswith("#")]
+
+    joined = body(f"scan = {axis}, {values[0]}, {values[1]}, 2")
+    singles = [body(f"scan = {axis}, {v}, {v}, 1") for v in values]
+    assert joined == singles[0] + singles[1]
+    assert len(singles[0]) == len(singles[1]) > 0
+    if command == "gap-scan" and axis == "g":
+        assert [row.split(",")[-1] == "nan" for row in joined] == [False, True]
 
 
 def _row_table(stream, metadata, columns, rows, fmt):
