@@ -21,7 +21,7 @@ from .lindblad import (
     Trajectory,
     build_liouvillian,
     cavity_bath,
-    coupling_matrix,
+    coupling_elements,
     dipole_bath,
     evolve,
     fit_rabi_decay,
@@ -107,9 +107,8 @@ def run_tunneling_oscillations(
     t_final = n_periods * 2.0 * np.pi / omega_ref
     times = np.linspace(0.0, t_final, max(2, int(round(n_periods * points_per_period))))
 
-    # S_x (x) 1 is the dipole bath's cached coupling
-    v = eig.vectors
-    observables = {"sx": v.conj().T @ coupling_matrix(params, "dipole").entries @ v}
+    # S_x (x) 1 is the dipole bath's coupling
+    observables = {"sx": coupling_elements(eig, params, "dipole")}
     traj = evolve(lv, rho0, times, observables=observables, projection_deficit=deficit)
     fit = fit_rabi_decay(times, traj.observables["sx"])
     return TunnelingRun(

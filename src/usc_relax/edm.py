@@ -191,7 +191,7 @@ class EdmValidity:
 
 def validity_report(p: EdmParams) -> EdmValidity:
     k = max(1, round(p.epsilon / p.omega_c))
-    model = ModelParams(omega_c=p.omega_c, omega_d=p.omega_d, g=p.g, n_fock=max(40, 4 * k))
+    model = ModelParams(omega_c=p.omega_c, omega_d=p.omega_d, g=p.g)
     splitting = abs(grwa.rabi_frequency(k, k, model))
     messages = []
     adiabatic_ok = p.gamma >= splitting
@@ -237,7 +237,6 @@ def effective_dipole_evolve(p: EdmParams, m0: int, times: np.ndarray) -> Traject
         level_freqs=p.epsilon * n,
         rates=np.diag(cool * n[1:], k=1) + np.diag(heat * n[1:], k=-1),
         temperature=p.temperature,
-        baths=(),
     )
     rho0 = np.zeros((p.n_boson, p.n_boson), dtype=complex)
     rho0[m0, m0] = 1.0

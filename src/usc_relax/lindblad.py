@@ -6,7 +6,9 @@ coupling operator (photon quadrature a - a^dag for the cavity channel, s_x
 for the dipole).  Downward terms are weighted by (1 + N_T), upward by N_T,
 which makes the Gibbs state of the retained levels exactly stationary.
 transition_lines() is that line list (w_mn, |<n|X|m>|^2); the response
-spectra read the same list and the same Boltzmann weights.
+spectra read the same list and the same Boltzmann weights.  The elements
+<n|X|m> come from coupling_elements(), which applies X to the retained
+vectors through its shift structure instead of forming it.
 
 Because every jump is rank one between eigenlevels, the generator is exactly
 a Pauli rate matrix W on the populations plus an independent exponential
@@ -26,14 +28,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 from scipy.linalg import expm
 
 from .eigen import EigenSystem
-from .operators import ModelParams, OperatorMatrix, fock_ladder, spin_operators
+from .operators import ModelParams, spin_operators
 
 DEGENERACY_TOL = 1e-9      # |w_mn|/omega_c treated as an exact degeneracy
 STATIONARY_TOL = 1e-9      # |eigenvalue| identifying the steady-state mode
@@ -104,40 +106,42 @@ def dipole_bath(kappa: float, omega_d: float = 1.0, ohmic: bool = False) -> Bath
     return BathSpec(channel="dipole", law=law, strength=kappa, ref_freq=omega_d)
 
 
-@lru_cache(maxsize=8)
-def _coupling_operator(n_fock: int, spin_n: int, channel: str) -> OperatorMatrix:
-    """Read-only real coupling operator; it depends on the truncation alone."""
-    if channel == "cavity":
-        a, ad = fock_ladder(n_fock)
-        mat = np.kron(np.eye(spin_n + 1), a.entries - ad.entries)
-        label = "a-a_dag"
-    else:
-        sx = spin_operators(spin_n)[0].entries.real
-        mat = np.kron(sx, np.eye(n_fock))
-        label = "S_x"
-    mat.flags.writeable = False
-    return OperatorMatrix(dim=mat.shape[0], entries=mat, label=label)
+def coupling_elements(eig: EigenSystem, params: ModelParams, channel: str) -> np.ndarray:
+    """<n|X|m> between the retained levels, with X applied through its structure.
 
-
-def coupling_matrix(params: ModelParams, channel: str) -> OperatorMatrix:
-    """Bare bath coupling operator on the product space, real and read-only.
-
-    Cavity couples through the quadrature (a - a^dag) (anti-Hermitian; only
-    |elements|^2 enter rates), dipole through S_x.  Both commute with the
-    polaron transform, so the same operators serve in either frame.  One
-    cached copy per truncation is shared by every caller.
+    Both couplings are Y -/+ Y^dag with Y a weighted shift of the vectors,
+    taken as (spin_n + 1, n_fock, M) blocks, matter index slow.  The cavity
+    couples through the quadrature a - a^dag, where a shifts the photon
+    index down with weight sqrt(n) (anti-Hermitian; only |elements|^2 enter
+    rates); the dipole through S_x, whose upper half (the superdiagonal of
+    spin_operators' S_x) shifts the matter index.  So <n|X|m> is one product
+    of shifted blocks plus or minus its adjoint, and no dim x dim operator is
+    formed.  Both couplings commute with the polaron transform, so either
+    frame's eigenvectors may be passed.
     """
-    if channel not in ("cavity", "dipole"):
+    v = eig.vectors
+    if len(v) != params.dim:
+        raise ValueError(f"model dim {params.dim} != eigensystem dim {len(v)}")
+    m = v.shape[1]
+    blocks = v.reshape(params.spin_n + 1, params.n_fock, m)
+    if channel == "cavity":
+        weights = np.sqrt(np.arange(1.0, params.n_fock))[:, None]   # a|n> = sqrt(n)|n-1>
+        lower, upper, sign = blocks[:, :-1], blocks[:, 1:], -1.0
+    elif channel == "dipole":
+        weights = np.diag(spin_operators(params.spin_n)[0].entries.real, 1)[:, None, None]
+        lower, upper, sign = blocks[:-1], blocks[1:], 1.0
+    else:
         raise ValueError(f"unknown bath channel {channel!r}")
-    return _coupling_operator(params.n_fock, params.spin_n, channel)
+    half = (lower * weights).reshape(-1, m).conj().T @ upper.reshape(-1, m)   # <n|Y|m>
+    return half + sign * half.conj().T
 
 
-def transition_lines(eig: EigenSystem, op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
+def transition_lines(
+    eig: EigenSystem, params: ModelParams, channel: str
+) -> tuple[np.ndarray, np.ndarray]:
     """Line list of the retained levels: (w[n, m] = w_m - w_n, |<n|X|m>|^2)."""
-    w, v = eig.frequencies, eig.vectors
-    if op.dim != len(v):
-        raise ValueError(f"operator dim {op.dim} != eigensystem dim {len(v)}")
-    return w[None, :] - w[:, None], np.abs(v.conj().T @ op.entries @ v) ** 2
+    w = eig.frequencies
+    return w[None, :] - w[:, None], np.abs(coupling_elements(eig, params, channel)) ** 2
 
 
 @dataclass(frozen=True)
@@ -154,7 +158,6 @@ class Liouvillian:
     level_freqs: np.ndarray          # (M,)
     rates: np.ndarray                # (M, M) real, rates[to, from], zero diagonal
     temperature: float
-    baths: tuple[BathSpec, ...]
 
     @property
     def m_levels(self) -> int:
@@ -204,7 +207,7 @@ def build_liouvillian(
     if m < 2:
         raise ValueError(f"need at least 2 levels, got {m}")
     rates = np.zeros((m, m))
-    lines = [transition_lines(eig, coupling_matrix(params, b.channel)) for b in baths]
+    lines = [transition_lines(eig, params, b.channel) for b in baths]
     if lines:
         gap = lines[0][0]   # [to, from]: w_from - w_to, the same for every bath
         downward = gap >= DEGENERACY_TOL * params.omega_c
@@ -219,7 +222,6 @@ def build_liouvillian(
         level_freqs=eig.frequencies.copy(),
         rates=rates,
         temperature=temperature,
-        baths=tuple(baths),
     )
 
 
@@ -328,8 +330,9 @@ def evolve(
 
     Populations step through expm(W dt) between grid points (W may be
     defective at T = 0, so no eigendecomposition), one expm per distinct
-    step, so a uniform grid costs one; each coherence is
-    rho_ij(0) exp(lam_ij t).
+    float step.  An np.linspace grid's steps differ in their last bits, so
+    it costs a handful, not one: 9 and 12 for the k = 1 and k = 2
+    tunneling runs at g = 3.  Each coherence is rho_ij(0) exp(lam_ij t).
     """
     m = lv.m_levels
     if rho0.shape != (m, m):

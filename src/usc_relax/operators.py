@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 # Hard cap on the Hilbert-space dimension of any model.  It bounds the dense
-# dim x dim coupling operators and the dense reference builders; a dense
-# matrix beyond this is almost certainly a mistake upstream.
+# dim x dim reference builders; a dense matrix beyond this is almost
+# certainly a mistake upstream.
 DIM_CAP = 4096
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .eigen import EigenSystem
-from .lindblad import boltzmann_weights, coupling_matrix, transition_lines
+from .lindblad import boltzmann_weights, transition_lines
 from .operators import ModelParams
 
 TAIL_TOL = 1e-6
@@ -94,7 +94,7 @@ def _structure_factor(
     omegas = np.asarray(omegas, dtype=float)
     if omegas.ndim != 1 or np.any(np.diff(omegas) <= 0.0):
         raise ValueError("frequency grid must be strictly ascending")
-    omega, elem2 = transition_lines(eig, coupling_matrix(params, channel))
+    omega, elem2 = transition_lines(eig, params, channel)
     # omega[0] holds the level energies above the ground level
     strength = thermal_weights(omega[0], temperature)[:, None] * elem2
     keep = strength > 0.0   # row-major: by initial level n, then final level m

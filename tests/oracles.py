@@ -3,9 +3,9 @@
 Everything here deliberately avoids the code paths under test: displacement
 matrices come from `scipy.linalg.expm`, double-well levels from a Numerov
 shooting integration, dipole emission rates from direct quadrature of the
-displacement autocorrelation function, and Lindblad generators from a dense
-Kronecker construction, and band eigenvalues from scipy's `eig_banded`
-(LAPACK dsbevx).  Slow and simple beats fast and shared.
+displacement autocorrelation function, Lindblad generators and bath
+couplings from dense Kronecker constructions, and band eigenvalues from
+scipy's `eig_banded` (LAPACK dsbevx).  Slow and simple beats fast and shared.
 
 The Fock-truncation drift ladder re-solves at larger cutoffs: it is the
 independent cross-check of the library's one-solve residual certificate.
@@ -117,6 +117,18 @@ def dipole_rate_via_quadrature(
 
     val, _ = quad(integrand, 0.0, 60.0 / gamma, args=(omega,), limit=4000)
     return 0.5 * omega_d**2 * n_wells * val
+
+
+def coupling_operator(params: ModelParams, channel: str) -> np.ndarray:
+    """Dense bath coupling on the product space, by Kronecker products.
+
+    Cavity: 1 (x) (a - a^dag); dipole: S_x (x) 1, matter index slow.
+    """
+    if channel == "cavity":
+        a, ad = fock_ladder(params.n_fock)
+        return np.kron(np.eye(params.spin_n + 1), a.entries - ad.entries)
+    sx = spin_operators(params.spin_n)[0].entries.real
+    return np.kron(sx, np.eye(params.n_fock))
 
 
 def dense_lindblad_generator(

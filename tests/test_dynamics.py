@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 from scipy.stats import poisson
 
+import oracles
 from usc_relax import grwa
 from usc_relax.dynamics import TunnelingRun, right_vacuum_state, run_tunneling_oscillations
 from usc_relax.eigen import certified_eigensystem
 from usc_relax.lindblad import (
     build_liouvillian,
     cavity_bath,
-    coupling_matrix,
     dipole_bath,
     evolve,
     project_pure_state,
@@ -117,7 +117,7 @@ def test_lab_frame_run_matches_polaron_frame_reference(g, k):
     psi[0] = psi[params.n_fock] = 1.0 / np.sqrt(2.0)
     rho0, deficit = project_pure_state(eig, psi)
     v = eig.vectors
-    sx = v.conj().T @ coupling_matrix(params, "dipole").entries @ v
+    sx = v.conj().T @ oracles.coupling_operator(params, "dipole") @ v
     ref = evolve(lv, rho0, run.times, observables={"sx": sx}).observables["sx"]
     assert np.max(np.abs(run.sx - ref)) < 1e-10
     # the deficit is 1 - (retained weight) and carries the rounding of that

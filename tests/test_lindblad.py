@@ -25,7 +25,7 @@ from usc_relax.lindblad import (
     OverdampedSeriesError,
     build_liouvillian,
     cavity_bath,
-    coupling_matrix,
+    coupling_elements,
     dipole_bath,
     evolve,
     fit_rabi_decay,
@@ -102,23 +102,34 @@ def test_bath_spectral_laws():
         BathSpec(channel="cavity", law="ohmic", strength=-0.1, ref_freq=1.0)
 
 
-@pytest.mark.parametrize("channel", ["cavity", "dipole"])
-def test_coupling_matrix_is_read_only(channel):
-    op = coupling_matrix(ModelParams(n_fock=10), channel)
-    with pytest.raises(ValueError, match="read-only"):
-        op.entries[0, 1] = 1.0
-
-
-def test_coupling_matrix_shapes_and_symmetry():
-    params = ModelParams(g=1.0, n_fock=10)
-    cav = coupling_matrix(params, "cavity")
-    dip = coupling_matrix(params, "dipole")
-    assert cav.entries.shape == (20, 20)
-    # quadrature is anti-Hermitian, dipole Hermitian
-    assert np.allclose(cav.entries, -cav.entries.conj().T)
-    assert np.allclose(dip.entries, dip.entries.conj().T)
+def test_coupling_elements_match_the_dense_operators():
+    # lab frame (real band vectors), polaron frame (dense eigh vectors), and
+    # random complex orthonormal vectors of a spin-1 (spin_n = 2) truncation
+    params = ModelParams(g=1.5, epsilon=0.5, n_fock=30)
+    spin1 = ModelParams(n_fock=12, spin_n=2)
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.normal(size=(spin1.dim, 10)) + 1j * rng.normal(size=(spin1.dim, 10)))
+    frames = {
+        "lab": (params, diagonalize(rabi_bands(params), 16)),
+        "polaron": (params, diagonalize(build_polaron_rabi(params), 16)),
+        "spin1": (spin1, EigenSystem(frequencies=np.arange(10.0), vectors=q)),
+    }
+    for frame, (params, eig) in frames.items():
+        v = eig.vectors
+        for channel in ("cavity", "dipole"):
+            ref = v.conj().T @ oracles.coupling_operator(params, channel) @ v
+            elem = coupling_elements(eig, params, channel)
+            assert np.max(np.abs(elem - ref)) <= 1e-13, (frame, channel)
+        # quadrature anti-Hermitian, dipole Hermitian, in either frame
+        cav = coupling_elements(eig, params, "cavity")
+        dip = coupling_elements(eig, params, "dipole")
+        assert np.allclose(cav, -cav.conj().T, rtol=0.0, atol=1e-13)
+        assert np.allclose(dip, dip.conj().T, rtol=0.0, atol=1e-13)
+    params, eig = frames["lab"]
     with pytest.raises(ValueError, match="channel"):
-        coupling_matrix(params, "flux")
+        coupling_elements(eig, params, "flux")
+    with pytest.raises(ValueError, match="dim"):
+        coupling_elements(eig, ModelParams(n_fock=31), "cavity")
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +199,7 @@ def _per_bath_rates(eig, params, baths, temperature):
     m = len(eig.frequencies)
     rates = np.zeros((m, m))
     for bath in baths:
-        gap, elem2 = transition_lines(eig, coupling_matrix(params, bath.channel))
+        gap, elem2 = transition_lines(eig, params, bath.channel)
         downward = gap >= DEGENERACY_TOL * params.omega_c
         boltz = np.zeros_like(gap)
         if temperature > 0.0:
@@ -349,7 +360,6 @@ def test_two_absorbing_levels_report_degenerate_kernel():
         level_freqs=np.array([0.0, 0.5, 1.0]),
         rates=rates,
         temperature=0.0,
-        baths=(),
     )
     with pytest.raises(DegenerateSteadyStateError, match="kernel dimension 2"):
         steady_state(lv)

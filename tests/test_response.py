@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from usc_relax import grwa
 from usc_relax.eigen import certified_eigensystem, diagonalize
-from usc_relax.lindblad import coupling_matrix
+from usc_relax.lindblad import coupling_elements
 from usc_relax.operators import ModelParams, build_polaron_rabi, build_rabi
 from usc_relax.response import (
     SpectrumGrid,
@@ -165,8 +165,8 @@ def _double_loop_structure_factor(eig, params, channel, temperature, omegas, eta
     else:
         weights = np.exp(-(freqs - freqs[0]) / temperature)
         weights /= weights.sum()
-    v = eig.vectors[:, :m_levels]
-    elem2 = np.abs(v.conj().T @ coupling_matrix(params, channel).entries @ v) ** 2
+    # the elements themselves are checked against the dense operators in test_lindblad
+    elem2 = np.abs(coupling_elements(eig, params, channel)[:m_levels, :m_levels]) ** 2
     peaks = []
     for n in range(m_levels):
         if weights[n] == 0.0:
