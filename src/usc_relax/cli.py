@@ -137,14 +137,13 @@ def _cmd_edm_rates(config: RunConfig):
         omegas = config.scan[0].grid()
     else:
         omegas = np.linspace(-4.0 * p.omega_c, 4.0 * p.omega_c, 1601)
-    gamma_d = p.omega_d**2 * p.n_wells / p.gamma
-    up = np.array([gamma_T(float(w), p) for w in omegas])
-    tot = up - np.array([gamma_T(-float(w), p) for w in omegas])
+    up = gamma_T(omegas, p)
+    tot = up - gamma_T(-omegas, p)
     columns = {
-        "omega": np.asarray(omegas, dtype=float),
+        "omega": omegas,
         "gamma_T": up,
         "gamma_tot": tot,
-        "gamma_tot_over_gamma_d": tot / gamma_d,
+        "gamma_tot_over_gamma_d": tot / p.gamma_d,
     }
     return columns, ()
 

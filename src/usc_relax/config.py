@@ -224,9 +224,6 @@ def parse_config(text: str) -> RunConfig:
                 auto_fock = True
                 continue
             ftype = by_name[fname].type
-            if value == "none" and "None" in str(ftype):
-                groups[group][fname] = None
-                continue
             target: type = str
             if "int" in str(ftype):
                 target = int

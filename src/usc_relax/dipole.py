@@ -18,7 +18,7 @@ doublet sits well below the barrier and far from the next level.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -123,10 +123,7 @@ def tla_parameters(p: WellParams) -> TlaReport:
     enters only through epsilon.  valid requires the doublet to be isolated
     (gap_ratio above 10) and to lie below the central barrier.
     """
-    untilted = WellParams(
-        mu2=p.mu2, mu4=p.mu4, tilt=0.0, mass=p.mass,
-        grid_points=p.grid_points, x_max=p.x_max,
-    )
+    untilted = replace(p, tilt=0.0)
     levels = solve_double_well(untilted, n_levels=3)
     (e0, psi0), (e1, psi1), (e2, _) = levels
     x = untilted.grid()

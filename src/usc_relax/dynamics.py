@@ -35,8 +35,10 @@ def right_vacuum_state(params: ModelParams) -> np.ndarray:
 
     The cavity amplitudes are <n| exp[x (a - a^dag)] |0> with x = g / (2 omega_c),
     so a + (g/omega_c) S_x annihilates the state.  The Fock truncation drops the
-    coherent-state tail; the state is not renormalized, so that loss shows up
-    in the projection deficit.
+    coherent-state tail and the state is not renormalized.  That tail,
+    1 - ||psi||^2, is not part of the projection deficit (which counts only
+    the weight outside the retained levels); at default_n_fock it evaluates
+    to 0 for g = 1, 2 and 3.
     """
     if params.spin_n != 1:
         raise ValueError("tunneling scenario is defined for the two-level model")

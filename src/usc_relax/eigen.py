@@ -168,29 +168,20 @@ def diagonalize(op: OperatorMatrix | BandOperator, levels: int | None = None) ->
 
 
 def _padding_residuals(
-    big: OperatorMatrix | BandOperator, vectors: np.ndarray, kept: np.ndarray
+    big: OperatorMatrix | BandOperator, eig: EigenSystem, kept: np.ndarray
 ) -> np.ndarray:
-    """Per-column norm of big @ pad(vectors) on the rows the zero padding adds.
+    """Per-level norm of big @ pad(v) - w pad(v), the retained levels' full residuals.
 
     kept lists, in order, the rows of big's library basis that the smaller
-    truncation keeps; pad() places the vectors there.  On the kept rows the
-    product is the smaller operator's own, so only the added rows are formed.
-    A band operator's kept rows lead its band order, so just the
-    half-bandwidth rows past them couple back; a dense operator's coupling
-    block is read off its entries.
+    truncation keeps; pad() places the vectors there, with zeros elsewhere.
+    A band operator is multiplied in its band order, a dense one by its
+    entries.
     """
-    if isinstance(big, BandOperator):
-        padded = np.zeros((big.dim, vectors.shape[1]), dtype=vectors.dtype)
-        padded[big.to_library[kept]] = vectors
-        dim, half = len(kept), big.bands.shape[0] - 1
-        tail = np.zeros((half, vectors.shape[1]), dtype=vectors.dtype)
-        for k in range(1, half + 1):
-            tail[:k] += big.bands[k, dim - k:dim, None] * padded[dim - k:dim]
-    else:
-        added = np.ones(big.dim, dtype=bool)
-        added[kept] = False
-        tail = big.entries[np.ix_(added, kept)] @ vectors
-    return np.linalg.norm(tail, axis=0)
+    band = isinstance(big, BandOperator)
+    padded = np.zeros((big.dim, len(eig.frequencies)), dtype=eig.vectors.dtype)
+    padded[big.to_library[kept] if band else kept] = eig.vectors
+    product = _band_matvec(big.bands, padded) if band else big.entries @ padded
+    return np.linalg.norm(product - padded * eig.frequencies, axis=0)
 
 
 def certified_eigensystem(
@@ -206,9 +197,10 @@ def certified_eigensystem(
     block in every matter sector.  The residual norm bounds the distance
     from the level to the nearest eigenvalue of that larger operator, with
     no separation estimate needed (the Hermitian residual bound; Parlett,
-    The Symmetric Eigenvalue Problem).  Within the block the residual is the solver's own,
-    O(eps ||H||); only the added rows are formed (_padding_residuals), and
-    for rabi_bands they are the g sqrt(N)/2 coupling out of photon N - 1.
+    The Symmetric Eigenvalue Problem).  The whole residual is formed
+    (_padding_residuals): within the block it is the solver's own,
+    O(eps ||H||), and on the added rows, for rabi_bands, the g sqrt(N)/2
+    coupling out of photon N - 1.
     Raises if any level's residual exceeds CERTIFY_TOL; callers should
     enlarge n_fock rather than trust those levels.  The certificate only
     accepts or refuses: the returned eigensystem is the solve itself.
@@ -217,9 +209,7 @@ def certified_eigensystem(
     n_big = params.n_fock + FOCK_MARGIN
     sectors = np.arange(params.spin_n + 1)[:, None]
     kept = (sectors * n_big + np.arange(params.n_fock)).ravel()
-    residuals = _padding_residuals(
-        builder(replace(params, n_fock=n_big)), eig.vectors, kept
-    )
+    residuals = _padding_residuals(builder(replace(params, n_fock=n_big)), eig, kept)
     failed = np.count_nonzero(residuals > CERTIFY_TOL)
     if failed:
         raise ValueError(

@@ -364,17 +364,19 @@ def evolve(
 def project_pure_state(eig: EigenSystem, psi: np.ndarray) -> tuple[np.ndarray, float]:
     """Project |psi> onto the retained eigenlevels; returns (rho0, lost weight).
 
-    The projected state is renormalized, so rho0 is a valid density matrix;
-    the deficit quantifies how much of |psi> the truncation discarded.  It
-    is formed as 1 - weight, so it is good only to ~1e-15 absolute: a
-    deficit of 1e-5 carries ~1e-10 relative rounding.
+    The projected state is renormalized, so rho0 is a valid density matrix.
+    The deficit is the weight of |psi> outside the retained levels,
+    ||psi - V V^dag psi||^2, formed from that remainder itself so that a
+    small deficit keeps its relative precision (no 1 - weight cancellation).
+    Weight that |psi> itself lacks, 1 - ||psi||^2, is not part of it.
     """
     coeff = eig.vectors.conj().T @ psi
     weight = float(np.real(coeff.conj() @ coeff))
     if weight <= 0.0:
         raise ValueError("state has no weight on the retained levels")
     rho0 = np.outer(coeff, coeff.conj()) / weight
-    return rho0, 1.0 - weight
+    remainder = psi - eig.vectors @ coeff
+    return rho0, float(np.real(np.vdot(remainder, remainder)))
 
 
 # ---------------------------------------------------------------------------

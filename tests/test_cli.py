@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import usc_relax
 from usc_relax import cli, dynamics, eigen, grwa, scan
 from usc_relax.cli import _cmd_transmission, main
 from usc_relax.config import RunConfig, parse_config
@@ -34,6 +39,19 @@ def read_csv(path):
         else:
             rows.append(line.split(","))
     return meta, columns, rows
+
+
+def test_cli_import_loads_no_heavy_scipy_subpackages():
+    # every CLI run pays for its imports: scipy.special, .integrate, .optimize
+    # and .sparse would each add tens to hundreds of ms to start-up
+    src = str(Path(usc_relax.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, usc_relax.cli; print(*sys.modules)"],
+        capture_output=True, text=True, check=True, env=env,
+    ).stdout.split()
+    heavy = ("scipy.special", "scipy.integrate", "scipy.optimize", "scipy.sparse")
+    assert [m for m in loaded if m.startswith(heavy)] == []
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ def sample_config() -> RunConfig:
         ),
         temperature=0.2,
         scan=(ScanAxis(name="g", start=0.5, stop=3.0, points=6),),
-        edm=EdmParams(g=1.0, epsilon=1.0, gamma=0.05, temperature=1.0, sum_cutoff=None),
+        edm=EdmParams(g=1.0, epsilon=1.0, gamma=0.05, temperature=1.0),
         response=ResponseSettings(q_factor=250.0, omega_points=501),
         evolve=EvolveSettings(k=2, gamma=0.004),
         m_levels=20,
@@ -110,11 +110,8 @@ def test_auto_fock_sees_omega_c():
 
 
 def test_none_sentinels():
-    c = parse_config("output = none\nedm.sum_cutoff = none\n")
+    c = parse_config("output = none\n")
     assert c.output is None
-    assert c.edm.sum_cutoff is None
-    c2 = parse_config("edm.sum_cutoff = 25\n")
-    assert c2.edm.sum_cutoff == 25
 
 
 def test_repeated_bath_lines_accumulate():

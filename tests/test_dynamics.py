@@ -120,6 +120,6 @@ def test_lab_frame_run_matches_polaron_frame_reference(g, k):
     sx = v.conj().T @ oracles.coupling_operator(params, "dipole") @ v
     ref = evolve(lv, rho0, run.times, observables={"sx": sx}).observables["sx"]
     assert np.max(np.abs(run.sx - ref)) < 1e-10
-    # the deficit is 1 - (retained weight) and carries the rounding of that
-    # unit weight: the frames differ by <= 1.3e-15, 7e-11 of a g = 2 deficit
+    # the deficit is the norm of the remainder outside the retained levels;
+    # the frames agree to about 4e-14 of it
     assert run.trajectory.projection_deficit == pytest.approx(deficit, rel=0.0, abs=1e-14)

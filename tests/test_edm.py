@@ -18,7 +18,6 @@ import oracles
 from usc_relax import grwa
 from usc_relax.edm import (
     EdmParams,
-    _ladder_weights,
     NoNetCoolingError,
     TruncationLeakWarning,
     effective_dipole_evolve,
@@ -30,11 +29,6 @@ from usc_relax.edm import (
 )
 from usc_relax.lindblad import thermal_occupation
 from usc_relax.operators import ModelParams
-
-
-def gamma_dipole_scale(p: EdmParams) -> float:
-    """Single-well emission scale omega_d^2 n_wells / gamma."""
-    return p.omega_d**2 * p.n_wells / p.gamma
 
 
 # ---------------------------------------------------------------------------
@@ -58,11 +52,6 @@ def test_auto_cutoff_grows_with_coupling_and_temperature():
     hot_large = resolve_cutoff(EdmParams(g=2.0, temperature=2.0))
     assert hot_large > cold_small
     assert resolve_cutoff(EdmParams(g=2.0, temperature=2.0)) == 39
-
-
-def test_explicit_cutoff_rejected_when_tail_leaks():
-    with pytest.raises(ValueError, match="cutoff"):
-        gamma_T(1.0, EdmParams(g=2.0, temperature=2.0, sum_cutoff=3))
 
 
 # ---------------------------------------------------------------------------
@@ -95,9 +84,9 @@ def test_dominant_resonant_term_weight():
     # at x = 1, T = 0 the omega = omega_c peak is the (q=1, r=0) Poisson
     # term x^2 e^{-x^2} = 1/e, plus small neighbouring Lorentzian tails
     p = EdmParams(g=1.0, epsilon=1.0, gamma=0.1, temperature=0.0)
-    assert gamma_T(1.0, p) / gamma_dipole_scale(p) == pytest.approx(0.368381, abs=1e-6)
+    assert gamma_T(1.0, p) / p.gamma_d == pytest.approx(0.368381, abs=1e-6)
     # finite gamma pushes the peak a little above the bare Poisson weight e^{-1}
-    assert gamma_T(1.0, p) / gamma_dipole_scale(p) == pytest.approx(math.exp(-1.0), rel=2e-3)
+    assert gamma_T(1.0, p) / p.gamma_d == pytest.approx(math.exp(-1.0), rel=2e-3)
 
 
 def test_peaks_sit_on_integer_multiples():
@@ -115,27 +104,28 @@ def test_peaks_sit_on_integer_multiples():
     assert np.all(cold > 0.5)  # no anti-Stokes lines at T = 0
 
 
-def _gamma_T_per_call(omega, p):
-    """Reference: the rate with every omega-independent term rebuilt on each call."""
+def _gamma_T_double_sum(omega, p):
+    """Reference: the rate as the (q, r) double sum, each Poisson weight from its factorial."""
     cutoff = resolve_cutoff(p)
     x2 = p.x**2
-    nbar = p.nbar
-    wq = _ladder_weights(x2 * (1.0 + nbar), cutoff)
-    wr = _ladder_weights(x2 * nbar, cutoff)
+    wq = np.array([(x2 * (1.0 + p.nbar)) ** q / math.factorial(q) for q in range(cutoff + 1)])
+    wr = np.array([(x2 * p.nbar) ** r / math.factorial(r) for r in range(cutoff + 1)])
     q = np.arange(cutoff + 1)
     delta = omega - p.omega_c * (q[:, None] - q[None, :])
     lor = (p.gamma**2 / 4.0) / (delta**2 + p.gamma**2 / 4.0)
     weights = wq[:, None] * wr[None, :]
     weights[0, 0] = 0.0
-    prefactor = (p.omega_d**2 * p.n_wells / p.gamma) * math.exp(-x2 * (1.0 + 2.0 * nbar))
-    return float(prefactor * (weights * lor).sum())
+    return p.gamma_d * math.exp(-x2 * (1.0 + 2.0 * p.nbar)) * float((weights * lor).sum())
 
 
 @pytest.mark.parametrize("temperature", [0.0, 2.0])
 def test_gamma_T_comb_matches_per_call_rate(temperature):
     p = EdmParams(g=1.3, omega_d=0.8, n_wells=2, gamma=0.1, temperature=temperature)
     comb = np.linspace(-4.0, 4.0, 1601)
-    assert [gamma_T(float(w), p) for w in comb] == [_gamma_T_per_call(float(w), p) for w in comb]
+    rates = gamma_T(comb, p)
+    assert np.array_equal(rates, [gamma_T(float(w), p) for w in comb])
+    ref = np.array([_gamma_T_double_sum(float(w), p) for w in comb])
+    assert np.max(np.abs(rates - ref) / ref) <= 1e-14
 
 
 def test_resonance_ratios_follow_detailed_balance():

@@ -253,7 +253,7 @@ def test_certified_eigensystem_solves_once(monkeypatch):
 @pytest.mark.parametrize("builder", [rabi_bands, build_rabi, build_polaron_rabi])
 @pytest.mark.parametrize(("g", "epsilon", "n_fock"), [(3.0, 0.0, 14), (3.0, 2.0, 40), (6.0, 0.0, 60)])
 def test_padding_residuals_are_the_padded_vectors_full_residuals(builder, g, epsilon, n_fock):
-    # only the added rows are formed; against the whole product in the larger operator
+    # band order and dense entries alike, against the whole product in the larger operator
     params = ModelParams(g=g, epsilon=epsilon, n_fock=n_fock)
     eig = diagonalize(builder(params), 20)
     big = replace(params, n_fock=n_fock + eigen.FOCK_MARGIN)
@@ -262,9 +262,27 @@ def test_padding_residuals_are_the_padded_vectors_full_residuals(builder, g, eps
     padded = np.zeros((big.dim, 20), dtype=eig.vectors.dtype)
     padded[kept] = eig.vectors
     full = np.linalg.norm(h @ padded - padded * eig.frequencies, axis=0)
-    cheap = eigen._padding_residuals(builder(big), eig.vectors, kept)
+    cheap = eigen._padding_residuals(builder(big), eig, kept)
     assert np.max(full) > 1e-6   # each point has a level the certificate refuses
     assert np.max(np.abs(cheap - full)) <= 1e-12 * max(1.0, np.max(full))
+
+
+def test_certificate_sees_error_inside_the_block(monkeypatch):
+    # a perturbation at photon 0 leaves the coupling out of the block
+    # untouched; only the in-block part of the residual can refuse it
+    params = ModelParams(g=2.0, epsilon=1.0, n_fock=40)
+    certified_eigensystem(params, levels=24)
+    solve = eigen.diagonalize
+
+    def perturbed(op, levels):
+        eig = solve(op, levels)
+        vectors = eig.vectors.copy()
+        vectors[0, 3] += 1e-5
+        return EigenSystem(eig.frequencies, vectors)
+
+    monkeypatch.setattr(eigen, "diagonalize", perturbed)
+    with pytest.raises(ValueError, match="1/24 levels"):
+        certified_eigensystem(params, levels=24)
 
 
 # the cutoff that converges 24 levels to 1e-8, per g

@@ -417,6 +417,16 @@ def test_project_pure_state_accounting():
     assert np.trace(rho0).real == pytest.approx(1.0, abs=1e-12)
 
 
+def test_retained_eigenvector_has_no_projection_deficit():
+    # the deficit is formed from the remainder psi - V V^dag psi, so a
+    # retained level loses only the rounding of that remainder, not of 1 - 1
+    eig = certified_eigensystem(ModelParams(g=2.0, epsilon=2.0, n_fock=40), levels=20)
+    for n in range(20):
+        rho0, deficit = project_pure_state(eig, eig.vectors[:, n])
+        assert 0.0 <= deficit <= 1e-28
+        assert rho0[n, n].real == pytest.approx(1.0, abs=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # damped-oscillation fit
 # ---------------------------------------------------------------------------
