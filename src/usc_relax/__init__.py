@@ -49,6 +49,7 @@ from .edm import (
     NoNetCoolingError,
     effective_dipole_evolve,
     gamma_T,
+    net_rate,
     saturation_number,
     total_rate,
     validity_report,
@@ -92,6 +93,7 @@ __all__ = [
     "transmission",
     "EdmParams",
     "gamma_T",
+    "net_rate",
     "total_rate",
     "saturation_number",
     "validity_report",

@@ -26,7 +26,7 @@ from . import grwa
 from .config import RunConfig, apply_overrides, load_config
 from .dipole import tla_parameters
 from .dynamics import run_tunneling_oscillations
-from .edm import effective_dipole_evolve, gamma_T, total_rate
+from .edm import effective_dipole_evolve, gamma_T, net_rate, total_rate
 from .eigen import certified_eigensystem
 from .operators import default_n_fock, polaron_constant
 from .response import (
@@ -137,11 +137,10 @@ def _cmd_edm_rates(config: RunConfig):
         omegas = config.scan[0].grid()
     else:
         omegas = np.linspace(-4.0 * p.omega_c, 4.0 * p.omega_c, 1601)
-    up = gamma_T(omegas, p)
-    tot = up - gamma_T(-omegas, p)
+    tot = net_rate(omegas, p)
     columns = {
         "omega": omegas,
-        "gamma_T": up,
+        "gamma_T": gamma_T(omegas, p),
         "gamma_tot": tot,
         "gamma_tot_over_gamma_d": tot / p.gamma_d,
     }

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,9 @@ from usc_relax.edm import (
     NoNetCoolingError,
     TruncationLeakWarning,
     effective_dipole_evolve,
+    _sidebands,
     gamma_T,
+    net_rate,
     resolve_cutoff,
     saturation_number,
     total_rate,
@@ -126,6 +129,35 @@ def test_gamma_T_comb_matches_per_call_rate(temperature):
     assert np.array_equal(rates, [gamma_T(float(w), p) for w in comb])
     ref = np.array([_gamma_T_double_sum(float(w), p) for w in comb])
     assert np.max(np.abs(rates - ref) / ref) <= 1e-14
+
+
+def _net_rate_50_digits(omega, p):
+    """Reference: sum_d W_d [L(omega - d omega_c) - L(omega + d omega_c)] at 50 digits."""
+    with mpmath.workdps(50):
+        h = mpmath.mpf(p.gamma) ** 2 / 4
+        w = mpmath.mpf(omega)
+        total = mpmath.mpf(0)
+        for d, weight in zip(*(a.tolist() for a in _sidebands(p))):
+            shift = d * mpmath.mpf(p.omega_c)
+            total += weight * (h / ((w - shift) ** 2 + h) - h / ((w + shift) ** 2 + h))
+        x2 = mpmath.mpf(p.x) ** 2
+        return p.gamma_d * mpmath.exp(-x2 * (1 + 2 * mpmath.mpf(p.nbar))) * total
+
+
+def test_net_rate_near_zero_frequency_keeps_its_digits():
+    # there Gamma_T(w) and Gamma_T(-w) nearly cancel, so their difference
+    # lost most of its digits (3.9e-10 relative error at 1e-4)
+    p = EdmParams(g=1.0, gamma=0.1, temperature=2.0)
+    omegas = np.array([0.005, -0.005, 1e-4, -1e-4])
+    nets = net_rate(omegas, p)
+    assert np.array_equal(nets, [net_rate(float(w), p) for w in omegas])
+    for omega, net in zip(omegas.tolist(), nets):
+        ref = _net_rate_50_digits(omega, p)
+        assert abs(net - ref) <= 1e-14 * abs(ref)
+    comb = np.linspace(-4.0, 4.0, 161)
+    assert np.array_equal(net_rate(-comb, p), -net_rate(comb, p))   # exactly odd
+    assert np.allclose(net_rate(comb, p), gamma_T(comb, p) - gamma_T(-comb, p), rtol=0.0,
+                       atol=1e-14 * gamma_T(comb, p).max())
 
 
 def test_resonance_ratios_follow_detailed_balance():

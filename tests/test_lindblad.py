@@ -303,6 +303,65 @@ def test_evolve_calls_expm_once_per_distinct_step(monkeypatch):
     assert len(steps) == 2
 
 
+def _sparse_coherences():
+    """Non-Hermitian complex rho0 with pairs (0, 1) and (2, 4) all zero, and one one-sided pair."""
+    rng = np.random.default_rng(14)
+    rho0 = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    rho0[0, 1] = rho0[1, 0] = rho0[2, 4] = rho0[4, 2] = 0.0
+    rho0[3, 5] = 0.0
+    return rho0
+
+
+@pytest.mark.parametrize(
+    "rho0",
+    [
+        _sparse_coherences(),
+        np.random.default_rng(15).normal(size=(6, 6)),
+        np.diag([0.1, 0.0, 0.2, 0.0, 0.3, 0.4]),
+    ],
+    ids=["complex-non-hermitian", "real-float64", "diagonal"],
+)
+def test_evolve_coherences_and_populations_are_exact(rho0):
+    # coherences empty in rho0 (all of them for the diagonal state) stay exactly 0
+    lv = _six_level_liouvillian()
+    times = np.concatenate([np.linspace(0.0, 13.3, 41), [20.0, 31.5]])
+    traj = evolve(lv, rho0, times)
+    ref = rho0 * np.exp(lv.coherence_rates * (times - times[0])[:, None, None])
+    off = ~np.eye(6, dtype=bool)
+    assert np.array_equal(traj.states[:, off], ref[:, off])
+    pops = np.diag(rho0)
+    assert np.array_equal(np.diag(traj.states[0]), pops)
+    for k, dt in enumerate(np.diff(times), start=1):
+        pops = expm(lv.population_generator * dt) @ pops
+        assert np.array_equal(np.diag(traj.states[k]), pops)
+
+
+def test_evolve_takes_one_exponential_per_occupied_pair(monkeypatch):
+    lv = _six_level_liouvillian()
+    sizes = []
+    real_exp = np.exp
+
+    def counting_exp(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return real_exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    times = np.linspace(0.0, 13.3, 301)
+    evolve(lv, _sparse_coherences(), times)
+    assert sum(sizes) == len(times) * (15 - 2)   # 15 pairs i < j, two of them empty
+    sizes.clear()
+    evolve(lv, np.diag([0.0, 0.0, 0.0, 0.0, 0.0, 1.0]), times)
+    assert sum(sizes) == 0
+
+
+def test_min_eigenvalue_is_the_lowest_over_all_states():
+    lv = _six_level_liouvillian()
+    psi = np.random.default_rng(16).normal(size=6)
+    traj = evolve(lv, np.outer(psi, psi) / (psi @ psi), np.linspace(0.0, 13.3, 31))
+    per_state = min(np.linalg.eigvalsh(s)[0] for s in traj.states)
+    assert traj.min_eigenvalue() == per_state
+
+
 # ---------------------------------------------------------------------------
 # thermalization
 # ---------------------------------------------------------------------------
