@@ -46,8 +46,10 @@ def _cmd_gap_scan(config: RunConfig) -> tuple[dict[str, np.ndarray], tuple[str, 
 
 
 def _grwa_levels(params, n_levels: int) -> list[float]:
+    """gRWA levels at |epsilon|: H(-epsilon) = P H(epsilon) P with P = (-1)^(a^dag a) sigma_z."""
     if abs(params.epsilon) < 1e-12:
         return grwa.symmetric_levels(params, n_levels)
+    params = replace(params, epsilon=abs(params.epsilon))
     k = max(1, round(params.epsilon / params.omega_c))
     return grwa.asymmetric_levels(params, k, n_levels)
 
@@ -213,25 +215,24 @@ def _check_scan_axes(command: str, config: RunConfig) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One flat parser: the subcommand is a positional choice, the options are shared."""
     parser = argparse.ArgumentParser(
         prog="usc-relax",
         description="Relaxation, spectra, and response of a dipole ultrastrongly "
         "coupled to an LC cavity; emits figure-ready data tables.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=f"{name} table")
-        p.add_argument("--config", help="config file path (flat key = value format)")
-        p.add_argument(
-            "--set",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            help="override one config entry (repeatable)",
-        )
-        p.add_argument("--output", help="write the table here instead of stdout")
-        p.add_argument("--format", choices=("csv", "json"), help="output format")
-        p.add_argument("--verbose", action="store_true", help="log per-point progress")
+    parser.add_argument("command", choices=_COMMANDS, help="the table to emit")
+    parser.add_argument("--config", help="config file path (flat key = value format)")
+    parser.add_argument(
+        "--set",
+        action="append",
+        default=[],
+        metavar="KEY=VALUE",
+        help="override one config entry (repeatable)",
+    )
+    parser.add_argument("--output", help="write the table here instead of stdout")
+    parser.add_argument("--format", choices=("csv", "json"), help="output format")
+    parser.add_argument("--verbose", action="store_true", help="log per-point progress")
     return parser
 
 

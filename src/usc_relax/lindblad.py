@@ -18,6 +18,16 @@ those two M x M blocks, so the cost scales as M^3.  evolve pays one expm of
 W per distinct time step and, since lam_ji = conj(lam_ij), one exponential
 per time and unordered coherence pair that the initial state occupies.
 
+The spectrum and the gap do not diagonalize W itself.  Detailed balance,
+k_ij pi_j = k_ji pi_i with pi the Boltzmann weights, makes W similar to the
+symmetric S_ij = sqrt(k_ij) sqrt(k_ji), S_ii = -G_i (D^-1 W D with
+D = diag(sqrt(pi)); van Kampen, Stochastic Processes in Physics and
+Chemistry), so the population eigenvalues are one eigvalsh of S.  Where the
+Boltzmann factor is zero (T = 0, w/T > 700) the similarity holds in the
+limit, which keeps the eigenvalues.  build_liouvillian makes every rate pair
+balanced; a Liouvillian whose rates break that beyond rounding, with
+respect to its own level_freqs and temperature, is refused.
+
 Truncation is two-tier: the Hamiltonian is built at full n_fock, but only
 its lowest M eigenlevels are solved for and kept for the master equation.
 Those M levels are the EigenSystem handed in; no function here takes a
@@ -37,10 +47,11 @@ import numpy as np
 from scipy.linalg import expm
 
 from .eigen import EigenSystem
-from .operators import ModelParams, spin_operators
+from .operators import ModelParams
 
 DEGENERACY_TOL = 1e-9      # |w_mn|/omega_c treated as an exact degeneracy
 STATIONARY_TOL = 1e-9      # |eigenvalue| identifying the steady-state mode
+BALANCE_RTOL = 1e-13       # rate-pair mismatch taken as rounding; build_liouvillian's is a few ulps
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -115,9 +126,10 @@ def coupling_elements(eig: EigenSystem, params: ModelParams, channel: str) -> np
     taken as (spin_n + 1, n_fock, M) blocks, matter index slow.  The cavity
     couples through the quadrature a - a^dag, where a shifts the photon
     index down with weight sqrt(n) (anti-Hermitian; only |elements|^2 enter
-    rates); the dipole through S_x, whose upper half (the superdiagonal of
-    spin_operators' S_x) shifts the matter index.  So <n|X|m> is one product
-    of shifted blocks plus or minus its adjoint, and no dim x dim operator is
+    rates); the dipole through S_x, whose upper half shifts the matter index
+    (m = N/2 first) with weight sqrt(j(j+1) - m(m+1))/2, the superdiagonal
+    of spin_operators' S_x in closed form.  So <n|X|m> is one product of
+    shifted blocks plus or minus its adjoint, and no dim x dim operator is
     formed.  Both couplings commute with the polaron transform, so either
     frame's eigenvectors may be passed.
     """
@@ -130,7 +142,9 @@ def coupling_elements(eig: EigenSystem, params: ModelParams, channel: str) -> np
         weights = np.sqrt(np.arange(1.0, params.n_fock))[:, None]   # a|n> = sqrt(n)|n-1>
         lower, upper, sign = blocks[:, :-1], blocks[:, 1:], -1.0
     elif channel == "dipole":
-        weights = np.diag(spin_operators(params.spin_n)[0].entries.real, 1)[:, None, None]
+        j = params.spin_n / 2.0
+        mm = j - np.arange(1.0, params.spin_n + 1)   # the lower level of each S_+ step
+        weights = (np.sqrt(j * (j + 1) - mm * (mm + 1)) / 2.0)[:, None, None]
         lower, upper, sign = blocks[:-1], blocks[1:], 1.0
     else:
         raise ValueError(f"unknown bath channel {channel!r}")
@@ -227,15 +241,49 @@ def build_liouvillian(
     )
 
 
+def _symmetrized(lv: Liouvillian) -> tuple[np.ndarray, np.ndarray]:
+    """(S, G): the detailed-balance symmetrization of W and the out-rates.
+
+    S_ij = sqrt(k_ij) sqrt(k_ji) off the diagonal and S_ii = -G_i, which has
+    the eigenvalues of W when every upward rate is its downward partner
+    times the Boltzmann factor.  That factor follows build_liouvillian: it
+    is e^{-w/T}, zero at T = 0 and past w/T > 700, and a pair at exactly
+    equal frequencies must have equal rates.  Raises ValueError on a pair
+    that breaks it by more than BALANCE_RTOL relative (O(M^2)).
+    """
+    k = lv.rates
+    w = lv.level_freqs
+    gap = w[None, :] - w[:, None]                 # [to, from]: w_from - w_to
+    boltz = (gap == 0.0).astype(float)            # equal weights: equal rates both ways
+    if lv.temperature > 0.0:
+        x = np.where(gap > 0.0, gap / lv.temperature, np.inf)
+        boltz += np.where(x > 700.0, 0.0, np.exp(-x))
+    expected = k * boltz                          # each downward rate's upward partner
+    miss = np.abs(k.T - expected) > BALANCE_RTOL * np.maximum(k.T, expected) + np.finfo(float).tiny
+    miss &= gap >= 0.0
+    if np.any(miss):
+        to, frm = np.argwhere(miss)[0]
+        raise ValueError(
+            f"rates break detailed balance at T = {lv.temperature}: "
+            f"rate {frm} -> {to} is {float(k[to, frm])!r}, its reverse {float(k[frm, to])!r}"
+        )
+    out = k.sum(axis=0)
+    root = np.sqrt(k)
+    sym = root * root.T
+    np.fill_diagonal(sym, -out)
+    return sym, out
+
+
 def liouvillian_eigenvalues(lv: Liouvillian) -> np.ndarray:
     """Generator eigenvalues sorted by descending Re, then ascending |Im|.
 
-    The spectrum is eig(W) on the populations plus lam_ij for every
-    coherence i != j.
+    The spectrum is eig(W) on the populations, taken as eigvalsh of the
+    detailed-balance-symmetrized S, plus lam_ij for every coherence i != j.
+    Raises ValueError if the rates break detailed balance (see _symmetrized).
     """
     off = ~np.eye(lv.m_levels, dtype=bool)
     vals = np.concatenate(
-        [np.linalg.eigvals(lv.population_generator), lv.coherence_rates[off]]
+        [np.linalg.eigvalsh(_symmetrized(lv)[0]), lv.coherence_rates[off]]
     )
     order = np.lexsort((np.abs(vals.imag), -vals.real))
     return vals[order]
@@ -244,17 +292,21 @@ def liouvillian_eigenvalues(lv: Liouvillian) -> np.ndarray:
 def liouvillian_gap(lv: Liouvillian) -> float:
     """Re of the slowest non-stationary eigenvalue (the relaxation gap).
 
-    Raises if no eigenvalue sits within 1e-9 of zero, which would mean the
-    assembly broke trace preservation.
+    That is the larger of the second-largest eigenvalue of the symmetrized
+    S and the slowest coherence, -(G_(1) + G_(2))/2 from the two smallest
+    out-rates; no non-symmetric eigensolve and no M x M coherence block.
+    Raises ValueError if the rates break detailed balance, and RuntimeError
+    if the largest eigenvalue of S is not within 1e-9 of zero, which would
+    mean the assembly broke trace preservation.
     """
-    vals = liouvillian_eigenvalues(lv)
-    if np.min(np.abs(vals)) > STATIONARY_TOL:
+    sym, out = _symmetrized(lv)
+    pops = np.linalg.eigvalsh(sym)                # ascending
+    if abs(pops[-1]) > STATIONARY_TOL:
         raise RuntimeError(
-            f"no stationary eigenvalue found (closest |lambda| = {np.min(np.abs(vals)):.2e})"
+            f"no stationary eigenvalue found (largest population eigenvalue {pops[-1]:.2e})"
         )
-    zero_idx = int(np.argmin(np.abs(vals)))
-    rest = np.delete(vals, zero_idx)
-    return float(rest[0].real)
+    g1, g2 = np.partition(out, 1)[:2]
+    return float(max(pops[-2], -(g1 + g2) / 2.0))
 
 
 def boltzmann_weights(level_freqs: np.ndarray, temperature: float) -> np.ndarray:

@@ -168,6 +168,25 @@ def apply_liouvillian(lv, rho: np.ndarray) -> np.ndarray:
     return out
 
 
+def gap_via_general_eig(lv) -> float:
+    """Relaxation gap from the general eigenvalues of the Pauli rate matrix.
+
+    W = K - diag(G), with G the out-rates, goes through LAPACK dgeev with
+    no symmetry assumed; the coherences add lam_ij = -(G_i + G_j)/2
+    - i(w_i - w_j) for i != j.  The mode closest to zero is dropped and the
+    largest remaining real part (ties: smallest |Im|) is the gap.
+    """
+    out = lv.rates.sum(axis=0)
+    w = lv.level_freqs
+    lam = -(out[:, None] + out[None, :]) / 2.0 - 1j * (w[:, None] - w[None, :])
+    vals = np.concatenate([
+        np.linalg.eigvals(lv.rates - np.diag(out)),
+        lam[~np.eye(len(w), dtype=bool)],
+    ])
+    vals = vals[np.lexsort((np.abs(vals.imag), -vals.real))]
+    return float(np.delete(vals, np.argmin(np.abs(vals)))[0].real)
+
+
 def band_eigvals_via_dsbevx(op: BandOperator, levels: int) -> np.ndarray:
     """Lowest `levels` eigenvalues of a band operator, by bisection."""
     return eig_banded(

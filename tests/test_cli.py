@@ -1,5 +1,6 @@
 """End-to-end CLI checks: every subcommand, both table formats, overrides."""
 
+import argparse
 import json
 import math
 import os
@@ -69,6 +70,19 @@ def test_spectrum_table(tmp_path):
     for row in rows:
         exact, approx = float(row[2]), float(row[3])
         assert abs(exact - approx) < 5e-3  # weak coupling: closed form is tight
+
+
+def test_spectrum_grwa_column_is_even_in_epsilon(tmp_path):
+    # H(-epsilon) = P H(epsilon) P with P = (-1)^(a^dag a) sigma_z: both columns are even
+    rows = {}
+    for epsilon in (-2.0, 2.0):
+        out = tmp_path / f"spec_{epsilon}.csv"
+        argv = ("spectrum", "--set", "model.g = 3.0", "--set", "model.n_fock = 76",
+                "--set", f"model.epsilon = {epsilon}", "--output", str(out))
+        assert run_cli(*argv) == 0
+        rows[epsilon] = read_csv(out)[2]
+    assert rows[-2.0] == rows[2.0]
+    assert [row[3] for row in rows[2.0]][:2] == ["-1.0000154261065284", "0.0"]
 
 
 def test_gap_scan_single_point_matches_direct_call(tmp_path):
@@ -429,6 +443,24 @@ def test_subcommands_run_no_dense_hamiltonian_solve(argv, tmp_path, monkeypatch)
     assert run_cli(*argv, "--output", str(tmp_path / "out.csv")) == 0
 
 
+def test_gap_scan_runs_no_general_eigensolve(tmp_path, monkeypatch):
+    # the gap comes from the symmetrized rate matrix; a failing point would
+    # turn into a NaN row, so the run must also report no failed point
+    def refuse(*args, **kwargs):
+        raise AssertionError("non-symmetric eigensolve called on the gap path")
+
+    for module in (np.linalg, scipy.linalg):
+        monkeypatch.setattr(module, "eig", refuse)
+        monkeypatch.setattr(module, "eigvals", refuse)
+    out = tmp_path / "gap.csv"
+    argv = ("gap-scan", "--set", "scan = g, 1.0, 2.0, 2", "--set", "temperature = 0.1",
+            "--set", "bath = cavity, ohmic, 0.02, 1.0", "--output", str(out))
+    assert run_cli(*argv) == 0
+    meta, _, rows = read_csv(out)
+    assert "failed points: 0" in meta
+    assert all(float(row[2]) < 0.0 for row in rows)
+
+
 @pytest.mark.parametrize(("argv", "points"), [
     (("gap-scan", "--set", "scan = g, 1.0, 2.0, 2", "--set", "bath = cavity, ohmic, 0.02, 1.0"), 2),
     (("spectrum", "--set", "scan = g, 0.5, 1.5, 3"), 3),
@@ -477,3 +509,45 @@ def test_gap_scan_undertruncated_points_are_nan(tmp_path):
     meta, _, rows = read_csv(out)
     assert "failed points: 2" in meta
     assert [row[2] for row in rows] == ["nan", "nan"]
+
+
+# ---------------------------------------------------------------------------
+# the flat parser
+# ---------------------------------------------------------------------------
+
+def _subparser_reference() -> argparse.ArgumentParser:
+    """The earlier layout: one subparser per subcommand, each with the same options."""
+    parser = argparse.ArgumentParser(prog="usc-relax")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in cli._COMMANDS:
+        p = sub.add_parser(name)
+        p.add_argument("--config")
+        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
+        p.add_argument("--output")
+        p.add_argument("--format", choices=("csv", "json"))
+        p.add_argument("--verbose", action="store_true")
+    return parser
+
+
+@pytest.mark.parametrize("argv", [
+    ("gap-scan", "--set", "scan = g, 1, 2, 2", "--set", "bath = cavity, ohmic, 0.02, 1.0",
+     "--format", "json", "--output", "gap.json"),
+    ("spectrum", "--config", "run.cfg", "--set", "model.g=3.0"),
+    ("evolve", "--verbose", "--set", "evolve.k = 2"),
+    ("transmission", "--format", "csv"),
+    ("dipole-response", "--output", "dr.csv", "--verbose"),
+    ("edm-rates", "--set", "scan = omega, -1, 1, 5", "--set", "edm.x = 1.5"),
+    ("edm-evolve",),
+    ("tla", "--set", "well.tilt = 0.01", "--config", "well.cfg", "--format", "json"),
+    ("rabi-freq", "--set=model.g=2.0"),
+], ids=lambda argv: argv[0])
+def test_flat_parser_matches_the_subparser_layout(argv):
+    assert cli.build_parser().parse_args(argv) == _subparser_reference().parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", [[], ["gap_scan"], ["--verbose"], ["tla", "--format", "tsv"]])
+def test_parser_rejects_a_missing_or_unknown_command_with_status_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "usage: usc-relax" in capsys.readouterr().err

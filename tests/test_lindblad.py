@@ -37,7 +37,13 @@ from usc_relax.lindblad import (
     thermal_occupation,
     transition_lines,
 )
-from usc_relax.operators import ModelParams, build_polaron_rabi, build_rabi, rabi_bands
+from usc_relax.operators import (
+    ModelParams,
+    build_polaron_rabi,
+    build_rabi,
+    rabi_bands,
+    spin_operators,
+)
 from usc_relax.response import thermal_weights
 
 
@@ -130,6 +136,16 @@ def test_coupling_elements_match_the_dense_operators():
         coupling_elements(eig, params, "flux")
     with pytest.raises(ValueError, match="dim"):
         coupling_elements(eig, ModelParams(n_fock=31), "cavity")
+
+
+@pytest.mark.parametrize("spin_n", [1, 2, 3, 4, 5])
+def test_dipole_elements_are_spin_operators_sx_bit_for_bit(spin_n):
+    # on unit vectors each element is one S_x entry, so the closed-form
+    # steps sqrt(j(j+1) - m(m+1))/2 must equal spin_operators' exactly
+    params = ModelParams(n_fock=3, spin_n=spin_n)
+    eig = EigenSystem(frequencies=np.arange(float(params.dim)), vectors=np.eye(params.dim))
+    sx = spin_operators(spin_n)[0].entries.real
+    assert np.array_equal(coupling_elements(eig, params, "dipole"), np.kron(sx, np.eye(3)))
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +255,62 @@ def test_gap_matches_dense_oracle_spectrum(temperature, eig_cache):
     vals = vals[np.lexsort((np.abs(vals.imag), -vals.real))]
     slowest = np.delete(vals, np.argmin(np.abs(vals)))[0].real
     assert liouvillian_gap(lv) == pytest.approx(slowest, rel=1e-10)
+
+
+@pytest.mark.parametrize("temperature", [0.0, 0.01, 0.1, 1.0])
+@pytest.mark.parametrize("g, epsilon", [
+    (0.0, 0.0), (0.0, 0.4), (1.0, 0.0), (2.0, 1.0), (3.0, 2.0), (3.5, 0.3),
+])
+def test_symmetrized_gap_matches_general_eigensolve(g, epsilon, temperature):
+    # g = 0 has exactly degenerate levels; at T = 0.01 most Boltzmann factors
+    # underflow past w/T > 700; the baths are gap_map's
+    params = ModelParams(g=g, epsilon=epsilon, n_fock=60)
+    eig = diagonalize(rabi_bands(params), 24)
+    lv = build_liouvillian(eig, params, [cavity_bath(0.05), dipole_bath(0.2)], temperature)
+    assert liouvillian_gap(lv) == pytest.approx(oracles.gap_via_general_eig(lv), rel=1e-10)
+    assert "population_generator" not in vars(lv) and "coherence_rates" not in vars(lv)
+
+
+def _three_level_cycle(scale_up_2_from_0=1.0):
+    """Three levels, every pair coupled, upward rates Boltzmann-weighted."""
+    freqs, temperature = np.array([0.0, 0.5, 1.2]), 0.4
+    rates = np.zeros((3, 3))
+    for lo, hi, down in ((0, 1, 0.1), (1, 2, 0.07), (0, 2, 0.03)):
+        rates[lo, hi] = down
+        rates[hi, lo] = down * math.exp(-(freqs[hi] - freqs[lo]) / temperature)
+    rates[2, 0] *= scale_up_2_from_0
+    return Liouvillian(level_freqs=freqs, rates=rates, temperature=temperature)
+
+
+def test_unbalanced_rates_are_refused():
+    balanced = _three_level_cycle()
+    gap = liouvillian_gap(balanced)
+    assert gap == pytest.approx(oracles.gap_via_general_eig(balanced), rel=1e-12)
+    assert liouvillian_eigenvalues(balanced)[1].real == gap
+    # a last-bit difference is rounding; 1e-9 relative drives a net current
+    # around the cycle 0 -> 2 -> 1 -> 0, which no symmetrization represents
+    assert liouvillian_gap(_three_level_cycle(1.0 + 4 * np.finfo(float).eps)) < 0.0
+    for lv in (_three_level_cycle(1.0 + 1e-9), _three_level_cycle(3.0)):
+        with pytest.raises(ValueError, match="detailed balance"):
+            liouvillian_gap(lv)
+        with pytest.raises(ValueError, match="detailed balance"):
+            liouvillian_eigenvalues(lv)
+
+
+@pytest.mark.parametrize("temperature", [0.0, 0.3])
+def test_exactly_degenerate_pair_needs_equal_rates(temperature):
+    # levels 1 and 2 share a frequency, so their Boltzmann weights are equal
+    freqs = np.array([0.0, 0.7, 0.7])
+    rates = np.zeros((3, 3))
+    rates[0, 1:] = [0.1, 0.05]
+    rates[1:, 0] = rates[0, 1:] * (math.exp(-0.7 / temperature) if temperature else 0.0)
+    rates[1, 2] = rates[2, 1] = 0.02
+    lv = Liouvillian(level_freqs=freqs, rates=rates, temperature=temperature)
+    assert liouvillian_gap(lv) == pytest.approx(oracles.gap_via_general_eig(lv), rel=1e-12)
+    rates = rates.copy()
+    rates[1, 2] = 0.03
+    with pytest.raises(ValueError, match="detailed balance"):
+        liouvillian_gap(Liouvillian(level_freqs=freqs, rates=rates, temperature=temperature))
 
 
 def test_evolve_with_coherences_matches_expm_of_dense_oracle():
