@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .operators import (
     ModelParams,
     build_polaron_rabi,
-    build_rabi,
     default_n_fock,
     displacement_element,
     displacement_matrix,
@@ -30,10 +29,8 @@ from .lindblad import (
     dipole_bath,
     evolve,
     fit_rabi_decay,
-    gibbs_state,
     liouvillian_eigenvalues,
     liouvillian_gap,
-    steady_state,
     thermal_occupation,
 )
 from .dynamics import TunnelingRun, right_vacuum_state, run_tunneling_oscillations
@@ -60,7 +57,6 @@ from . import grwa
 
 __all__ = [
     "ModelParams",
-    "build_rabi",
     "rabi_bands",
     "build_polaron_rabi",
     "polaron_constant",
@@ -77,8 +73,6 @@ __all__ = [
     "build_liouvillian",
     "liouvillian_eigenvalues",
     "liouvillian_gap",
-    "gibbs_state",
-    "steady_state",
     "thermal_occupation",
     "Trajectory",
     "evolve",

@@ -16,8 +16,9 @@ it from the eigensystem.  Every production solve is the lab-frame Rabi
 Hamiltonian, which arrives as a BandOperator and is solved for just those
 levels: one eigenvalues-only sweep (LAPACK dsbev), then inverse iteration
 on the band for the vectors, which must meet a residual bound or raise.
-No n x n reduction matrix is ever formed.  Dense operators, such as the
-polaron-frame reference builder, go through a full eigh.
+No n x n reduction matrix is ever formed.  The dense branch, a full eigh,
+serves only reference operators: the polaron-frame builder, which the
+benchmark gate still solves, and the dense matrices of the test oracles.
 
 certified_eigensystem() is the one production solve: it certifies the
 Fock truncation from the retained vectors themselves, with no second

@@ -13,10 +13,10 @@ vectors through its shift structure instead of forming it.
 Because every jump is rank one between eigenlevels, the generator is exactly
 a Pauli rate matrix W on the populations plus an independent exponential
 decay of each coherence (Breuer & Petruccione, The Theory of Open Quantum
-Systems).  The gap, the steady state and the time evolution all come from
-those two M x M blocks, so the cost scales as M^3.  evolve pays one expm of
-W per distinct time step and, since lam_ji = conj(lam_ij), one exponential
-per time and unordered coherence pair that the initial state occupies.
+Systems).  The gap and the time evolution come from those two M x M
+blocks, so the cost scales as M^3.  evolve pays one expm of W per distinct
+time step and, since lam_ji = conj(lam_ij), one exponential per time and
+unordered coherence pair that the initial state occupies.
 
 The spectrum and the gap do not diagonalize W itself.  Detailed balance,
 k_ij pi_j = k_ji pi_i with pi the Boltzmann weights, makes W similar to the
@@ -26,7 +26,14 @@ Chemistry), so the population eigenvalues are one eigvalsh of S.  Where the
 Boltzmann factor is zero (T = 0, w/T > 700) the similarity holds in the
 limit, which keeps the eigenvalues.  build_liouvillian makes every rate pair
 balanced; a Liouvillian whose rates break that beyond rounding, with
-respect to its own level_freqs and temperature, is refused.
+respect to its own level_freqs and temperature, is refused.  So is a gap
+below the float64 floor of that eigvalsh, GAP_FLOOR eps ||S||_2: deep in
+the ultrastrong regime the true gap falls below it, and the eigensolve
+then returns rounding, not the gap.  Both rate blocks use one Boltzmann
+factor, e^{-w/T}, taken as zero at T = 0 and past w/T > 700.
+
+The dense M^2 x M^2 superoperator, the steady state and the Gibbs state
+are not formed here; the test oracles rebuild them as independent checks.
 
 Truncation is two-tier: the Hamiltonian is built at full n_fock, but only
 its lowest M eigenlevels are solved for and kept for the master equation.
@@ -52,10 +59,7 @@ from .operators import ModelParams
 DEGENERACY_TOL = 1e-9      # |w_mn|/omega_c treated as an exact degeneracy
 STATIONARY_TOL = 1e-9      # |eigenvalue| identifying the steady-state mode
 BALANCE_RTOL = 1e-13       # rate-pair mismatch taken as rounding; build_liouvillian's is a few ulps
-
-
-class DegenerateSteadyStateError(RuntimeError):
-    """The Liouvillian kernel is more than one-dimensional."""
+GAP_FLOOR = 1e3            # smallest reportable population gap, in units of eps * ||S||_2
 
 
 class OverdampedSeriesError(ValueError):
@@ -128,7 +132,7 @@ def coupling_elements(eig: EigenSystem, params: ModelParams, channel: str) -> np
     index down with weight sqrt(n) (anti-Hermitian; only |elements|^2 enter
     rates); the dipole through S_x, whose upper half shifts the matter index
     (m = N/2 first) with weight sqrt(j(j+1) - m(m+1))/2, the superdiagonal
-    of spin_operators' S_x in closed form.  So <n|X|m> is one product of
+    of the spin-N/2 S_x in closed form.  So <n|X|m> is one product of
     shifted blocks plus or minus its adjoint, and no dim x dim operator is
     formed.  Both couplings commute with the polaron transform, so either
     frame's eigenvectors may be passed.
@@ -195,14 +199,13 @@ class Liouvillian:
         lam.flags.writeable = False
         return lam
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense (M^2, M^2) superoperator (row-major vec), built on demand."""
-        m = self.m_levels
-        lsup = np.diag(self.coherence_rates.reshape(-1))
-        pops = np.arange(m) * (m + 1)
-        lsup[np.ix_(pops, pops)] += self.rates
-        return lsup
+
+def _boltzmann_factors(gap: np.ndarray, downward: np.ndarray, temperature: float) -> np.ndarray:
+    """e^{-gap/T} where downward holds and 0 elsewhere; all 0 at T = 0 and past gap/T > 700."""
+    if temperature <= 0.0:
+        return np.zeros_like(gap)
+    x = np.where(downward, gap / temperature, np.inf)
+    return np.where(x > 700.0, 0.0, np.exp(-x))
 
 
 def build_liouvillian(
@@ -227,10 +230,7 @@ def build_liouvillian(
     if lines:
         gap = lines[0][0]   # [to, from]: w_from - w_to, the same for every bath
         downward = gap >= DEGENERACY_TOL * params.omega_c
-        boltz = np.zeros_like(gap)
-        if temperature > 0.0:
-            x = np.where(downward, gap / temperature, np.inf)
-            boltz = np.where(x > 700.0, 0.0, np.exp(-x))
+        boltz = _boltzmann_factors(gap, downward, temperature)
         for bath, (_, elem2) in zip(baths, lines):
             down = np.where(downward, bath.spectral_density(gap) * elem2, 0.0) / (1.0 - boltz)
             rates += down + (down * boltz).T
@@ -254,10 +254,8 @@ def _symmetrized(lv: Liouvillian) -> tuple[np.ndarray, np.ndarray]:
     k = lv.rates
     w = lv.level_freqs
     gap = w[None, :] - w[:, None]                 # [to, from]: w_from - w_to
-    boltz = (gap == 0.0).astype(float)            # equal weights: equal rates both ways
-    if lv.temperature > 0.0:
-        x = np.where(gap > 0.0, gap / lv.temperature, np.inf)
-        boltz += np.where(x > 700.0, 0.0, np.exp(-x))
+    # equal frequencies: equal rates both ways
+    boltz = (gap == 0.0) + _boltzmann_factors(gap, gap > 0.0, lv.temperature)
     expected = k * boltz                          # each downward rate's upward partner
     miss = np.abs(k.T - expected) > BALANCE_RTOL * np.maximum(k.T, expected) + np.finfo(float).tiny
     miss &= gap >= 0.0
@@ -295,9 +293,12 @@ def liouvillian_gap(lv: Liouvillian) -> float:
     That is the larger of the second-largest eigenvalue of the symmetrized
     S and the slowest coherence, -(G_(1) + G_(2))/2 from the two smallest
     out-rates; no non-symmetric eigensolve and no M x M coherence block.
-    Raises ValueError if the rates break detailed balance, and RuntimeError
-    if the largest eigenvalue of S is not within 1e-9 of zero, which would
-    mean the assembly broke trace preservation.
+    A gap read off S is refused when it lies within GAP_FLOOR eps ||S||_2
+    of zero, ||S||_2 being |lowest eigenvalue|: eigvalsh holds no more
+    absolute precision than eps ||S||_2, so such a gap has no digit to report.
+    Raises ValueError for that and if the rates break detailed balance, and
+    RuntimeError if the largest eigenvalue of S is not within 1e-9 of zero,
+    which would mean the assembly broke trace preservation.
     """
     sym, out = _symmetrized(lv)
     pops = np.linalg.eigvalsh(sym)                # ascending
@@ -306,7 +307,14 @@ def liouvillian_gap(lv: Liouvillian) -> float:
             f"no stationary eigenvalue found (largest population eigenvalue {pops[-1]:.2e})"
         )
     g1, g2 = np.partition(out, 1)[:2]
-    return float(max(pops[-2], -(g1 + g2) / 2.0))
+    coherence = -(g1 + g2) / 2.0
+    floor = GAP_FLOOR * np.finfo(float).eps * abs(pops[0])
+    if pops[-2] >= coherence and abs(pops[-2]) < floor:
+        raise ValueError(
+            f"gap {pops[-2]:.3e} is below the float64 floor {floor:.3e} "
+            f"({GAP_FLOOR:g} eps ||S||) of the population eigensolve"
+        )
+    return float(max(pops[-2], coherence))
 
 
 def boltzmann_weights(level_freqs: np.ndarray, temperature: float) -> np.ndarray:
@@ -318,43 +326,6 @@ def boltzmann_weights(level_freqs: np.ndarray, temperature: float) -> np.ndarray
     else:
         w = np.exp(-(level_freqs - level_freqs[0]) / temperature)
     return w / w.sum()
-
-
-def gibbs_state(level_freqs: np.ndarray, temperature: float) -> np.ndarray:
-    """Thermal density matrix on the retained levels (T = 0: ground projector)."""
-    return np.diag(boltzmann_weights(level_freqs, temperature)).astype(complex)
-
-
-def _closed_class_count(rates: np.ndarray) -> int:
-    """Number of closed communicating classes of the jump graph rates[to, from].
-
-    Each closed class carries one stationary population vector, so this is
-    the dimension of the population kernel.  Weak connectivity is not
-    enough: two absorbing levels fed from a common parent form one
-    connected graph with two closed classes.
-    """
-    m = len(rates)
-    reach = (rates.T > 0.0) | np.eye(m, dtype=bool)   # reach[i, j]: i -> j
-    for _ in range(m.bit_length()):                     # paths up to length 2^k
-        reach = reach @ reach
-    closed = np.all(reach <= reach.T, axis=1)          # everything reached returns
-    return len(np.unique(reach[closed], axis=0))
-
-
-def steady_state(lv: Liouvillian) -> np.ndarray:
-    """The Gibbs state, once the rate graph shows it is the only stationary one.
-
-    build_liouvillian makes upward and downward rates obey detailed balance,
-    so the Gibbs state is stationary by construction; it is unique iff the
-    jump graph has exactly one closed communicating class.  A
-    multi-dimensional kernel is reported, never averaged over.
-    """
-    n_closed = _closed_class_count(lv.rates)
-    if n_closed != 1:
-        raise DegenerateSteadyStateError(
-            f"Liouvillian kernel dimension {n_closed}; steady state not unique"
-        )
-    return gibbs_state(lv.level_freqs, lv.temperature)
 
 
 @dataclass(frozen=True)

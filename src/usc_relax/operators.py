@@ -1,9 +1,15 @@
-"""Truncated-Fock operators and model Hamiltonians.
+"""Model parameters, the displacement kernel and the Rabi Hamiltonians.
 
-Everything is assembled on a tensor-product basis with the matter index
-slow and the photon index fast: the product state |s, n> sits at row
-s * n_fock + n.  Energies are in units of a reference frequency
-(conventionally omega_c = 1) and hbar = 1 throughout.
+The library basis is the tensor product with the matter index slow and the
+photon index fast: the product state |s, n> sits at row s * n_fock + n.
+Energies are in units of a reference frequency (conventionally
+omega_c = 1) and hbar = 1 throughout.
+
+The Hamiltonian every subcommand solves is the lab-frame Rabi model as a
+band matrix along its two parity chains (rabi_bands).  The one dense
+builder here is the polaron-frame reference, build_polaron_rabi, written
+block by block from the displacement matrix; the dense lab-frame matrix
+and the Fock and spin operators it would take live with the test oracles.
 
 The displacement kernel exp[x(a - a^dag)] is evaluated through the
 associated-Laguerre closed form with log-space factorial ratios, so single
@@ -99,34 +105,6 @@ def _op(entries: np.ndarray, label: str) -> OperatorMatrix:
     return OperatorMatrix(dim=entries.shape[0], entries=entries, label=label)
 
 
-def fock_ladder(n_fock: int) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """Annihilation and creation operators on the truncated Fock space."""
-    if n_fock < 2:
-        raise ValueError(f"n_fock must be at least 2, got {n_fock}")
-    a = np.zeros((n_fock, n_fock))
-    idx = np.arange(1, n_fock)
-    a[idx - 1, idx] = np.sqrt(idx)
-    return _op(a, "a"), _op(a.T.copy(), "a_dag")
-
-
-def spin_operators(spin_n: int) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
-    """(S_x, S_y, S_z) for spin N/2 in the basis m = N/2 ... -N/2 (descending)."""
-    if spin_n < 1:
-        raise ValueError(f"spin_n must be a positive integer, got {spin_n}")
-    j = spin_n / 2.0
-    m = j - np.arange(spin_n + 1)  # descending; index 0 is m = +j
-    sz = np.diag(m).astype(complex)
-    sp = np.zeros((spin_n + 1, spin_n + 1), dtype=complex)
-    # <m+1|S_+|m> = sqrt(j(j+1) - m(m+1)); row index of m+1 is one above m.
-    for col in range(1, spin_n + 1):
-        mm = m[col]
-        sp[col - 1, col] = math.sqrt(j * (j + 1) - mm * (mm + 1))
-    sm = sp.conj().T
-    sx = (sp + sm) / 2.0
-    sy = (sp - sm) / 2.0j
-    return _op(sx, "S_x"), _op(sy, "S_y"), _op(sz, "S_z")
-
-
 # ---------------------------------------------------------------------------
 # Laguerre / displacement kernel
 # ---------------------------------------------------------------------------
@@ -219,11 +197,6 @@ def displacement_matrix(n_fock: int, x: float) -> OperatorMatrix:
 # Hamiltonian builders
 # ---------------------------------------------------------------------------
 
-def _tensor(mat_op: np.ndarray, ph_op: np.ndarray) -> np.ndarray:
-    # matter slow, photon fast
-    return np.kron(mat_op, ph_op)
-
-
 @dataclass(frozen=True)
 class BandOperator:
     """Real symmetric band matrix in LAPACK lower storage, with its basis map.
@@ -265,20 +238,6 @@ def rabi_bands(params: ModelParams) -> BandOperator:
     return BandOperator(dim=2 * n_fock, bands=bands, to_library=to_library, label="H_rabi")
 
 
-def build_rabi(params: ModelParams) -> OperatorMatrix:
-    """Dense expansion of rabi_bands(params) in the library basis, a real matrix.
-
-    Exactly symmetric: each band fills its lower and upper diagonal.
-    """
-    band = rabi_bands(params)
-    h = np.zeros((band.dim, band.dim))
-    for k, diagonal in enumerate(band.bands):
-        j = np.arange(band.dim - k)
-        h[j + k, j] = h[j, j + k] = diagonal[: band.dim - k]
-    order = band.to_library
-    return _op(h[np.ix_(order, order)], "H_rabi")
-
-
 def polaron_constant(params: ModelParams) -> float:
     """c-number (g^2/omega_c) <S_x^2> = g^2 N (... ) generated by the polaron map.
 
@@ -292,28 +251,27 @@ def polaron_constant(params: ModelParams) -> float:
 
 
 def build_polaron_rabi(params: ModelParams) -> OperatorMatrix:
-    """Polaron-frame Rabi Hamiltonian, unitarily equivalent to build_rabi.
+    """Polaron-frame Rabi Hamiltonian, a real matrix with the lab-frame spectrum.
 
     H = omega_c a^dag a + epsilon s_x
         + (omega_d/2) [D(g/omega_c) s_+^x + D^dag(g/omega_c) s_-^x]
         - g^2/(4 omega_c),
-    with s_pm^x = s_z -+ ... the ladder operators along the s_x axis.  The
+    with s_pm^x = s_z +- i s_y the ladder operators along the s_x axis and D
+    the real displacement matrix.  In the matter-slow basis it is the 2 x 2
+    block of n_fock x n_fock blocks
+        [[omega_c N + (omega_d/4)(D + D^T) - c, (epsilon/2) 1 + (omega_d/4)(D - D^T)],
+         [(epsilon/2) 1 - (omega_d/4)(D - D^T), omega_c N - (omega_d/4)(D + D^T) - c]],
+    with N = diag(n) and c = g^2/(4 omega_c), exactly symmetric.  The
     trailing constant keeps the spectrum identical to the lab frame (the
     transform of omega_c a^dag a + g(a+a^dag)s_x leaves it behind).  No
     production path solves it; it is the dense frame-equivalence reference.
     """
     if params.spin_n != 1:
         raise ValueError("build_polaron_rabi is the two-level model")
-    sx, sy, sz = spin_operators(1)
-    s_plus = sz.entries + 1j * sy.entries
-    s_minus = sz.entries - 1j * sy.entries
-    a, ad = fock_ladder(params.n_fock)
-    dmat = displacement_matrix(params.n_fock, params.g / params.omega_c).entries
-    eye_f = np.eye(params.n_fock)
-    h = (
-        params.omega_c * _tensor(np.eye(2), ad.entries @ a.entries)
-        + params.epsilon * _tensor(sx.entries, eye_f)
-        + 0.5 * params.omega_d * (_tensor(s_plus, dmat) + _tensor(s_minus, dmat.conj().T))
-        - polaron_constant(params) * np.eye(2 * params.n_fock)
-    )
+    d = displacement_matrix(params.n_fock, params.g / params.omega_c).entries.real
+    even = 0.25 * params.omega_d * (d + d.T)
+    odd = 0.25 * params.omega_d * (d - d.T)
+    diagonal = np.diag(params.omega_c * np.arange(params.n_fock) - polaron_constant(params))
+    flip = 0.5 * params.epsilon * np.eye(params.n_fock)
+    h = np.block([[diagonal + even, flip + odd], [flip - odd, diagonal - even]])
     return _op(h, "H_rabi_polaron")

@@ -8,8 +8,9 @@ are independent and run in sequence; each logs one INFO line (axis values,
 n_fock, seconds).  Every point solves its model, with the point's axis
 values applied (at_point), for exactly the levels it reports
 (certified_eigensystem).  A gap-scan point that fails, such as one whose
-levels the Fock truncation does not certify, is recorded as NaN with a log
-entry and counted, instead of aborting the scan; a 400-point phase diagram
+levels the Fock truncation does not certify or whose gap lies below the
+float64 floor (liouvillian_gap), is recorded as NaN with a log entry and
+counted, instead of aborting the scan; a 400-point phase diagram
 should survive isolated truncation failures.  A failing point of any other
 map ends the map.
 

@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 
 from usc_relax.eigen import certified_eigensystem
-from usc_relax.operators import ModelParams, build_polaron_rabi, build_rabi
+from usc_relax.operators import ModelParams, build_polaron_rabi, rabi_bands
 
-_BUILDERS = {"polaron": build_polaron_rabi, "lab": build_rabi}
+_BUILDERS = {"polaron": build_polaron_rabi, "lab": rabi_bands}
 
 
 @pytest.fixture(scope="session")

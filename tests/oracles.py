@@ -12,10 +12,15 @@ independent cross-check of the library's one-solve residual certificate.
 
 The dense extended Dicke builders live here too: the library has no
 spin-N Hamiltonian yet, and these serve as references for the one it gets.
+So do the dense operator world the library no longer ships: the Fock and
+spin operators, the dense lab-frame Rabi matrix (the expansion of the band
+the library solves), the M^2 x M^2 superoperator of a Liouvillian, the
+Gibbs state, and a steady state taken from the kernel of the rate matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -25,17 +30,106 @@ from scipy.linalg import eig_banded, expm
 from scipy.optimize import brentq
 
 from usc_relax.eigen import EigenSystem, diagonalize
+from usc_relax.lindblad import boltzmann_weights
 from usc_relax.operators import (
     BandOperator,
     ModelParams,
     OperatorMatrix,
     displacement_matrix,
-    fock_ladder,
     rabi_bands,
-    spin_operators,
 )
 
 DRIFT_TOL = 1e-6   # absolute level drift that still counts as converged
+
+
+class DegenerateSteadyStateError(RuntimeError):
+    """The Liouvillian kernel is more than one-dimensional."""
+
+
+def fock_ladder(n_fock: int) -> tuple[OperatorMatrix, OperatorMatrix]:
+    """Annihilation and creation operators on the truncated Fock space."""
+    if n_fock < 2:
+        raise ValueError(f"n_fock must be at least 2, got {n_fock}")
+    a = np.zeros((n_fock, n_fock))
+    idx = np.arange(1, n_fock)
+    a[idx - 1, idx] = np.sqrt(idx)
+    return (
+        OperatorMatrix(dim=n_fock, entries=a, label="a"),
+        OperatorMatrix(dim=n_fock, entries=a.T.copy(), label="a_dag"),
+    )
+
+
+def spin_operators(spin_n: int) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
+    """(S_x, S_y, S_z) for spin N/2 in the basis m = N/2 ... -N/2 (descending)."""
+    if spin_n < 1:
+        raise ValueError(f"spin_n must be a positive integer, got {spin_n}")
+    j = spin_n / 2.0
+    m = j - np.arange(spin_n + 1)  # descending; index 0 is m = +j
+    sz = np.diag(m).astype(complex)
+    sp = np.zeros((spin_n + 1, spin_n + 1), dtype=complex)
+    # <m+1|S_+|m> = sqrt(j(j+1) - m(m+1)); row index of m+1 is one above m.
+    for col in range(1, spin_n + 1):
+        mm = m[col]
+        sp[col - 1, col] = math.sqrt(j * (j + 1) - mm * (mm + 1))
+    sm = sp.conj().T
+    sx = (sp + sm) / 2.0
+    sy = (sp - sm) / 2.0j
+    return tuple(
+        OperatorMatrix(dim=spin_n + 1, entries=e, label=name)
+        for e, name in ((sx, "S_x"), (sy, "S_y"), (sz, "S_z"))
+    )
+
+
+def build_rabi(params: ModelParams) -> OperatorMatrix:
+    """Dense expansion of rabi_bands(params) in the library basis, a real matrix.
+
+    Exactly symmetric: each band fills its lower and upper diagonal.
+    """
+    band = rabi_bands(params)
+    h = np.zeros((band.dim, band.dim))
+    for k, diagonal in enumerate(band.bands):
+        j = np.arange(band.dim - k)
+        h[j + k, j] = h[j, j + k] = diagonal[: band.dim - k]
+    order = band.to_library
+    return OperatorMatrix(dim=band.dim, entries=h[np.ix_(order, order)], label="H_rabi")
+
+
+def superoperator(lv) -> np.ndarray:
+    """Dense (M^2, M^2) generator of a Liouvillian, row-major vec.
+
+    The coherence decays sit on the diagonal; the populations' block (rows
+    and columns i (M + 1)) adds the jump rates.
+    """
+    m = lv.m_levels
+    lsup = np.diag(lv.coherence_rates.reshape(-1))
+    pops = np.arange(m) * (m + 1)
+    lsup[np.ix_(pops, pops)] += lv.rates
+    return lsup
+
+
+def gibbs_state(level_freqs: np.ndarray, temperature: float) -> np.ndarray:
+    """Thermal density matrix on the retained levels (T = 0: ground projector)."""
+    return np.diag(boltzmann_weights(level_freqs, temperature)).astype(complex)
+
+
+def steady_state(lv) -> np.ndarray:
+    """The stationary state from the null vector of the population generator W.
+
+    No Gibbs formula and no detailed-balance assumption: the kernel of W is
+    read off its singular values, those at most M eps ||W||_2 counting as
+    zero (numpy's matrix_rank rule), and its one vector, normalized to unit
+    trace, is the diagonal of the state.  A kernel of any other dimension
+    raises; it is reported, never averaged over.
+    """
+    w = lv.population_generator
+    _, sing, vh = np.linalg.svd(w)
+    kernel = int(np.count_nonzero(sing <= len(w) * np.finfo(float).eps * sing[0]))
+    if kernel != 1:
+        raise DegenerateSteadyStateError(
+            f"Liouvillian kernel dimension {kernel}; steady state not unique"
+        )
+    pops = vh[-1] / vh[-1].sum()
+    return np.diag(pops).astype(complex)
 
 
 def displacement_via_expm(x: float, n_fock: int) -> np.ndarray:

@@ -23,22 +23,26 @@ from usc_relax.lindblad import (
     build_liouvillian,
     cavity_bath,
     dipole_bath,
-    gibbs_state,
     liouvillian_gap,
-    steady_state,
 )
 from usc_relax.operators import (
     ModelParams,
     build_polaron_rabi,
-    build_rabi,
     displacement_matrix,
-    fock_ladder,
     polaron_constant,
-    spin_operators,
+    rabi_bands,
 )
 from usc_relax.response import cavity_structure_factor, system_impedance, transmission
 
-from oracles import displacement_via_expm, shooting_levels
+from oracles import (
+    displacement_via_expm,
+    fock_ladder,
+    gibbs_state,
+    shooting_levels,
+    spin_operators,
+    steady_state,
+    superoperator,
+)
 
 # rates shared by the relaxation criteria: dipole losses four times cavity
 GAMMA = 0.05
@@ -51,7 +55,7 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 def relaxation_gap(g: float, epsilon: float) -> float:
     params = ModelParams(g=g, epsilon=epsilon, n_fock=80)
-    eig = diagonalize(build_rabi(params), 24)
+    eig = diagonalize(rabi_bands(params), 24)
     lv = build_liouvillian(eig, params, RATE_BATHS, temperature=0.0)
     return liouvillian_gap(lv)
 
@@ -66,14 +70,14 @@ def test_criterion_1_gibbs_stationarity():
     for g in (0.0, 1.0, 3.0):
         for eps in (0.0, 1.0):
             params = ModelParams.auto(g=g, epsilon=eps)
-            eig = diagonalize(build_rabi(params), 24)
+            eig = diagonalize(rabi_bands(params), 24)
             for temp in (0.0, 0.2, 0.5):
                 lv = build_liouvillian(
                     eig, params, RATE_BATHS, temperature=temp
                 )
                 rho_g = gibbs_state(lv.level_freqs, temp)
                 worst_res = max(
-                    worst_res, float(np.linalg.norm(lv.matrix @ rho_g.reshape(-1)))
+                    worst_res, float(np.linalg.norm(superoperator(lv) @ rho_g.reshape(-1)))
                 )
                 dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(steady_state(lv) - rho_g)))
                 worst_dist = max(worst_dist, float(dist))
@@ -283,7 +287,7 @@ def _transmission_peaks(omegas, values, rel=0.25):
 
 def _transmission_column(g, eps, omegas, q=100.0, temp=0.2):
     params = ModelParams.auto(g=g, epsilon=float(eps))
-    eig = diagonalize(build_rabi(params), 24)
+    eig = diagonalize(rabi_bands(params), 24)
     s = cavity_structure_factor(eig, params, temp, omegas, 1.0 / q)
     return np.abs(transmission(system_impedance(s), q).values)
 
@@ -373,7 +377,7 @@ def _frame_dev():
     worst = 0.0
     for g in (1.0, 3.0):
         params = ModelParams(g=g, n_fock=90)
-        lab = diagonalize(build_rabi(params)).frequencies[:10]
+        lab = diagonalize(rabi_bands(params), 10).frequencies
         pol = diagonalize(build_polaron_rabi(params)).frequencies[:10]
         worst = max(worst, float(np.max(np.abs(lab - pol))))
     return worst

@@ -21,7 +21,7 @@ from usc_relax.dipole import WellParams, tla_parameters
 from usc_relax.dynamics import run_tunneling_oscillations
 from usc_relax.eigen import diagonalize
 from usc_relax.lindblad import BathSpec, build_liouvillian, liouvillian_gap
-from usc_relax.operators import ModelParams, build_rabi, default_n_fock, rabi_bands
+from usc_relax.operators import ModelParams, default_n_fock, rabi_bands
 from usc_relax.response import cavity_structure_factor, system_impedance, transmission
 
 
@@ -100,7 +100,7 @@ def test_gap_scan_single_point_matches_direct_call(tmp_path):
     [row] = rows
     params = ModelParams(g=2.0)
     lv = build_liouvillian(
-        diagonalize(build_rabi(params), 24),
+        diagonalize(rabi_bands(params), 24),
         params,
         (BathSpec(channel="cavity", law="ohmic", strength=0.02, ref_freq=1.0),),
     )

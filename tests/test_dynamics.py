@@ -21,12 +21,8 @@ from usc_relax.lindblad import (
     evolve,
     project_pure_state,
 )
-from usc_relax.operators import (
-    ModelParams,
-    build_polaron_rabi,
-    fock_ladder,
-    spin_operators,
-)
+from oracles import fock_ladder, spin_operators
+from usc_relax.operators import ModelParams, build_polaron_rabi
 
 
 @pytest.fixture(scope="module")

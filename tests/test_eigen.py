@@ -11,22 +11,28 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
 
-from oracles import ConvergenceReport, band_eigvals_via_dsbevx, convergence_check, drift_ladder
+from oracles import (
+    ConvergenceReport,
+    band_eigvals_via_dsbevx,
+    build_rabi,
+    convergence_check,
+    drift_ladder,
+)
 import usc_relax
 from usc_relax import eigen
 from usc_relax.eigen import EigenSystem, _fix_phases, certified_eigensystem, diagonalize
-from usc_relax.lindblad import transition_lines
+from usc_relax.lindblad import Liouvillian, transition_lines
 from usc_relax.operators import (
     ModelParams,
     OperatorMatrix,
     build_polaron_rabi,
-    build_rabi,
     default_n_fock,
     rabi_bands,
 )
 
 
 def test_frequencies_match_numpy():
+    # the dense branch of diagonalize, on the oracle's dense matrix
     op = build_rabi(ModelParams(g=1.2, epsilon=0.4, n_fock=30))
     eig = diagonalize(op)
     ref = np.linalg.eigvalsh(op.entries)
@@ -41,7 +47,7 @@ def test_band_solve_matches_dense_eigh(g, epsilon):
     params = ModelParams(g=g, epsilon=epsilon, n_fock=default_n_fock(g))
     levels = 24
     band = diagonalize(rabi_bands(params), levels)
-    dense = diagonalize(build_rabi(params), levels)
+    dense = diagonalize(build_rabi(params), levels)   # the band solver against the dense matrix
     assert band.vectors.shape == (params.dim, levels)
     w = dense.frequencies
     assert np.all(np.abs(band.frequencies - w) <= 1e-12 * np.maximum(1.0, np.abs(w)))
@@ -58,7 +64,7 @@ def _assert_band_solve_matches_oracle(params, levels):
     eig = diagonalize(rabi_bands(params), levels)
     w = band_eigvals_via_dsbevx(rabi_bands(params), levels)
     assert np.all(np.abs(eig.frequencies - w) <= 1e-12 * np.maximum(1.0, np.abs(w)))
-    h = build_rabi(params).entries
+    h = build_rabi(params).entries   # residuals in the dense matrix, not the solver's band
     eps_norm = np.finfo(float).eps * np.linalg.norm(h, 2)
     residual = np.linalg.norm(h @ eig.vectors - eig.vectors * eig.frequencies, axis=0)
     assert np.max(residual) <= 32.0 * eps_norm
@@ -95,7 +101,7 @@ def test_band_solve_separates_deep_usc_doublets(g, spacing):
 def test_band_solve_of_every_level_equals_dense_eigh():
     params = ModelParams(g=1.2, epsilon=0.4, n_fock=12)
     band = diagonalize(rabi_bands(params))
-    w, v = np.linalg.eigh(build_rabi(params).entries)
+    w, v = np.linalg.eigh(build_rabi(params).entries)   # the band solver against the dense matrix
     assert band.vectors.shape == (params.dim, params.dim)
     assert np.all(np.abs(band.frequencies - w) <= 1e-12 * np.maximum(1.0, np.abs(w)))
     assert np.max(np.abs(band.vectors - _fix_phases(v))) <= 1e-12
@@ -143,12 +149,14 @@ def test_dense_levels_are_the_leading_columns_of_the_full_solve():
 
 @pytest.mark.parametrize("levels", [0, 41])
 def test_levels_outside_the_dimension_are_rejected(levels):
+    # both branches of diagonalize: the band and the oracle's dense matrix
     for op in (rabi_bands(ModelParams(n_fock=20)), build_rabi(ModelParams(n_fock=20))):
         with pytest.raises(ValueError, match="outside 1..40"):
             diagonalize(op, levels)
 
 
 def test_vectors_reconstruct_operator():
+    # the dense branch of diagonalize, on the oracle's dense matrix
     op = build_rabi(ModelParams(g=0.8, epsilon=0.1, n_fock=20))
     eig = diagonalize(op)
     recon = eig.vectors @ np.diag(eig.frequencies) @ eig.vectors.conj().T
@@ -213,7 +221,7 @@ def test_rejects_non_hermitian():
 def test_convergence_check_reports_drift():
     # start from a deliberately thin truncation so the first step drifts
     params = ModelParams(g=3.0, epsilon=0.0, n_fock=16)
-    report = convergence_check(params, (16, 30, 76), n_levels=8, builder=build_rabi)
+    report = convergence_check(params, (16, 30, 76), n_levels=8, builder=rabi_bands)
     assert isinstance(report, ConvergenceReport)
     assert report.fock_sizes == (16, 30, 76)
     assert report.drifts.shape == (2, 8)
@@ -232,7 +240,7 @@ def test_certified_eigensystem_accepts_adequate_truncation():
 def test_certified_eigensystem_rejects_undertruncation():
     params = ModelParams(g=3.0, epsilon=0.0, n_fock=12)
     with pytest.raises(ValueError, match="increase the truncation"):
-        certified_eigensystem(params, levels=12, builder=build_rabi)
+        certified_eigensystem(params, levels=12, builder=rabi_bands)
 
 
 def test_certified_eigensystem_solves_once(monkeypatch):
@@ -253,7 +261,8 @@ def test_certified_eigensystem_solves_once(monkeypatch):
 @pytest.mark.parametrize("builder", [rabi_bands, build_rabi, build_polaron_rabi])
 @pytest.mark.parametrize(("g", "epsilon", "n_fock"), [(3.0, 0.0, 14), (3.0, 2.0, 40), (6.0, 0.0, 60)])
 def test_padding_residuals_are_the_padded_vectors_full_residuals(builder, g, epsilon, n_fock):
-    # band order and dense entries alike, against the whole product in the larger operator
+    # band order and dense entries alike, against the whole product in the larger operator;
+    # the dense builders are the oracle's lab-frame matrix and the polaron reference
     params = ModelParams(g=g, epsilon=epsilon, n_fock=n_fock)
     eig = diagonalize(builder(params), 20)
     big = replace(params, n_fock=n_fock + eigen.FOCK_MARGIN)
@@ -340,3 +349,32 @@ def test_the_eigensystem_is_the_one_level_count():
                     offenders.append(f"{info.name}.{name}")
     assert "lindblad.build_liouvillian" in takers
     assert offenders == []
+
+
+# the dense operator world that the library no longer ships; tests/oracles.py has it
+MOVED_TO_ORACLES = (
+    "build_rabi",
+    "fock_ladder",
+    "spin_operators",
+    "_tensor",
+    "steady_state",
+    "_closed_class_count",
+    "DegenerateSteadyStateError",
+    "gibbs_state",
+)
+
+
+def test_no_library_module_binds_a_name_moved_to_the_oracles():
+    modules = [usc_relax] + [
+        importlib.import_module(f"usc_relax.{info.name}")
+        for info in pkgutil.iter_modules(usc_relax.__path__)
+    ]
+    bound = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in MOVED_TO_ORACLES
+        if name in vars(module)
+    ]
+    assert len(modules) > 10
+    assert bound == []
+    assert not hasattr(Liouvillian, "matrix")

@@ -19,13 +19,8 @@ from scipy.special import eval_genlaguerre
 import oracles
 from usc_relax import grwa
 from usc_relax.lindblad import cavity_bath, dipole_bath
-from usc_relax.operators import (
-    ModelParams,
-    displacement_element,
-    fock_ladder,
-    polaron_constant,
-    spin_operators,
-)
+from oracles import fock_ladder, spin_operators
+from usc_relax.operators import ModelParams, displacement_element, polaron_constant
 
 
 def _block_reference(params: ModelParams, n: int) -> tuple[float, float, float]:

@@ -16,40 +16,35 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import oracles
+from oracles import DegenerateSteadyStateError, gibbs_state, spin_operators, steady_state
+from usc_relax import edm
 from usc_relax.eigen import EigenSystem, certified_eigensystem, diagonalize
 from usc_relax.lindblad import (
     DEGENERACY_TOL,
+    GAP_FLOOR,
     BathSpec,
-    DegenerateSteadyStateError,
     Liouvillian,
     OverdampedSeriesError,
+    _symmetrized,
     build_liouvillian,
     cavity_bath,
     coupling_elements,
     dipole_bath,
     evolve,
     fit_rabi_decay,
-    gibbs_state,
     liouvillian_eigenvalues,
     liouvillian_gap,
     project_pure_state,
-    steady_state,
     thermal_occupation,
     transition_lines,
 )
-from usc_relax.operators import (
-    ModelParams,
-    build_polaron_rabi,
-    build_rabi,
-    rabi_bands,
-    spin_operators,
-)
+from usc_relax.operators import ModelParams, build_polaron_rabi, default_n_fock, rabi_bands
 from usc_relax.response import thermal_weights
 
 
 def _qubit_system(levels, omega_d=0.7, n_fock=8):
     params = ModelParams(g=0.0, omega_d=omega_d, epsilon=0.0, n_fock=n_fock)
-    eig = diagonalize(build_rabi(params), levels)
+    eig = diagonalize(rabi_bands(params), levels)
     return params, eig
 
 
@@ -207,7 +202,7 @@ def test_matches_dense_kron_generator():
         eig, params, [cavity_bath(0.04), dipole_bath(0.16)], temperature=0.25
     )
     ref = _oracle_generator(lv)
-    assert np.allclose(lv.matrix, ref, atol=1e-13)
+    assert np.allclose(oracles.superoperator(lv), ref, atol=1e-13)
 
 
 def _per_bath_rates(eig, params, baths, temperature):
@@ -311,6 +306,33 @@ def test_exactly_degenerate_pair_needs_equal_rates(temperature):
     rates[1, 2] = 0.03
     with pytest.raises(ValueError, match="detailed balance"):
         liouvillian_gap(Liouvillian(level_freqs=freqs, rates=rates, temperature=temperature))
+
+
+# gap_map's baths at epsilon = 0, T = 0.1: the gap falls exponentially with g
+# and drops below the float64 floor of eigvalsh(S) between g = 5 and 6
+_FLOOR_BATHS = (cavity_bath(0.05), dipole_bath(0.2))
+
+
+def _deep_usc_liouvillian(g):
+    params = ModelParams(g=g, epsilon=0.0, n_fock=default_n_fock(g))
+    eig = certified_eigensystem(params, levels=24)
+    return build_liouvillian(eig, params, _FLOOR_BATHS, temperature=0.1)
+
+
+def test_gap_above_the_float64_floor_is_reported():
+    # g = 5 sits at 2.8e4 eps ||S||; the 60-digit truth of these rates is -3.99048e-12
+    assert liouvillian_gap(_deep_usc_liouvillian(5.0)) == pytest.approx(-3.99048e-12, rel=1e-5)
+
+
+@pytest.mark.parametrize("g", [6.0, 7.0])
+def test_gap_below_the_float64_floor_is_refused(g):
+    # eigvalsh returns -1.25e-16 and -1.02e-16 here, 0.98 and 0.85 eps ||S||;
+    # the 60-digit truths are -1.61e-16 and -1.09e-17
+    lv = _deep_usc_liouvillian(g)
+    with pytest.raises(ValueError, match="below the float64 floor"):
+        liouvillian_gap(lv)
+    sym = np.linalg.eigvalsh(_symmetrized(lv)[0])
+    assert abs(sym[-2]) < GAP_FLOOR * np.finfo(float).eps * abs(sym[0])
 
 
 def test_evolve_with_coherences_matches_expm_of_dense_oracle():
@@ -475,8 +497,10 @@ def test_steady_state_matches_gibbs(eig_cache):
 
 
 def test_decoupled_sector_reports_degenerate_kernel():
-    # cavity-only bath at g = 0 leaves the qubit populations untouched
-    params, eig = _qubit_system(6)
+    # cavity-only bath at g = 0 leaves the qubit populations untouched; the dense
+    # eigh returns exact product states, so those rates are exactly 0 (the band's are ~1e-61)
+    params = ModelParams(g=0.0, omega_d=0.7, epsilon=0.0, n_fock=8)
+    eig = diagonalize(oracles.build_rabi(params), 6)
     lv = build_liouvillian(eig, params, [cavity_bath(0.05)], 0.0)
     with pytest.raises(DegenerateSteadyStateError, match="kernel dimension"):
         steady_state(lv)
@@ -496,6 +520,28 @@ def test_two_absorbing_levels_report_degenerate_kernel():
         steady_state(lv)
 
 
+def test_steady_state_is_the_rate_kernel_not_the_gibbs_formula(monkeypatch):
+    # effective_dipole_evolve's ladder is not detailed-balanced: its heat/cool
+    # ratio is 0.13667 where e^{-epsilon/T} = 0.13534, so its stationary state is not Gibbs
+    captured = []
+
+    def spy(lv, *args, **kwargs):
+        captured.append(lv)
+        return evolve(lv, *args, **kwargs)
+
+    monkeypatch.setattr(edm, "evolve", spy)
+    p = edm.EdmParams(g=1.5, epsilon=1.0, temperature=0.5)
+    edm.effective_dipole_evolve(p, 1, np.linspace(0.0, 1.0, 5))
+    [lv] = captured
+    pops = steady_state(lv).diagonal().real
+    ratio = edm.gamma_T(-p.epsilon, p) / edm.gamma_T(p.epsilon, p)
+    assert ratio == pytest.approx(0.13667, abs=1e-5)
+    assert pops[1] / pops[0] == pytest.approx(ratio, rel=1e-12)
+    assert np.linalg.norm(lv.population_generator @ pops) < 1e-14
+    gibbs = gibbs_state(lv.level_freqs, p.temperature)
+    assert 0.5 * np.sum(np.abs(np.linalg.eigvalsh(steady_state(lv) - gibbs))) > 1e-3
+
+
 # ---------------------------------------------------------------------------
 # closed-form limits
 # ---------------------------------------------------------------------------
@@ -503,7 +549,7 @@ def test_two_absorbing_levels_report_degenerate_kernel():
 def test_weak_coupling_gap_is_half_gamma():
     gamma = 0.05
     params = ModelParams(g=0.0, epsilon=0.0, n_fock=30)
-    eig = diagonalize(build_rabi(params), 12)
+    eig = diagonalize(rabi_bands(params), 12)
     lv = build_liouvillian(eig, params, [cavity_bath(gamma), dipole_bath(4 * gamma)], 0.0)
     assert liouvillian_gap(lv) == pytest.approx(-gamma / 2.0, abs=1e-9)
 
@@ -522,7 +568,8 @@ def test_two_level_amplitude_damping_spectrum():
     ham = np.diag(lv.level_freqs).astype(complex)
     c = np.zeros((2, 2), dtype=complex)
     c[0, 1] = 1.0
-    assert np.allclose(lv.matrix, oracles.dense_lindblad_generator(ham, [(c, rate)]), atol=1e-14)
+    ref = oracles.dense_lindblad_generator(ham, [(c, rate)])
+    assert np.allclose(oracles.superoperator(lv), ref, atol=1e-14)
 
 
 def test_evolution_matches_exponential_decay():

@@ -9,18 +9,17 @@ from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre
 
 import oracles
+from oracles import build_rabi, fock_ladder, spin_operators
+from usc_relax.eigen import diagonalize
 from usc_relax.operators import (
     ModelParams,
     build_polaron_rabi,
-    build_rabi,
     default_n_fock,
     displacement_element,
     displacement_matrix,
-    fock_ladder,
     laguerre,
     polaron_constant,
     rabi_bands,
-    spin_operators,
 )
 
 
@@ -141,23 +140,50 @@ def test_rabi_bands_expand_to_the_four_term_sum(kwargs):
     n = np.arange(params.n_fock, dtype=float)
     assert np.all(np.abs(np.diag(ad @ a) - n) <= np.spacing(n))
     ref = _rabi_four_terms(params, np.diag(n))
+    # the band's dense expansion (oracle) against the Kronecker sum
     assert np.array_equal(build_rabi(params).entries, ref)
 
 
 def test_rabi_spectrum_even_in_g_at_zero_asymmetry():
     base = ModelParams(g=1.3, epsilon=0.0, n_fock=50)
     flipped = ModelParams(g=-1.3, epsilon=0.0, n_fock=50)
-    wa = np.linalg.eigvalsh(build_rabi(base).entries)
-    wb = np.linalg.eigvalsh(build_rabi(flipped).entries)
+    wa = diagonalize(rabi_bands(base)).frequencies
+    wb = diagonalize(rabi_bands(flipped)).frequencies
     assert np.allclose(wa, wb, atol=1e-12)
 
 
 def test_polaron_frame_matches_lab_frame():
-    # the polaron builder keeps the lab energy zero, so spectra coincide
+    # the polaron builder keeps the lab energy zero, so spectra coincide;
+    # a comparison of the two dense builders
     params = ModelParams(g=2.5, epsilon=0.7, n_fock=90)
     lab = np.linalg.eigvalsh(build_rabi(params).entries)[:12]
     pol = np.linalg.eigvalsh(build_polaron_rabi(params).entries)[:12]
     assert np.max(np.abs(pol - lab)) < 1e-10
+
+
+def _polaron_kron(params):
+    """The polaron Hamiltonian from Kronecker products of the spin and Fock operators."""
+    sx, sy, sz = (op.entries for op in spin_operators(1))
+    a, ad = (op.entries for op in fock_ladder(params.n_fock))
+    d = displacement_matrix(params.n_fock, params.g / params.omega_c).entries
+    eye_f = np.eye(params.n_fock)
+    return (
+        params.omega_c * np.kron(np.eye(2), ad @ a)
+        + params.epsilon * np.kron(sx, eye_f)
+        + 0.5 * params.omega_d * (np.kron(sz + 1j * sy, d) + np.kron(sz - 1j * sy, d.conj().T))
+        - polaron_constant(params) * np.eye(2 * params.n_fock)
+    )
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(g=3.0, epsilon=1.0, n_fock=76),
+    dict(g=-1.1, epsilon=-0.4, omega_c=1.3, omega_d=0.6, n_fock=40),
+])
+def test_polaron_blocks_are_the_kronecker_form(kwargs):
+    params = ModelParams(**kwargs)
+    h = build_polaron_rabi(params).entries
+    assert h.dtype == np.float64
+    assert np.max(np.abs(h - _polaron_kron(params))) <= 1e-13
 
 
 def test_polaron_constant_value():
@@ -168,6 +194,7 @@ def test_polaron_constant_value():
 
 def test_edm_reduces_to_rabi_plus_shift_for_one_well():
     params = ModelParams(g=1.7, epsilon=0.4, n_fock=40, spin_n=1)
+    # a comparison of two dense builders
     w_edm = np.linalg.eigvalsh(oracles.build_edm(params).entries)
     w_rabi = np.linalg.eigvalsh(build_rabi(params).entries)
     shift = params.g**2 / (4.0 * params.omega_c)
@@ -190,6 +217,7 @@ def test_edm_hp_decoupled_limit():
 
 def test_builders_emit_exactly_hermitian_matrices():
     params = ModelParams(g=2.0, epsilon=0.3, n_fock=30)
+    # the dense builders themselves are the subject
     for build in (build_rabi, build_polaron_rabi, oracles.build_edm):
         assert build(params).hermiticity_defect() == 0.0
 

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from usc_relax import grwa
 from usc_relax.eigen import certified_eigensystem, diagonalize
 from usc_relax.lindblad import coupling_elements
-from usc_relax.operators import ModelParams, build_polaron_rabi, build_rabi
+from usc_relax.operators import ModelParams, build_polaron_rabi, rabi_bands
 from usc_relax.response import (
     SpectrumGrid,
     cavity_structure_factor,
@@ -70,7 +71,8 @@ def test_thermal_weights_reject_truncation_leak():
 
 def test_bare_cavity_single_line():
     params = ModelParams(g=0.0, epsilon=0.0, n_fock=30)
-    eig = diagonalize(build_rabi(params), 12)
+    # the dense eigh keeps the product basis inside the exact g = 0 pairs {|n+1, dn>, |n, up>}
+    eig = diagonalize(oracles.build_rabi(params), 12)
     omegas = np.linspace(0.2, 1.8, 801)
     grid = cavity_structure_factor(eig, params, 0.0, omegas, eta=0.02)
     lines = [(f, w) for f, w in grid.peaks if w > 1e-12]
@@ -192,7 +194,7 @@ def _double_loop_structure_factor(eig, params, channel, temperature, omegas, eta
     (ModelParams(g=1.0, epsilon=0.3, n_fock=44), 0.2, 24),
 ])
 def test_structure_factor_matches_double_loop(factory, channel, params, temperature, m_levels):
-    eig = diagonalize(build_rabi(params), m_levels)
+    eig = diagonalize(rabi_bands(params), m_levels)
     if temperature == 0.0:
         assert np.count_nonzero(thermal_weights(eig.frequencies[:m_levels], 0.0)) == 2
     omegas = np.linspace(-3.0, 3.0, 601)
@@ -207,7 +209,7 @@ def test_structure_factor_matches_double_loop(factory, channel, params, temperat
 
 def test_structure_factor_validation():
     params = ModelParams(g=0.0, n_fock=20)
-    eig = diagonalize(build_rabi(params), 8)
+    eig = diagonalize(rabi_bands(params), 8)
     omegas = np.linspace(0.0, 2.0, 50)
     with pytest.raises(ValueError, match="broadening"):
         cavity_structure_factor(eig, params, 0.0, omegas, eta=0.0)

@@ -6,7 +6,6 @@ import io
 import json
 import logging
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -41,21 +40,36 @@ def test_gap_scan_matches_direct_calls():
         assert value == liouvillian_gap(lv)
 
 
-def test_gap_scan_never_builds_the_dense_rabi_matrix(monkeypatch):
-    calls = []
+def test_gap_scan_refuses_gaps_below_the_float64_floor():
+    # gap_map's baths at epsilon = 0, T = 0.1: the g = 5 gap is 2.8e4 eps ||S||,
+    # those at g = 6 and 7 are below one eps ||S||
+    config = parse_config(
+        "scan = g, 5.0, 7.0, 3\n"
+        "bath = cavity, ohmic, 0.05, 1.0\n"
+        "bath = dipole, radiative, 0.2, 1.0, 3.0\n"
+        "temperature = 0.1\n"
+        "model.n_fock = 236\n"
+    )
+    columns, failures = gap_scan(config)
+    assert columns["g"].tolist() == [5.0, 6.0, 7.0]
+    assert columns["lambda"][0] == pytest.approx(-3.99048e-12, rel=1e-5)
+    assert np.all(np.isnan(columns["lambda"][1:]))
+    assert len(failures) == 2
+    assert all("below the float64 floor" in reason for reason in failures)
+    assert failures[0].startswith("(g=6)") and failures[1].startswith("(g=7)")
 
-    def dense_build(params):
-        calls.append(params)
-        raise AssertionError("gap_scan built the dense Rabi matrix")
 
-    # rebind build_rabi wherever the package holds it, module attribute or import
-    for name, module in list(sys.modules.items()):
-        if name.startswith("usc_relax") and hasattr(module, "build_rabi"):
-            monkeypatch.setattr(module, "build_rabi", dense_build)
-    columns, failures = gap_scan(parse_config(_SCAN_3X3))
-    assert calls == []
-    assert failures == ()
-    assert np.all(np.isfinite(columns["lambda"]))
+@pytest.mark.xfail(
+    strict=True,
+    reason="the band solve mixes the exactly degenerate pair {|1, dn>, |0, up>} at g = 0, "
+    "so secular rank-one cavity rates relax the decoupled qubit: -4.99e-3 where the gap is 0",
+)
+def test_decoupled_qubit_has_no_cavity_relaxation_gap():
+    # the dense product basis gives the true gap, 0, which the float64 floor
+    # now refuses; the band solve prints -4.99e-3 at n_fock = 40, -1.21e-2 at 80
+    config = parse_config("scan = g, 0.0, 0.0, 1\nbath = cavity, ohmic, 0.05, 1.0\n")
+    [value] = gap_scan(config)[0]["lambda"]
+    assert math.isnan(value) or abs(value) <= 1e-12
 
 
 def test_verbose_gap_scan_logs_one_info_line_per_point(caplog, capsys):
