@@ -246,20 +246,10 @@ def parse_config(text: str) -> RunConfig:
         g = float(groups["model"].get("g", 0.0))
         omega_c = float(groups["model"].get("omega_c", 1.0))
         groups["model"]["n_fock"] = default_n_fock(g, omega_c)
+    if "format" in scalars:
+        scalars["fmt"] = scalars.pop("format")
     built = {name: cls(**groups[name]) for name, cls in _GROUPS.items()}
-    return RunConfig(
-        model=built["model"],
-        baths=tuple(baths),
-        temperature=float(scalars.get("temperature", 0.0)),
-        scan=tuple(axes),
-        well=built["well"],
-        edm=built["edm"],
-        response=built["response"],
-        evolve=built["evolve"],
-        m_levels=int(scalars.get("m_levels", 24)),
-        output=scalars.get("output"),
-        fmt=str(scalars.get("format", "csv")),
-    )
+    return RunConfig(baths=tuple(baths), scan=tuple(axes), **built, **scalars)
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -280,7 +270,7 @@ def emit_config(config: RunConfig) -> str:
     """Canonical text form; parse_config(emit_config(c)) == c."""
     lines = []
     for group in _GROUPS:
-        obj = getattr(config, "model" if group == "model" else group)
+        obj = getattr(config, group)
         for f in fields(obj):
             lines.append(f"{group}.{f.name} = {_format_value(getattr(obj, f.name))}")
     for b in config.baths:

@@ -2,9 +2,12 @@
 
 Block-diagonal approximations of the polaron-frame Hamiltonian: the
 symmetric (epsilon = 0) dressed ladder with Hopfield angles, the
-k-photon-resonance blocks of the asymmetric model, multi-photon Rabi
-frequencies, and the analytic transition matrix elements between dressed
-states.
+k-photon-resonance blocks of the asymmetric model and multi-photon Rabi
+frequencies.  The symmetric ladder is an EigenSystem
+(symmetric_eigensystem): its vectors are the 2 x 2 block eigenvectors in
+the library basis, so the transition elements between dressed states and
+their golden-rule rates come from lindblad's coupling_elements and
+build_liouvillian, as for the exact levels.
 
 Energies produced here are referenced to the polaron-frame zero in which
 the c-number g^2/(4 omega_c) generated by the polaron transform is dropped
@@ -16,9 +19,12 @@ comparing, or equivalently subtract it from the values returned here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
 
+import numpy as np
+
+from .eigen import EigenSystem
+from .lindblad import coupling_elements
 from .operators import ModelParams, displacement_element, laguerre
 
 RESONANCE_TOL = 1e-9  # |detuning|/omega_c below which a block counts as exactly resonant
@@ -46,18 +52,21 @@ def ground_state_energy(params: ModelParams) -> float:
     return -0.5 * math.hypot(params.epsilon, params.omega_d * math.exp(-0.5 * x * x))
 
 
-def _hopfield_from_block(delta: float, off: float) -> tuple[float, float]:
-    """(cos, sin) of the half mixing angle for [[d/2, c],[c, -d/2]] blocks.
+def _two_level(mean: float, delta: float, off: float) -> tuple[float, float, float, float]:
+    """Eigenpairs of [[mean + delta/2, off/2], [off/2, mean - delta/2]].
 
-    delta is the diagonal asymmetry (A - B), off the full off-diagonal
-    splitting scale (2C).  Exact degeneracy returns the equal-weight pair.
+    Returns (omega_plus, omega_minus, cos_half, sin_half).  The half-angle
+    weights are non-negative; the upper eigenvector is (cos_half,
+    sign(off) sin_half).  A block whose |delta| is below RESONANCE_TOL of
+    its splitting counts as exactly resonant and gets the equal-weight pair.
     """
     r = math.hypot(delta, off)
     if r == 0.0 or abs(delta) < RESONANCE_TOL * r:
-        return (math.sqrt(0.5), math.sqrt(0.5))
-    cos_half = math.sqrt(0.5 * (1.0 + delta / r))
-    sin_half = math.sqrt(0.5 * (1.0 - delta / r))
-    return (cos_half, sin_half)
+        cos_half = sin_half = math.sqrt(0.5)
+    else:
+        cos_half = math.sqrt(0.5 * (1.0 + delta / r))
+        sin_half = math.sqrt(0.5 * (1.0 - delta / r))
+    return mean + 0.5 * r, mean - 0.5 * r, cos_half, sin_half
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +90,10 @@ class BlockCoefficients:
 
 @dataclass(frozen=True)
 class DressedPair:
-    """Dressed doublet of one polaron block with its Hopfield weights."""
+    """Dressed doublet of one polaron block with its non-negative Hopfield weights.
+
+    The upper eigenvector of [[a, c], [c, b]] is (cos_half, sign(c) sin_half).
+    """
 
     n: int
     omega_plus: float
@@ -110,31 +122,68 @@ def symmetric_block(params: ModelParams, n: int) -> BlockCoefficients:
 
 def dressed_pair(block: BlockCoefficients) -> DressedPair:
     """Eigenvalues and Hopfield weights of one explicit 2x2 block."""
-    mean = 0.5 * (block.a + block.b)
-    # (a+b)^2/4 + c^2 - ab == (a-b)^2/4 + c^2, the stable form
-    root = math.hypot(0.5 * (block.a - block.b), block.c)
-    cos_half, sin_half = _hopfield_from_block(block.a - block.b, 2.0 * block.c)
+    plus, minus, cos_half, sin_half = _two_level(
+        0.5 * (block.a + block.b), block.a - block.b, 2.0 * block.c
+    )
     return DressedPair(
-        n=block.n,
-        omega_plus=mean + root,
-        omega_minus=mean - root,
-        cos_half=cos_half,
-        sin_half=sin_half,
+        n=block.n, omega_plus=plus, omega_minus=minus, cos_half=cos_half, sin_half=sin_half
     )
 
 
-def symmetric_spectrum_and_hopfield(params: ModelParams, n_max: int) -> list[DressedPair]:
-    """Dressed pairs of the symmetric polaron ladder for blocks 1..n_max."""
-    return [dressed_pair(symmetric_block(params, n)) for n in range(1, n_max + 1)]
+def _ladder(params: ModelParams, n_levels: int) -> tuple[EigenSystem, np.ndarray]:
+    """symmetric_eigensystem, plus the column of each level in walk order.
+
+    The walk is |down, 0>, then (-, n) and (+, n) for n = 1, 2, ...:
+    column[0] is the ground's column, column[2n - 1] that of (-, n) and
+    column[2n] that of (+, n), or -1 where the level is not kept.
+    """
+    if n_levels < 1:
+        raise ValueError(f"n_levels must be >= 1, got {n_levels}")
+    n_fock = params.n_fock
+    n_blocks = min(n_levels // 2 + 2, n_fock - 1)   # block n needs the row of |down, n>
+    if n_levels > 2 * n_blocks + 1:
+        raise ValueError(f"n_fock = {n_fock} holds {2 * n_blocks + 1} < {n_levels} levels")
+    freqs = [ground_state_energy(params)]
+    vecs = np.zeros((params.dim, 2 * n_blocks + 1))
+    vecs[n_fock, 0] = 1.0                            # |down, 0>
+    for n in range(1, n_blocks + 1):
+        block = symmetric_block(params, n)
+        pair = dressed_pair(block)
+        c, s = pair.cos_half, math.copysign(pair.sin_half, block.c)
+        freqs += [pair.omega_minus, pair.omega_plus]
+        rows = [n_fock + n, n - 1]                   # |down, n>, |up, n - 1>
+        vecs[rows, 2 * n - 1] = (-s, c)
+        vecs[rows, 2 * n] = (c, s)
+    order = np.argsort(freqs, kind="stable")[:n_levels]
+    column = np.full(len(freqs), -1)
+    column[order] = np.arange(n_levels)
+    ladder = EigenSystem(frequencies=np.asarray(freqs)[order], vectors=vecs[:, order])
+    return ladder, column
+
+
+def symmetric_eigensystem(params: ModelParams, n_levels: int) -> EigenSystem:
+    """The lowest n_levels of the epsilon = 0 dressed ladder as an EigenSystem.
+
+    Frequencies are the closed-form levels, ascending, in the polaron-frame
+    zero of this module; the vectors live in the polaron-frame library
+    basis at params.n_fock (row s * n_fock + n, s = 0 for s_z = +1/2).  The
+    ground is |down, 0>; block n's plus state is c |down, n> + s |up, n-1>
+    and its minus state -s |down, n> + c |up, n-1>, with (c, s) =
+    (cos_half, sign(C_n) sin_half), so every column is an eigenvector of
+    build_polaron_rabi's 2 x 2 block.  Blocks 1..n_levels // 2 + 2 are
+    walked; one past n_fock - 1 has no |down, n> row and is left out.
+    """
+    return _ladder(params, n_levels)[0]
 
 
 def symmetric_levels(params: ModelParams, n_levels: int) -> list[float]:
-    """Lowest polaron-frame energies at epsilon = 0: vacuum level plus pairs."""
-    n_blocks = n_levels // 2 + 2
-    levels = [ground_state_energy(params)]
-    for pair in symmetric_spectrum_and_hopfield(params, n_blocks):
-        levels.extend((pair.omega_minus, pair.omega_plus))
-    return sorted(levels)[:n_levels]
+    """Lowest polaron-frame energies at epsilon = 0: vacuum level plus pairs.
+
+    The frequencies of symmetric_eigensystem at the smallest Fock cutoff
+    that walks all of its blocks; they do not depend on params.n_fock.
+    """
+    walked = replace(params, n_fock=n_levels // 2 + 3)
+    return symmetric_eigensystem(walked, n_levels).frequencies.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +238,7 @@ def k_resonance_block(params: ModelParams, k: int, n: int) -> KResonanceBlock:
     detuning = params.omega_c * k - params.epsilon
     coupling = rabi_frequency(k, n, params)
     center = params.omega_c * (n - 0.5 * k)
-    half_split = 0.5 * math.hypot(detuning, coupling)
-    if abs(detuning) < RESONANCE_TOL * params.omega_c:
-        cos_half = sin_half = math.sqrt(0.5)
-    else:
-        cos_half, sin_half = _hopfield_from_block(detuning, coupling)
+    plus, minus, cos_half, sin_half = _two_level(center, detuning, coupling)
     scale = tunneling_suppression(params)
     return KResonanceBlock(
         k=k,
@@ -201,8 +246,8 @@ def k_resonance_block(params: ModelParams, k: int, n: int) -> KResonanceBlock:
         center=center,
         detuning=detuning,
         coupling=coupling,
-        omega_plus=center + half_split,
-        omega_minus=center - half_split,
+        omega_plus=plus,
+        omega_minus=minus,
         cos_half=cos_half,
         sin_half=sin_half,
         valid=(params.epsilon > scale and params.omega_c > scale),
@@ -243,13 +288,13 @@ def block_sx_element(block: KResonanceBlock) -> float:
 
 @dataclass(frozen=True)
 class DressedElements:
-    """Analytic transition elements between blocks n and n-1 (or the ground).
+    """Transition elements between blocks n and n-1 (or the ground), keyed from_to.
 
-    quad holds <.|(a^dag - a)|.> combinations, dipole the <.|s_x|.> ones.
-    Signs follow the printed convention with non-negative half-angle
-    functions; only magnitudes are basis-independent.  The ground-row s_x
-    entries carry the spin-1/2 normalization (s_x = sigma_x/2), which the
-    printed table leaves implicit.
+    quad holds <to|(a - a^dag)|from>, dipole <to|s_x|from> (s_x = sigma_x/2),
+    both on symmetric_eigensystem's vectors, whose half-angle sines carry
+    the sign of the block coupling C_n.  A key names the branch of the
+    upper level, then of the lower one: plus_minus is (+, n) -> (-, n-1).
+    The signs follow that basis; the magnitudes are the rates' elements.
     """
 
     n: int
@@ -258,123 +303,33 @@ class DressedElements:
 
 
 def dressed_matrix_elements(params: ModelParams, n: int) -> DressedElements:
-    """Transition elements |+,n>,|-,n> -> |+,n-1>,|-,n-1> (n >= 2) or -> GS (n = 1)."""
+    """Transition elements |+,n>,|-,n> -> |+,n-1>,|-,n-1> (n >= 2) or -> GS (n = 1).
+
+    Read from coupling_elements on the dressed ladder at n_fock = n + 1,
+    which holds exactly the ground and blocks 1..n.
+    """
     _two_level_check(params)
     if params.epsilon != 0.0:
         raise ValueError("dressed transition table applies to the symmetric model")
     if n < 1:
         raise ValueError(f"block index n must be >= 1, got {n}")
-    pair_n = dressed_pair(symmetric_block(params, n))
-    cn, sn = pair_n.cos_half, pair_n.sin_half
+    small = replace(params, n_fock=n + 1)
+    ladder, column = _ladder(small, 2 * n + 1)
+    quad = coupling_elements(ladder, small, "cavity")
+    dipole = coupling_elements(ladder, small, "dipole")
+    plus, minus = column[2 * n], column[2 * n - 1]
     if n == 1:
-        quad = {
-            "plus_ground": cn,  # |<down,0|(a^dag - a)|+,1>|, printed via (a + a^dag)
-            "minus_ground": -sn,
+        pairs = {"plus_ground": (plus, column[0]), "minus_ground": (minus, column[0])}
+    else:
+        plus_lo, minus_lo = column[2 * n - 2], column[2 * n - 3]
+        pairs = {
+            "plus_minus": (plus, minus_lo),
+            "minus_plus": (minus, plus_lo),
+            "plus_plus": (plus, plus_lo),
+            "minus_minus": (minus, minus_lo),
         }
-        dipole = {
-            "plus_ground": 0.5 * sn,
-            "minus_ground": 0.5 * cn,
-        }
-        return DressedElements(n=1, quad=quad, dipole=dipole)
-    pair_m = dressed_pair(symmetric_block(params, n - 1))
-    cm, sm = pair_m.cos_half, pair_m.sin_half
-    rn, rm = math.sqrt(n), math.sqrt(n - 1)
-    quad = {
-        "plus_minus": rm * cm * sn - rn * cn * sm,
-        "minus_plus": rm * sm * cn - rn * sn * cm,
-        "plus_plus": rm * sm * sn + rn * cn * cm,
-        "minus_minus": rm * cm * cn + rn * sn * sm,
-    }
-    dipole = {
-        "plus_minus": -0.5 * sm * sn,
-        "minus_plus": 0.5 * cm * cn,
-        "plus_plus": 0.5 * cm * sn,
-        "minus_minus": -0.5 * sm * cn,
-    }
-    return DressedElements(n=n, quad=quad, dipole=dipole)
-
-
-@dataclass(frozen=True)
-class RateLimitRow:
-    """Analytic dressed-ladder rate next to its printed USC limit.
-
-    rate = J(|delta_omega|) |element|^2 with the closed-form element;
-    printed_limit is the value the large-g discussion quotes (gamma for
-    like-branch cavity decay, 0 for the cross-branch dipole channel), or
-    None where no limit is printed.  Note the printed cavity limit drops
-    the photon-number factor of the matrix element: the plus-branch
-    (+,n)->(+,n-1) rate genuinely approaches n*gamma, the minus branch
-    (n-1)*gamma; only the n giving unit factor lands on gamma itself.
-    """
-
-    channel: str
-    from_label: str
-    to_label: str
-    delta_omega: float
-    element: float
-    rate: float
-    printed_limit: float | None
-
-
-def usc_rate_limits(params: ModelParams, baths: Sequence, n_max: int = 4) -> list[RateLimitRow]:
-    """Closed-form dressed transition rates for comparison with numerics.
-
-    baths supplies the spectral laws (objects with .channel in
-    {"cavity", "dipole"} and .spectral_density(omega)); rows cover the
-    neighbouring-block transitions up to block n_max plus the ground rows.
-    """
-    _two_level_check(params)
-    by_channel = {b.channel: b for b in baths}
-    pairs = {n: dressed_pair(symmetric_block(params, n)) for n in range(1, n_max + 1)}
-    ground = ground_state_energy(params)
-    rows: list[RateLimitRow] = []
-
-    def add(channel, frm, to, domega, elem, limit):
-        bath = by_channel.get(channel)
-        if bath is None:
-            return
-        rows.append(
-            RateLimitRow(
-                channel=channel,
-                from_label=frm,
-                to_label=to,
-                delta_omega=domega,
-                element=elem,
-                rate=bath.spectral_density(abs(domega)) * elem * elem,
-                printed_limit=limit,
-            )
-        )
-
-    # block 1 -> ground
-    el1 = dressed_matrix_elements(params, 1)
-    p1 = pairs[1]
-    add("cavity", "(+,1)", "GS", p1.omega_plus - ground, el1.quad["plus_ground"], None)
-    add("cavity", "(-,1)", "GS", p1.omega_minus - ground, el1.quad["minus_ground"], None)
-    add("dipole", "(+,1)", "GS", p1.omega_plus - ground, el1.dipole["plus_ground"], None)
-    add("dipole", "(-,1)", "GS", p1.omega_minus - ground, el1.dipole["minus_ground"], None)
-
-    for n in range(2, n_max + 1):
-        el = dressed_matrix_elements(params, n)
-        hi, lo = pairs[n], pairs[n - 1]
-        omegas = {
-            "plus_plus": hi.omega_plus - lo.omega_plus,
-            "minus_minus": hi.omega_minus - lo.omega_minus,
-            "plus_minus": hi.omega_plus - lo.omega_minus,
-            "minus_plus": hi.omega_minus - lo.omega_plus,
-        }
-        labels = {
-            "plus_plus": (f"(+,{n})", f"(+,{n - 1})"),
-            "minus_minus": (f"(-,{n})", f"(-,{n - 1})"),
-            "plus_minus": (f"(+,{n})", f"(-,{n - 1})"),
-            "minus_plus": (f"(-,{n})", f"(+,{n - 1})"),
-        }
-        for key, (frm, to) in labels.items():
-            cavity_limit = None
-            dipole_limit = None
-            if key in ("plus_plus", "minus_minus"):
-                cavity_limit = by_channel["cavity"].strength if "cavity" in by_channel else None
-            if key == "minus_plus":
-                dipole_limit = 0.0
-            add("cavity", frm, to, omegas[key], el.quad[key], cavity_limit)
-            add("dipole", frm, to, omegas[key], el.dipole[key], dipole_limit)
-    return rows
+    return DressedElements(
+        n=n,
+        quad={key: float(quad[to, frm]) for key, (frm, to) in pairs.items()},
+        dipole={key: float(dipole[to, frm]) for key, (frm, to) in pairs.items()},
+    )

@@ -16,6 +16,8 @@ So do the dense operator world the library no longer ships: the Fock and
 spin operators, the dense lab-frame Rabi matrix (the expansion of the band
 the library solves), the M^2 x M^2 superoperator of a Liouvillian, the
 Gibbs state, and a steady state taken from the kernel of the rate matrix.
+So does the printed table of dressed-state transition elements, written
+out by hand; the library reads them off its dressed ladder instead.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from scipy.integrate import quad
 from scipy.linalg import eig_banded, expm
 from scipy.optimize import brentq
 
+from usc_relax import grwa
 from usc_relax.eigen import EigenSystem, diagonalize
 from usc_relax.lindblad import boltzmann_weights
 from usc_relax.operators import (
@@ -341,6 +344,45 @@ def two_by_two_eigvals(a: float, b: float, c: float) -> tuple[float, float]:
     """Eigenvalues of [[a, c], [c, b]] straight from numpy, sorted ascending."""
     w = np.linalg.eigvalsh(np.array([[a, c], [c, b]], dtype=float))
     return float(w[0]), float(w[1])
+
+
+def printed_dressed_table(
+    params: ModelParams, n: int
+) -> tuple[dict[str, float], dict[str, float]]:
+    """The printed dressed-state transition table (quad, dipole), written out by hand.
+
+    quad is <to|(a - a^dag)|from>, dipole <to|s_x|from>, keyed as
+    grwa.DressedElements.  Each block's half-angle sine carries the sign of
+    its coupling C_n, so (c, s) is the block eigenvector the library's
+    dressed ladder holds.  The elements are the twelve printed expressions
+    in the half angles and sqrt(n), with no matrix product.
+    """
+
+    def half_angles(m: int) -> tuple[float, float]:
+        block = grwa.symmetric_block(params, m)
+        pair = grwa.dressed_pair(block)
+        return pair.cos_half, math.copysign(pair.sin_half, block.c)
+
+    cn, sn = half_angles(n)
+    if n == 1:
+        quad = {"plus_ground": cn, "minus_ground": -sn}
+        dipole = {"plus_ground": 0.5 * sn, "minus_ground": 0.5 * cn}
+        return quad, dipole
+    cm, sm = half_angles(n - 1)
+    rn, rm = math.sqrt(n), math.sqrt(n - 1)
+    quad = {
+        "plus_minus": rm * cm * sn - rn * cn * sm,
+        "minus_plus": rm * sm * cn - rn * sn * cm,
+        "plus_plus": rm * sm * sn + rn * cn * cm,
+        "minus_minus": rm * cm * cn + rn * sn * sm,
+    }
+    dipole = {
+        "plus_minus": -0.5 * sm * sn,
+        "minus_plus": 0.5 * cm * cn,
+        "plus_plus": 0.5 * cm * sn,
+        "minus_minus": -0.5 * sm * cn,
+    }
+    return quad, dipole
 
 
 def build_edm(params: ModelParams) -> OperatorMatrix:

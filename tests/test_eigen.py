@@ -351,7 +351,9 @@ def test_the_eigensystem_is_the_one_level_count():
     assert offenders == []
 
 
-# the dense operator world that the library no longer ships; tests/oracles.py has it
+# the dense operator world and the printed dressed-element table, which the
+# library no longer ships (tests/oracles.py has them), and the dressed-ladder
+# rate and pair paths that duplicated lindblad's coupling and rate assembly
 MOVED_TO_ORACLES = (
     "build_rabi",
     "fock_ladder",
@@ -361,6 +363,10 @@ MOVED_TO_ORACLES = (
     "_closed_class_count",
     "DegenerateSteadyStateError",
     "gibbs_state",
+    "printed_dressed_table",
+    "usc_rate_limits",
+    "RateLimitRow",
+    "symmetric_spectrum_and_hopfield",
 )
 
 

@@ -4,8 +4,11 @@ Each file in experiments/ is one run; its first line is a comment with the
 command that runs it from the repository root.  The README lists those
 commands plus the looped runs (one --set more).  Every command runs here
 through cli.main, with its --output moved under a temporary directory.
+The README's count of strict xfails is checked against the test files too.
 """
 
+import ast
+import re
 import shlex
 from pathlib import Path
 
@@ -73,3 +76,27 @@ def test_experiment_command_writes_its_table(command, tmp_path):
     lines = out.read_text().splitlines()
     assert f"# columns: {','.join(COLUMNS[subcommand])}" in lines
     assert not lines[-1].startswith("#")   # at least one row
+
+
+COUNT_WORDS = ("zero", "one", "two", "three", "four", "five", "six", "seven", "eight", "nine", "ten")
+
+
+def xfail_marks(path: Path) -> int:
+    """Number of pytest.mark.xfail references in a test file (decorators and marks=)."""
+    return sum(
+        isinstance(node, ast.Attribute)
+        and node.attr == "xfail"
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "mark"
+        for node in ast.walk(ast.parse(path.read_text()))
+    )
+
+
+def test_readme_counts_the_strict_xfails():
+    # pyproject sets xfail_strict, so every xfail mark is a strict one
+    readme = (ROOT / "README.md").read_text()
+    stated = re.search(r"(\w+) tests carry \*\*strict xfail\*\*", readme)
+    assert stated is not None
+    marks = sum(xfail_marks(path) for path in sorted((ROOT / "tests").glob("*.py")))
+    assert marks > 0
+    assert COUNT_WORDS.index(stated.group(1).lower()) == marks

@@ -2,6 +2,8 @@
 
 Block coefficients are recomputed here with scipy's Laguerre evaluator and
 raw math so the closed forms are covered by a second, independent route.
+The dressed ladder's elements are checked against the printed table in
+tests/oracles.py, its vectors against the polaron Hamiltonian's blocks.
 Level comparisons against exact diagonalization assert the measured accuracy
 envelope of the block approximation, not wishful tolerances.
 """
@@ -18,9 +20,14 @@ from scipy.special import eval_genlaguerre
 
 import oracles
 from usc_relax import grwa
-from usc_relax.lindblad import cavity_bath, dipole_bath
+from usc_relax.lindblad import build_liouvillian, cavity_bath, dipole_bath
 from oracles import fock_ladder, spin_operators
-from usc_relax.operators import ModelParams, displacement_element, polaron_constant
+from usc_relax.operators import (
+    ModelParams,
+    build_polaron_rabi,
+    displacement_element,
+    polaron_constant,
+)
 
 
 def _block_reference(params: ModelParams, n: int) -> tuple[float, float, float]:
@@ -145,6 +152,21 @@ def test_k_resonance_block_at_exact_resonance():
     assert grwa.block_sx_element(block) == pytest.approx(0.5)
 
 
+def test_k_resonance_block_near_resonance_follows_the_block():
+    # detuned by -5e-10 with Omega_(1,1) = 1e-13: far from resonance on the
+    # scale of the coupling, so the block is all but unmixed
+    params = ModelParams(g=8.0, epsilon=1.0 + 5e-10, n_fock=4)
+    block = grwa.k_resonance_block(params, 1, 1)
+    assert block.detuning == pytest.approx(-5.0e-10, rel=1e-6)
+    assert abs(block.coupling) == pytest.approx(1.0e-13, rel=2e-2)
+    d, o = block.detuning, block.coupling
+    _, vecs = np.linalg.eigh(np.array([[d / 2, o / 2], [o / 2, -d / 2]]))
+    upper = np.abs(vecs[:, 1])
+    assert block.cos_half == pytest.approx(upper[0], rel=1e-9)
+    assert block.sin_half == pytest.approx(upper[1], rel=1e-9)
+    assert block.cos_half == pytest.approx(1.0e-4, rel=2e-2)
+
+
 def test_k_resonance_block_detuning_sign():
     params = ModelParams(g=2.0, epsilon=0.7, n_fock=4)
     block = grwa.k_resonance_block(params, 1, 2)
@@ -257,48 +279,93 @@ def test_dressed_elements_ground_row_structure():
     assert table.dipole["plus_ground"] == pytest.approx(0.5 * pair.sin_half)
 
 
-def test_usc_rate_limit_rows(eig_cache):
+def _block_ids(params: ModelParams) -> np.ndarray:
+    """Block of each library row: |down, n> is in block n, |up, n> in block n + 1."""
+    n = np.arange(params.n_fock)
+    return np.concatenate([n + 1, n])
+
+
+@pytest.mark.parametrize("g", [1.0, 2.0, 3.0, 4.0])
+def test_symmetric_eigensystem_columns_are_block_eigenvectors(g):
+    params = ModelParams.auto(g=g)
+    ladder = grwa.symmetric_eigensystem(params, 8)
+    h = build_polaron_rabi(params).entries + polaron_constant(params) * np.eye(params.dim)
+    ids = _block_ids(params)
+    blocks = np.where(ids[:, None] == ids[None, :], h, 0.0)
+    residual = blocks @ ladder.vectors - ladder.vectors * ladder.frequencies
+    assert np.max(np.linalg.norm(residual, axis=0)) <= 1e-13
+    assert np.allclose(ladder.vectors.T @ ladder.vectors, np.eye(8), rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("levels", [1, 6, 8, 24])
+@pytest.mark.parametrize("g", [0.0, 1.0, 3.0, 6.0])
+def test_symmetric_eigensystem_frequencies_are_symmetric_levels(g, levels):
+    params = ModelParams.auto(g=g)
+    ladder = grwa.symmetric_eigensystem(params, levels)
+    assert ladder.frequencies.tolist() == grwa.symmetric_levels(params, levels)
+    assert ladder.vectors.shape == (params.dim, levels)
+
+
+def test_symmetric_eigensystem_needs_the_fock_rows():
+    with pytest.raises(ValueError, match="holds 5 < 6 levels"):
+        grwa.symmetric_eigensystem(ModelParams(g=1.0, n_fock=3), 6)
+
+
+@pytest.mark.parametrize("omega_c", [1.0, 1.7])
+@pytest.mark.parametrize("omega_d", [1.0, 0.37, 0.0])
+@pytest.mark.parametrize("g", [-3.0, -1.2, 0.0, 0.1, 0.5, 1.0, 2.0, 3.0, 4.5, 6.0, 8.0])
+def test_dressed_elements_match_printed_table(g, omega_d, omega_c):
+    params = ModelParams(g=g, omega_d=omega_d, omega_c=omega_c, n_fock=4)
+    for n in range(1, 9):
+        table = grwa.dressed_matrix_elements(params, n)
+        quad, dipole = oracles.printed_dressed_table(params, n)
+        assert list(table.quad) == list(quad) and list(table.dipole) == list(dipole)
+        for key in quad:
+            assert abs(table.quad[key] - quad[key]) <= 1e-15, (n, key)
+            assert abs(table.dipole[key] - dipole[key]) <= 1e-15, (n, key)
+
+
+def test_dressed_ladder_rates():
     gamma = 0.01
     params = ModelParams.auto(g=3.0)
-    baths = [cavity_bath(gamma), dipole_bath(4 * gamma)]
-    rows = grwa.usc_rate_limits(params, baths, n_max=3)
-    by_key = {(r.channel, r.from_label, r.to_label): r for r in rows}
-    assert len(rows) == 4 + 2 * 4 * 2
+    ladder = grwa.symmetric_eigensystem(params, 8)
+    idx = _dressed_rank_map(params)
+    cavity = build_liouvillian(ladder, params, [cavity_bath(gamma)], 0.0).rates
+    dipole = build_liouvillian(ladder, params, [dipole_bath(4 * gamma)], 0.0).rates
 
-    # like-branch cavity rows quote the bare decay as their printed limit
-    pp = by_key[("cavity", "(+,2)", "(+,1)")]
-    mm = by_key[("cavity", "(-,2)", "(-,1)")]
-    assert pp.printed_limit == gamma
-    assert mm.printed_limit == gamma
-    # minus branch genuinely lands on it; the plus branch keeps its photon factor
-    assert mm.rate == pytest.approx(0.9390 * gamma, rel=2e-3)
-    assert abs(mm.rate - gamma) < 0.10 * gamma
-    assert pp.rate == pytest.approx(1.6540 * gamma, rel=2e-3)
+    # like-branch cavity decay (+,2) -> (+,1) and (-,2) -> (-,1): the minus
+    # branch lands on gamma, the plus branch keeps its photon factor
+    pp = cavity[idx["plus_1"], idx["plus_2"]]
+    mm = cavity[idx["minus_1"], idx["minus_2"]]
+    assert mm == pytest.approx(0.9314 * gamma, rel=2e-3)
+    assert abs(mm - gamma) < 0.10 * gamma
+    assert pp == pytest.approx(1.6473 * gamma, rel=2e-3)
 
-    # cross-branch dipole channel is quoted as vanishing deep in the USC
-    mp = by_key[("dipole", "(-,2)", "(+,1)")]
-    assert mp.printed_limit == 0.0
-    assert mp.rate < 0.05 * gamma
+    # cross-branch dipole channel between (-,2) and (+,1) vanishes deep in
+    # the USC; at g = 3 (-,2) lies below (+,1), so at T = 0 it runs upward
+    assert dipole[idx["plus_1"], idx["minus_2"]] == 0.0
+    assert dipole[idx["minus_2"], idx["plus_1"]] < 0.05 * gamma
 
     # ohmic cavity law: rate = gamma * (|dw|/omega_c) * |element|^2
-    assert pp.rate == pytest.approx(
-        gamma * abs(pp.delta_omega) * pp.element**2, rel=1e-12
-    )
+    element = grwa.dressed_matrix_elements(params, 2).quad["plus_plus"]
+    dw = ladder.frequencies[idx["plus_2"]] - ladder.frequencies[idx["plus_1"]]
+    assert pp == pytest.approx(gamma * abs(dw) * element**2, rel=1e-12)
 
 
-def test_usc_closed_form_rate_tracks_exact_rate(eig_cache):
+def test_dressed_ladder_rate_tracks_exact_rate(eig_cache):
     # same transition computed from exact eigenvectors: agreement within 11%
     gamma = 0.01
     params = ModelParams.auto(g=3.0)
-    rows = grwa.usc_rate_limits(params, [cavity_bath(gamma)], n_max=2)
-    pp = next(r for r in rows if (r.from_label, r.to_label) == ("(+,2)", "(+,1)"))
+    idx = _dressed_rank_map(params)
+    ladder = grwa.symmetric_eigensystem(params, 8)
+    rates = build_liouvillian(ladder, params, [cavity_bath(gamma)], 0.0).rates
+    pp = rates[idx["plus_1"], idx["plus_2"]]
     quad_exact, _ = _exact_elements(eig_cache, 2)
     eig = eig_cache(params, levels=12)
-    idx = _dressed_rank_map(params)
     dw = eig.frequencies[idx["plus_2"]] - eig.frequencies[idx["plus_1"]]
     exact_rate = gamma * (abs(dw) / params.omega_c) * quad_exact["plus_plus"] ** 2
     assert exact_rate == pytest.approx(1.8292 * gamma, rel=2e-3)
-    assert abs(pp.rate - exact_rate) / exact_rate < 0.11
+    assert abs(pp - exact_rate) / exact_rate < 0.11
 
 
 def test_input_validation():
