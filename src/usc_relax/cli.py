@@ -48,7 +48,7 @@ def _cmd_gap_scan(config: RunConfig) -> tuple[dict[str, np.ndarray], tuple[str, 
 def _grwa_levels(params, n_levels: int) -> list[float]:
     """gRWA levels at |epsilon|: H(-epsilon) = P H(epsilon) P with P = (-1)^(a^dag a) sigma_z."""
     if abs(params.epsilon) < 1e-12:
-        return grwa.symmetric_levels(params, n_levels)
+        return grwa.symmetric_levels(replace(params, epsilon=0.0), n_levels)
     params = replace(params, epsilon=abs(params.epsilon))
     k = max(1, round(params.epsilon / params.omega_c))
     return grwa.asymmetric_levels(params, k, n_levels)

@@ -84,17 +84,21 @@ def spin_operators(spin_n: int) -> tuple[OperatorMatrix, OperatorMatrix, Operato
 
 
 def build_rabi(params: ModelParams) -> OperatorMatrix:
-    """Dense expansion of rabi_bands(params) in the library basis, a real matrix.
+    """Dense expansion of rabi_bands(params) in the library basis, a real matrix."""
+    return dense_from_bands(rabi_bands(params))
+
+
+def dense_from_bands(band: BandOperator) -> OperatorMatrix:
+    """Dense expansion of a band operator in the library basis, a real matrix.
 
     Exactly symmetric: each band fills its lower and upper diagonal.
     """
-    band = rabi_bands(params)
     h = np.zeros((band.dim, band.dim))
     for k, diagonal in enumerate(band.bands):
         j = np.arange(band.dim - k)
         h[j + k, j] = h[j, j + k] = diagonal[: band.dim - k]
     order = band.to_library
-    return OperatorMatrix(dim=band.dim, entries=h[np.ix_(order, order)], label="H_rabi")
+    return OperatorMatrix(dim=band.dim, entries=h[np.ix_(order, order)], label=band.label)
 
 
 def superoperator(lv) -> np.ndarray:

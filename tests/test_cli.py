@@ -85,6 +85,18 @@ def test_spectrum_grwa_column_is_even_in_epsilon(tmp_path):
     assert [row[3] for row in rows[2.0]][:2] == ["-1.0000154261065284", "0.0"]
 
 
+def test_spectrum_at_a_vanishing_epsilon_uses_the_symmetric_grwa_levels(tmp_path):
+    # 0 < |epsilon| < 1e-12 takes the epsilon = 0 gRWA column, not an error
+    columns = {}
+    for epsilon in ("0.0", "1e-13"):
+        out = tmp_path / f"spec_{epsilon}.csv"
+        argv = ("spectrum", "--set", f"model.epsilon={epsilon}",
+                "--set", "scan = g, 1.0, 1.0, 1", "--output", str(out))
+        assert run_cli(*argv) == 0
+        columns[epsilon] = [row[3] for row in read_csv(out)[2]]
+    assert columns["1e-13"] == columns["0.0"]
+
+
 def test_gap_scan_single_point_matches_direct_call(tmp_path):
     out = tmp_path / "gap.csv"
     code = run_cli(

@@ -9,6 +9,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import LinAlgError
 
 from oracles import (
@@ -16,6 +18,7 @@ from oracles import (
     band_eigvals_via_dsbevx,
     build_rabi,
     convergence_check,
+    dense_from_bands,
     drift_ladder,
 )
 import usc_relax
@@ -59,18 +62,98 @@ def test_band_solve_matches_dense_eigh(g, epsilon):
         assert np.max(np.abs(elem_band - elem_dense)) <= 1e-9
 
 
-def _assert_band_solve_matches_oracle(params, levels):
-    """Eigenvalues against eig_banded, residuals and orthonormality against ||H||."""
-    eig = diagonalize(rabi_bands(params), levels)
-    w = band_eigvals_via_dsbevx(rabi_bands(params), levels)
+def _assert_band_solve_matches_oracle(params, levels, op=None):
+    """Eigenvalues against eig_banded, residuals and orthonormality against ||H||.
+
+    op defaults to rabi_bands(params); an edited copy of it may stand in.
+    """
+    op = rabi_bands(params) if op is None else op
+    eig = diagonalize(op, levels)
+    w = band_eigvals_via_dsbevx(op, levels)
     assert np.all(np.abs(eig.frequencies - w) <= 1e-12 * np.maximum(1.0, np.abs(w)))
-    h = build_rabi(params).entries   # residuals in the dense matrix, not the solver's band
+    h = dense_from_bands(op).entries   # residuals in the dense matrix, not the solver's band
     eps_norm = np.finfo(float).eps * np.linalg.norm(h, 2)
     residual = np.linalg.norm(h @ eig.vectors - eig.vectors * eig.frequencies, axis=0)
     assert np.max(residual) <= 32.0 * eps_norm
     gram = eig.vectors.T @ eig.vectors
     assert np.max(np.abs(gram - np.eye(levels))) <= 64.0 * np.finfo(float).eps
     return eig
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    g=st.floats(0.0, 6.0),
+    epsilon=st.floats(-3.0, 3.0),
+    omega_d=st.sampled_from([0.0, 0.37, 1.0]),
+    extra_fock=st.integers(0, 60),
+    levels=st.integers(2, 40),
+)
+def test_band_solve_matches_the_oracle_over_the_model(g, epsilon, omega_d, extra_fock, levels):
+    params = ModelParams(
+        g=g, epsilon=epsilon, omega_d=omega_d, n_fock=default_n_fock(g) + extra_fock
+    )
+    _assert_band_solve_matches_oracle(params, levels)
+
+
+# a gap_map point: its 24 levels occupy about half of the 89 photons
+GAP_MAP_POINT = ModelParams(g=2.0, epsilon=1.0, n_fock=89)
+
+
+def _swept_rows(monkeypatch):
+    """The row count of every dsbev sweep the solves below make, in order."""
+    rows = []
+    sweep = eigen.dsbev
+
+    def spy(bands, **kwargs):
+        rows.append(bands.shape[1])
+        return sweep(bands, **kwargs)
+
+    monkeypatch.setattr(eigen, "dsbev", spy)
+    return rows
+
+
+def test_band_solve_sweeps_only_the_rows_its_levels_occupy(monkeypatch):
+    rows = _swept_rows(monkeypatch)
+    _assert_band_solve_matches_oracle(GAP_MAP_POINT, 24)
+    assert len(rows) == 1 and rows[0] < GAP_MAP_POINT.dim
+
+
+def test_band_solve_keeps_a_level_planted_deep_in_the_tail(monkeypatch):
+    op = rabi_bands(GAP_MAP_POINT)
+    op.bands[0, 150] = -10.0   # photon 75, far below the ground level near -1.6
+    assert eigen._first_split(op.bands, 24)[0] < 150
+    rows = _swept_rows(monkeypatch)
+    eig = _assert_band_solve_matches_oracle(GAP_MAP_POINT, 24, op)
+    assert eig.frequencies[0] < -10.0
+    assert min(rows) > 150
+
+
+@pytest.mark.parametrize("start", ["tail below sigma", "sigma below the levels", "split short"])
+def test_band_solve_grows_a_first_split_that_fails_its_checks(monkeypatch, start):
+    rows, sigma = eigen._first_split(rabi_bands(GAP_MAP_POINT).bands, 24)
+    first = {
+        "tail below sigma": (16, sigma),       # photons 8 and up hold levels below sigma
+        "sigma below the levels": (rows, -1.0),
+        "split short": (rows - 10, sigma),     # vectors not yet decayed at the boundary
+    }[start]
+    monkeypatch.setattr(eigen, "_first_split", lambda bands, count: first)
+    infos = []
+    factor = eigen.dpbtrf
+
+    def spy(*args, **kwargs):
+        out = factor(*args, **kwargs)
+        infos.append(out[1])
+        return out
+
+    monkeypatch.setattr(eigen, "dpbtrf", spy)
+    swept = _swept_rows(monkeypatch)
+    _assert_band_solve_matches_oracle(GAP_MAP_POINT, 24)
+    if start == "tail below sigma":
+        assert infos[0] > 0 and min(swept) > 16
+    elif start == "sigma below the levels":
+        assert infos[:2] == [0, 0] and swept[:2] == [rows, rows]
+    else:
+        assert infos[0] == 0 and swept[0] == rows - 10 < swept[1]
 
 
 def test_band_solve_survives_exact_degeneracy(monkeypatch):
@@ -89,6 +172,13 @@ def test_band_solve_survives_exact_degeneracy(monkeypatch):
     eig = _assert_band_solve_matches_oracle(params, 24)
     assert infos and infos[0] > 0
     assert np.array_equal(eig.frequencies, np.repeat(np.arange(12.0), 2))
+
+
+def test_band_solve_survives_couplings_below_the_rounding():
+    # g and epsilon far below eps ||H|| leave each level a near-degenerate pair
+    # with couplings to the neighbouring photons as small as its own splitting
+    params = ModelParams(g=7.03435602632105e-35, epsilon=7.03435602632105e-35, omega_d=0.0)
+    _assert_band_solve_matches_oracle(params, 24)
 
 
 @pytest.mark.parametrize(("g", "spacing"), [(5.0, 3.9e-6), (6.0, 1.6e-8)])

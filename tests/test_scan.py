@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from usc_relax import eigen
 from usc_relax.cli import main
 from usc_relax.config import parse_config
 from usc_relax.eigen import diagonalize
@@ -38,6 +39,27 @@ def test_gap_scan_matches_direct_calls():
             temperature=0.1,
         )
         assert value == liouvillian_gap(lv)
+
+
+def test_gap_scan_on_folded_solves_matches_the_unsplit_solves(monkeypatch):
+    # gap_map's grid corners and baths, each point's levels solved on the
+    # rows they occupy against the same points solved on all 178 rows
+    config = parse_config(
+        "scan = g, 0.5, 3.5, 4\n"
+        "scan = epsilon, 0.0, 3.0, 4\n"
+        "bath = cavity, ohmic, 0.05, 1.0\n"
+        "bath = dipole, radiative, 0.2, 1.0, 3.0\n"
+        "temperature = 0.1\n"
+        "m_levels = 24\n"
+        "model.n_fock = 89\n"
+    )
+    folded = gap_scan(config)[0]["lambda"]
+    monkeypatch.setattr(eigen, "_first_split", lambda bands, count: (bands.shape[1], math.inf))
+    unsplit = gap_scan(config)[0]["lambda"]
+    assert np.array_equal(np.isnan(folded), np.isnan(unsplit))
+    kept = ~np.isnan(unsplit)
+    assert np.count_nonzero(kept) >= 12
+    assert np.all(np.abs(folded[kept] - unsplit[kept]) <= 1e-10 * np.abs(unsplit[kept]))
 
 
 def test_gap_scan_refuses_gaps_below_the_float64_floor():
