@@ -2,7 +2,9 @@
 
 Everything here deliberately avoids the code paths under test: displacement
 matrices come from `scipy.linalg.expm`, double-well levels from a Numerov
-shooting integration, dipole emission rates from direct quadrature of the
+shooting integration, from full-grid bisection of the finite-difference
+matrix (`eigh_tridiagonal`) and from 80-bit Sturm multisection, dipole
+emission rates from direct quadrature of the
 displacement autocorrelation function, Lindblad generators and bath
 couplings from dense Kronecker constructions, and band eigenvalues from
 scipy's `eig_banded` (LAPACK dsbevx).  Slow and simple beats fast and shared.
@@ -28,10 +30,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import eig_banded, expm
+from scipy.linalg import eig_banded, eigh_tridiagonal, expm
 from scipy.optimize import brentq
 
 from usc_relax import grwa
+from usc_relax.dipole import RESIDUAL_TOL, WellParams, orient_levels, potential
 from usc_relax.eigen import EigenSystem, diagonalize
 from usc_relax.lindblad import boltzmann_weights
 from usc_relax.operators import (
@@ -188,6 +191,89 @@ def shooting_levels(
         if len(roots) >= n_levels:
             break
     return roots[:n_levels]
+
+
+def well_matrix(p: WellParams, dtype=float) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the double well's finite-difference matrix.
+
+    T = kin L + diag(V), kin = 1 / (2 m dx^2) and V as float64 numbers; its
+    diagonal 2 kin + V is summed in `dtype`.  In float64 that sum rounds
+    by up to ulp(2 kin) (2e-9 at kin = 5e6), which moves levels by about
+    1e-11; np.longdouble keeps it exact to 1e-19 relative.
+    """
+    x = p.grid()
+    kin = 1.0 / (2.0 * p.mass * (x[1] - x[0]) ** 2)
+    kin_t = np.asarray(kin, dtype=dtype)
+    return 2 * kin_t + potential(x, p).astype(dtype), np.full(len(x) - 1, -kin_t)
+
+
+def tridiagonal_levels(p: WellParams, n_levels: int) -> list[tuple[float, np.ndarray]]:
+    """The well's lowest eigenpairs by full-grid bisection and inverse iteration.
+
+    scipy's eigh_tridiagonal (LAPACK dstebz, then dstein) on the same
+    matrix the library solves, vectors L2-normalized with the grid weight
+    dx and signed by the library's orient_levels, which takes the residual
+    bound of the library's solve.
+    """
+    diag, off = well_matrix(p)
+    energies, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, n_levels - 1))
+    tol = RESIDUAL_TOL * np.finfo(float).eps * (np.max(np.abs(diag)) + 2.0 * abs(off[0]))
+    x = p.grid()
+    vecs = orient_levels(vecs.T, energies, tol) / np.sqrt(x[1] - x[0])
+    return [(float(e), psi) for e, psi in zip(energies, vecs)]
+
+
+def sturm_counts(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Eigenvalues at or below each shift, by LDL^T Sturm counts in np.longdouble.
+
+    The pivots d_i = (a_i - s) - e_(i-1)^2 / d_(i-1) of T - s I are formed
+    for all shifts at once; the count is the number of negative pivots.  A
+    pivot smaller than pivmin = tiny * max(1, e^2) is set to -pivmin, as in
+    LAPACK dlaebz, which counts the shift itself and keeps e^2 / d finite.
+    """
+    a = diag.astype(np.longdouble)
+    e2 = off.astype(np.longdouble) ** 2
+    s = np.asarray(shifts, dtype=np.longdouble)
+    pivmin = np.finfo(np.longdouble).tiny * max(np.longdouble(1.0), np.max(e2))
+    pivot = a[0] - s
+    count = np.zeros(s.shape, dtype=int)
+    for i in range(len(a)):
+        if i:
+            pivot = (a[i] - s) - e2[i - 1] / pivot
+        pivot = np.where(np.abs(pivot) < pivmin, -pivmin, pivot)
+        count += pivot < 0.0
+    return count
+
+
+def sturm_levels(diag: np.ndarray, off: np.ndarray, guesses: np.ndarray) -> np.ndarray:
+    """Levels 0, 1, ... of T in extended precision, from their float64 values `guesses`.
+
+    Multisection on np.longdouble Sturm counts (sturm_counts): level i's
+    bracket starts 64 eps ||T|| (float64 eps) either side of guesses[i],
+    must hold level i by count, and is cut into 32 pieces per sweep, all
+    levels at once, until it is no wider than 2 eps_longdouble ||T||.
+    Returned as longdouble.
+    """
+    sections = 32
+    norm = np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off))
+    ld_eps = np.finfo(np.longdouble).eps
+    index = np.arange(len(guesses))
+    half = np.longdouble(64.0 * np.finfo(float).eps * norm)
+    lo = np.asarray(guesses, dtype=np.longdouble) - half
+    hi = np.asarray(guesses, dtype=np.longdouble) + half
+    ends = sturm_counts(diag, off, np.stack([lo, hi]))
+    if np.any(ends[0] > index) or np.any(ends[1] <= index):
+        raise ValueError("a guess is not within 64 eps ||T|| of its level")
+    frac = np.arange(1, sections, dtype=np.longdouble) / sections
+    while np.max(hi - lo) > 2 * ld_eps * norm:
+        cuts = lo[:, None] + (hi - lo)[:, None] * frac
+        counts = sturm_counts(diag, off, cuts)
+        below = counts <= index[:, None]   # cuts below level i; monotone along each row
+        k = below.sum(axis=1)
+        rows = np.arange(len(index))
+        lo = np.where(k > 0, cuts[rows, np.maximum(k - 1, 0)], lo)
+        hi = np.where(k < sections - 1, cuts[rows, np.minimum(k, sections - 2)], hi)
+    return (lo + hi) / 2
 
 
 def dipole_rate_via_quadrature(

@@ -1,11 +1,14 @@
-"""Double-well dipole solver: FD spectra vs a Numerov shooting oracle."""
+"""Double-well dipole solver: FD spectra vs Numerov shooting, bisection and 80-bit Sturm oracles."""
 
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from usc_relax import dipole
 from usc_relax.dipole import (
     BoundaryLeakWarning,
     WellParams,
@@ -15,7 +18,10 @@ from usc_relax.dipole import (
     tla_parameters,
 )
 
-from oracles import shooting_levels
+from oracles import shooting_levels, sturm_levels, tridiagonal_levels, well_matrix
+
+LONGDOUBLE_IS_WIDER = np.finfo(np.longdouble).eps < 1e-18
+DEEP_WELLS = [WellParams(mu2=mu2, mass=0.1, x_max=8.0) for mu2 in (2.0, 3.0, 4.0)]
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +115,160 @@ def test_deep_wells_suppress_tunneling():
         splittings.append(e1 - e0)
     assert splittings[0] == pytest.approx(1.845328, rel=1e-4)
     assert splittings[1] == pytest.approx(2.902305e-2, rel=1e-4)
-    assert splittings[2] == pytest.approx(1.057227e-6, rel=1e-3)
+    # the 80-bit Sturm bisection of this matrix (sturm_levels) gives 1.0560492e-6
+    assert splittings[2] == pytest.approx(1.056049e-6, rel=1e-5)
     assert splittings[0] > splittings[1] > splittings[2] > 0.0
+
+
+def _norm(p: WellParams) -> float:
+    """The row-sum bound on ||T|| the solver's tolerances are scaled by."""
+    diag, off = well_matrix(p)
+    return float(np.max(np.abs(diag)) + 2.0 * abs(off[0]))
+
+
+@pytest.mark.skipif(not LONGDOUBLE_IS_WIDER, reason="np.longdouble is no wider than float64")
+@pytest.mark.parametrize("p", [WellParams()] + DEEP_WELLS, ids=["default", "mu2=2", "mu2=3", "mu2=4"])
+def test_doublet_matches_the_extended_precision_sturm_oracle(p):
+    # full-grid float64 bisection is 2.5e-10 to 1.1e-9 off on these wells
+    levels = np.array([e for e, _ in solve_double_well(p, 2)])
+    diag, off = well_matrix(p, np.longdouble)
+    exact = sturm_levels(diag, off, levels)
+    assert np.max(np.abs((levels - exact).astype(float))) <= 1e-11
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    mu2=st.floats(0.5, 4.0),
+    mass=st.sampled_from([0.1, 1.0]),
+    tilt=st.sampled_from([0.0, 1e-7, -1e-7, 1e-5, -1e-5, 0.05, -0.05]),
+    x_max=st.floats(2.6, 8.0),
+    grid_points=st.integers(200, 16001),
+    n_levels=st.integers(1, 6),
+)
+def test_solver_matches_bisection_over_the_wells(mu2, mass, tilt, x_max, grid_points, n_levels):
+    p = WellParams(mu2=mu2, mass=mass, tilt=tilt, x_max=x_max, grid_points=grid_points)
+    eps_norm = np.finfo(float).eps * _norm(p)
+    tol = dipole.RESIDUAL_TOL * eps_norm
+    reference = np.array([e for e, _ in tridiagonal_levels(p, n_levels + 1)])
+    # a pair split below the tolerance across the last level is refused, not solved
+    assume(reference[n_levels] - reference[n_levels - 1] > 2.0 * tol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoundaryLeakWarning)
+        levels = solve_double_well(p, n_levels)
+    energies = np.array([e for e, _ in levels])
+    assert np.all(np.abs(energies - reference[:n_levels]) <= 4.0 * eps_norm)
+    # the Sturm count: exactly n_levels of the oracle's levels up to the last one + tol
+    assert np.count_nonzero(reference <= energies[-1] + tol) == n_levels
+    # residuals of the unit vectors in longdouble; the returned vectors carry
+    # a 1 / sqrt(dx) scaling whose rounding moves them by far less than eps ||T||
+    diag, off = well_matrix(p, np.longdouble)
+    x = p.grid()
+    dx = x[1] - x[0]
+    for energy, psi in levels:
+        unit = psi.astype(np.longdouble) * np.sqrt(np.longdouble(dx))
+        residual = (diag - np.longdouble(energy)) * unit
+        residual[1:] += off * unit[:-1]
+        residual[:-1] += off * unit[1:]
+        assert float(np.sqrt(residual @ residual)) <= tol + eps_norm
+    units = np.array([psi for _, psi in levels]) * np.sqrt(dx)
+    assert np.max(np.abs(units @ units.T - np.eye(n_levels))) <= 1e-13
+
+
+def test_the_fine_grid_sees_no_full_accuracy_bisection(monkeypatch):
+    p = WellParams()
+    solves, counts = [], []
+    eigh_tridiagonal, dstebz = dipole.eigh_tridiagonal, dipole.dstebz
+
+    def eigh_spy(d, e, **kwargs):
+        solves.append(len(d))
+        return eigh_tridiagonal(d, e, **kwargs)
+
+    def dstebz_spy(d, e, range_, vl, vu, il, iu, tol, order):
+        counts.append((len(d), range_, tol >= vu - vl))
+        return dstebz(d, e, range_, vl, vu, il, iu, tol, order)
+
+    monkeypatch.setattr(dipole, "eigh_tridiagonal", eigh_spy)
+    monkeypatch.setattr(dipole, "dstebz", dstebz_spy)
+    solve_double_well(p, 4)
+    assert solves == [p.grid_points // dipole.COARSE_RATIO]
+    # one count by value whose tolerance is the whole interval: no bisection
+    assert counts == [(p.grid_points, 1, True)]
+
+
+def _edited_starts(monkeypatch, edit):
+    starts = dipole._coarse_starts
+    monkeypatch.setattr(dipole, "_coarse_starts", lambda *args: edit(starts(*args)))
+
+
+def test_a_start_leaning_on_a_found_level_still_reaches_the_next(monkeypatch):
+    # without deflation the second start falls back to level 0 (nearer its
+    # Rayleigh quotient), two starts reach one level, and the count refuses
+    def lean(starts):
+        starts[1] = 0.8 * starts[0] + 0.6 * starts[1]
+        return starts
+
+    _edited_starts(monkeypatch, lean)
+    p = WellParams(grid_points=4001)
+    levels = [e for e, _ in solve_double_well(p, 2)]
+    reference = [e for e, _ in tridiagonal_levels(p, 2)]
+    assert levels == pytest.approx(reference, abs=4.0 * np.finfo(float).eps * _norm(p))
+
+
+def test_a_crude_start_converges_by_rayleigh_quotient_iteration(monkeypatch):
+    # two broad even bumps at the well minima: four steps with the shift
+    # updated; a shift left at the start's Rayleigh quotient converges
+    # linearly and runs out of steps
+    p = WellParams(grid_points=4001)
+    x = p.grid()
+    bumps = np.exp(-((x**2 - p.mu2**2) ** 2) / 4.0)
+    _edited_starts(monkeypatch, lambda starts: bumps[None, :])
+    (energy, _), = solve_double_well(p, 1)
+    reference = tridiagonal_levels(p, 1)[0][0]
+    assert energy == pytest.approx(reference, abs=4.0 * np.finfo(float).eps * _norm(p))
+
+
+def test_the_sturm_count_refuses_a_skipped_level(monkeypatch):
+    p = WellParams(grid_points=4001)
+    skip = dipole._coarse_starts(p, p.grid(), 3)[[0, 2]]
+    _edited_starts(monkeypatch, lambda starts: skip)
+    with pytest.raises(RuntimeError, match="Sturm count finds 3 levels"):
+        solve_double_well(p, 2)
+
+
+def test_a_pair_split_below_the_tolerance_is_refused_across_the_last_level():
+    # mass 1 in mu2 = 4 wells: the ground doublet is split by about 1e-25
+    p = WellParams(mu2=4.0, x_max=6.0, grid_points=4001)
+    with pytest.raises(RuntimeError, match="Sturm count finds 2 levels"):
+        solve_double_well(p, 1)
+    (e0, _), (e1, _) = solve_double_well(p, 2)
+    assert abs(e1 - e0) <= dipole.RESIDUAL_TOL * np.finfo(float).eps * _norm(p)
+
+
+def test_the_solver_raises_when_a_level_does_not_converge(monkeypatch):
+    monkeypatch.setattr(dipole, "MAX_STEPS", 1)
+    with pytest.raises(RuntimeError, match="inverse iteration left level 0"):
+        solve_double_well(WellParams(), 2)
+
+
+@pytest.mark.parametrize("level", [1, 3])
+def test_odd_states_point_the_same_way_on_every_grid(level):
+    # their lobe integrals are rounding (1e-10 to 1e-12 of sum |psi|), which
+    # flipped them between grids when the integral alone set the sign
+    left_lobes = set()
+    for grid_points in (4001, 8001, 16001):
+        p = WellParams(grid_points=grid_points)
+        x = p.grid()
+        for psi in (solve_double_well(p, 4)[level][1], tridiagonal_levels(p, 4)[level][1]):
+            assert abs(psi.sum()) < 1e-8 * np.abs(psi).sum()
+            left_lobes.add(bool(psi[x < 0.0].sum() > 0.0))
+    assert len(left_lobes) == 1
+
+
+def test_resolved_lobe_integrals_stay_positive():
+    for p in (WellParams(), WellParams(tilt=0.01), WellParams(tilt=-1e-5)):
+        for level, (_, psi) in enumerate(solve_double_well(p, 4)):
+            if p.tilt or level % 2 == 0:
+                assert psi.sum() > 0.0
 
 
 def test_boundary_leak_warning():

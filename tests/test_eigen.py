@@ -181,6 +181,37 @@ def test_band_solve_survives_couplings_below_the_rounding():
     _assert_band_solve_matches_oracle(params, 24)
 
 
+def _rayleigh_ritz_calls(monkeypatch):
+    calls = []
+    rotate = eigen._rayleigh_ritz
+
+    def spy(vecs, product):
+        calls.append(vecs.shape[1])
+        return rotate(vecs, product)
+
+    monkeypatch.setattr(eigen, "_rayleigh_ritz", spy)
+    return calls
+
+
+@pytest.mark.parametrize("g", [3e-11, 1e-10, 3e-10])
+def test_band_solve_rotates_pairs_split_near_the_rounding(monkeypatch, g):
+    # pairs split by about ten eps ||H||: the QR leaves them rotated, their
+    # residuals stall above the bound, and a Rayleigh-Ritz rotation mends them
+    calls = _rayleigh_ritz_calls(monkeypatch)
+    params = ModelParams.auto(g=g, epsilon=1e-13, omega_d=0.0)
+    _assert_band_solve_matches_oracle(params, 40)
+    assert calls
+    certified_eigensystem(params, 40)
+
+
+def test_converging_band_solves_skip_the_rayleigh_ritz_rotation(monkeypatch):
+    calls = _rayleigh_ritz_calls(monkeypatch)
+    for g, epsilon in [(0.0, 0.0), (0.5, 0.3), (2.0, 1.0), (5.0, 0.0)]:
+        certified_eigensystem(ModelParams.auto(g=g, epsilon=epsilon), 24)
+    certified_eigensystem(GAP_MAP_POINT, 24)
+    assert calls == []
+
+
 @pytest.mark.parametrize(("g", "spacing"), [(5.0, 3.9e-6), (6.0, 1.6e-8)])
 def test_band_solve_separates_deep_usc_doublets(g, spacing):
     params = ModelParams(g=g, epsilon=0.0, n_fock=default_n_fock(g))

@@ -27,6 +27,7 @@ COLUMNS = {
     "dipole-response": ["epsilon", "omega", "value"],
     "edm-rates": ["omega", "gamma_T", "gamma_tot", "gamma_tot_over_gamma_d"],
     "edm-evolve": ["t", "excitation"],
+    "tla": ["omega_d", "x_10", "epsilon", "gap_ratio", "valid"],
 }
 
 
