@@ -2,21 +2,27 @@
 
 Grammar (one statement per line):
 
-    key = value            scalars; floats, ints, strings, true/false
+    key = value            top-level scalars (temperature, m_levels, output,
+                           format)
     group.field = value    fields of a parameter group (model, well, edm,
                            response, evolve)
     bath = channel, law, strength, ref_freq[, nu]     (repeatable)
     scan = name, start, stop, points                  (repeatable, max 2)
 
-'#' starts a comment (whole-line or trailing); blank lines are skipped.
-`model.n_fock = auto` resolves the Fock cutoff from the coupling at parse
-time, so an emitted config always round-trips to the identical object.
-Scan axes may only reference g, epsilon, omega, or T.
+The dataclasses are the grammar.  A value is read by its field's declared
+type: `float`, `int`, `str`, or `str | None` (which also takes `none`).  A
+`bath` or `scan` entry lists the fields of `BathSpec` or `ScanAxis` in
+order; trailing fields with defaults may be left out.  `format` names the
+`fmt` field.  '#' starts a comment (whole-line or trailing); blank lines are
+skipped.  The last assignment of a key wins, `model.n_fock = auto` included:
+`auto` resolves the Fock cutoff from the final coupling at parse time, so an
+emitted config always round-trips to the identical object.  Scan axes may
+only reference g, epsilon, omega, or T.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -129,127 +135,89 @@ _GROUPS = {
     "evolve": EvolveSettings,
 }
 
+# list key -> (RunConfig field, entry dataclass); each line adds one entry
+_LISTS = {"bath": ("baths", BathSpec), "scan": ("scan", ScanAxis)}
+
+# top-level scalar key -> RunConfig field; `format` is the one alias
 _SCALARS = {
-    "temperature": float,
-    "m_levels": int,
-    "output": str,
-    "format": str,
+    "format" if f.name == "fmt" else f.name: f
+    for f in fields(RunConfig)
+    if f.name not in _GROUPS and f.name not in {name for name, _ in _LISTS.values()}
 }
 
+_NUMBERS = {"float": (float, "a number"), "int": (int, "an integer")}
 
-def _parse_scalar(token: str, target: type, key: str):
-    token = token.strip()
-    if target is float:
+
+def _parse_value(token: str, ftype: str, key: str) -> object:
+    """One value, read by its field's declared type (annotations are strings here)."""
+    if ftype in _NUMBERS:
+        cast, what = _NUMBERS[ftype]
         try:
-            return float(token)
+            return cast(token)
         except ValueError:
-            raise ValueError(f"{key}: expected a number, got {token!r}") from None
-    if target is int:
-        try:
-            return int(token)
-        except ValueError:
-            raise ValueError(f"{key}: expected an integer, got {token!r}") from None
-    if target is bool:
-        if token in ("true", "false"):
-            return token == "true"
-        raise ValueError(f"{key}: expected true or false, got {token!r}")
-    return token
+            raise ValueError(f"{key}: expected {what}, got {token!r}") from None
+    return None if ftype == "str | None" and token == "none" else token
 
 
-def _strip_comment(line: str) -> str:
-    pos = line.find("#")
-    return line if pos < 0 else line[:pos]
+def _parse_entry(key: str, value: str) -> object:
+    """One bath or scan entry: its dataclass's fields by position."""
+    cls = _LISTS[key][1]
+    entry_fields = fields(cls)
+    required = [f.name for f in entry_fields if f.default is MISSING]
+    parts = [t.strip() for t in value.split(",")]
+    if not len(required) <= len(parts) <= len(entry_fields):
+        optional = "".join(f"[, {f.name}]" for f in entry_fields[len(required):])
+        raise ValueError(f"{key} needs {', '.join(required)}{optional}")
+    return cls(*(_parse_value(t, f.type, key) for t, f in zip(parts, entry_fields)))
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse the flat key/value grammar into a RunConfig.
 
-    Raises ValueError naming the offending key on any malformed or unknown
-    entry; group validation errors come from the dataclasses themselves.
+    Raises ValueError naming the line and the offending key on any malformed
+    or unknown entry; group validation errors come from the dataclasses
+    themselves.
     """
     groups: dict[str, dict[str, object]] = {name: {} for name in _GROUPS}
+    entries: dict[str, list] = {key: [] for key in _LISTS}
     scalars: dict[str, object] = {}
-    baths: list[BathSpec] = []
-    axes: list[ScanAxis] = []
-    auto_fock = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key == "bath":
-            parts = [t.strip() for t in value.split(",")]
-            if len(parts) not in (4, 5):
-                raise ValueError(
-                    f"line {lineno}: bath needs channel, law, strength, ref_freq[, nu]"
-                )
-            baths.append(
-                BathSpec(
-                    channel=parts[0],
-                    law=parts[1],
-                    strength=float(parts[2]),
-                    ref_freq=float(parts[3]),
-                    nu=float(parts[4]) if len(parts) == 5 else 3.0,
-                )
-            )
-        elif key == "scan":
-            parts = [t.strip() for t in value.split(",")]
-            if len(parts) != 4:
-                raise ValueError(f"line {lineno}: scan needs name, start, stop, points")
-            axes.append(
-                ScanAxis(
-                    name=parts[0],
-                    start=float(parts[1]),
-                    stop=float(parts[2]),
-                    points=int(parts[3]),
-                )
-            )
-        elif "." in key:
-            group, _, fname = key.partition(".")
-            if group not in _GROUPS:
-                raise ValueError(
-                    f"line {lineno}: unknown group {group!r}; known: {', '.join(_GROUPS)}"
-                )
-            cls = _GROUPS[group]
-            by_name = {f.name: f for f in fields(cls)}
-            if fname not in by_name:
-                raise ValueError(
-                    f"line {lineno}: {group} has no field {fname!r}; "
-                    f"known: {', '.join(by_name)}"
-                )
-            if group == "model" and fname == "n_fock" and value == "auto":
-                auto_fock = True
-                continue
-            ftype = by_name[fname].type
-            target: type = str
-            if "int" in str(ftype):
-                target = int
-            if "float" in str(ftype):
-                target = float
-            if "bool" in str(ftype):
-                target = bool
-            groups[group][fname] = _parse_scalar(value, target, key)
-        elif key in _SCALARS:
-            if key == "output" and value == "none":
-                scalars[key] = None
+        try:
+            if key in _LISTS:
+                entries[key].append(_parse_entry(key, value))
+            elif key in _SCALARS:
+                scalars[_SCALARS[key].name] = _parse_value(value, _SCALARS[key].type, key)
+            elif "." in key:
+                group, _, name = key.partition(".")
+                if group not in _GROUPS:
+                    raise ValueError(f"unknown group {group!r}; known: {', '.join(_GROUPS)}")
+                types = {f.name: f.type for f in fields(_GROUPS[group])}
+                if name not in types:
+                    raise ValueError(f"{group} has no field {name!r}; known: {', '.join(types)}")
+                auto = key == "model.n_fock" and value == "auto"
+                groups[group][name] = value if auto else _parse_value(value, types[name], key)
             else:
-                scalars[key] = _parse_scalar(value, _SCALARS[key], key)
-        else:
-            raise ValueError(
-                f"line {lineno}: unknown key {key!r}; "
-                f"known scalars: {', '.join(_SCALARS)}; groups: {', '.join(_GROUPS)}"
-            )
-    if auto_fock:
-        g = float(groups["model"].get("g", 0.0))
-        omega_c = float(groups["model"].get("omega_c", 1.0))
-        groups["model"]["n_fock"] = default_n_fock(g, omega_c)
-    if "format" in scalars:
-        scalars["fmt"] = scalars.pop("format")
+                raise ValueError(
+                    f"unknown key {key!r}; "
+                    f"known scalars: {', '.join(_SCALARS)}; groups: {', '.join(_GROUPS)}"
+                )
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    model = groups["model"]
+    if model.get("n_fock") == "auto":
+        model["n_fock"] = default_n_fock(
+            model.get("g", ModelParams.g), model.get("omega_c", ModelParams.omega_c)
+        )
     built = {name: cls(**groups[name]) for name, cls in _GROUPS.items()}
-    return RunConfig(baths=tuple(baths), scan=tuple(axes), **built, **scalars)
+    lists = {_LISTS[key][0]: tuple(found) for key, found in entries.items()}
+    return RunConfig(**built, **lists, **scalars)
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -259,34 +227,22 @@ def load_config(path: str | Path) -> RunConfig:
 def _format_value(value: object) -> str:
     if value is None:
         return "none"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def emit_config(config: RunConfig) -> str:
     """Canonical text form; parse_config(emit_config(c)) == c."""
-    lines = []
-    for group in _GROUPS:
-        obj = getattr(config, group)
-        for f in fields(obj):
-            lines.append(f"{group}.{f.name} = {_format_value(getattr(obj, f.name))}")
-    for b in config.baths:
-        lines.append(
-            f"bath = {b.channel}, {b.law}, {_format_value(b.strength)}, "
-            f"{_format_value(b.ref_freq)}, {_format_value(b.nu)}"
-        )
-    for ax in config.scan:
-        lines.append(
-            f"scan = {ax.name}, {_format_value(ax.start)}, "
-            f"{_format_value(ax.stop)}, {ax.points}"
-        )
-    lines.append(f"temperature = {_format_value(config.temperature)}")
-    lines.append(f"m_levels = {config.m_levels}")
-    lines.append(f"output = {_format_value(config.output)}")
-    lines.append(f"format = {config.fmt}")
+    lines = [
+        f"{group}.{f.name} = {_format_value(getattr(getattr(config, group), f.name))}"
+        for group in _GROUPS
+        for f in fields(_GROUPS[group])
+    ]
+    lines += [
+        f"{key} = " + ", ".join(_format_value(getattr(entry, f.name)) for f in fields(entry))
+        for key, (name, _) in _LISTS.items()
+        for entry in getattr(config, name)
+    ]
+    lines += [f"{key} = {_format_value(getattr(config, f.name))}" for key, f in _SCALARS.items()]
     return "\n".join(lines) + "\n"
 
 
@@ -294,15 +250,11 @@ def apply_overrides(config: RunConfig, assignments: list[str]) -> RunConfig:
     """Apply --set key=value overrides on top of an existing config.
 
     Implemented by re-parsing the canonical emission with the overrides
-    appended, so override syntax and file syntax can never diverge.  A bath
-    or scan override resets the corresponding list rather than appending.
+    appended, so override syntax and file syntax can never diverge.  A
+    list override (bath, scan) resets that list rather than appending.
     """
     if not assignments:
         return config
-    resets = {a.partition("=")[0].strip() for a in assignments}
-    base = emit_config(config).splitlines()
-    if "bath" in resets:
-        base = [l for l in base if not l.startswith("bath =")]
-    if "scan" in resets:
-        base = [l for l in base if not l.startswith("scan =")]
+    resets = {a.partition("=")[0].strip() for a in assignments} & _LISTS.keys()
+    base = [l for l in emit_config(config).splitlines() if l.partition(" =")[0] not in resets]
     return parse_config("\n".join(base + list(assignments)))

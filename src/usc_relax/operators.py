@@ -23,9 +23,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# Hard cap on the Hilbert-space dimension of any model.  It bounds the dense
-# dim x dim reference builders; a dense matrix beyond this is almost
-# certainly a mistake upstream.
+# Hard cap on the dimension of a dense dim x dim operator (build_polaron_rabi);
+# a dense matrix beyond this is almost certainly a mistake upstream.  Band
+# solves (rabi_bands) form no dense matrix and take any n_fock.
 DIM_CAP = 4096
 
 
@@ -62,11 +62,6 @@ class ModelParams:
             raise ValueError(f"n_fock must be at least 2, got {self.n_fock}")
         if self.spin_n < 1:
             raise ValueError(f"spin_n must be a positive integer, got {self.spin_n}")
-        if (self.spin_n + 1) * self.n_fock > DIM_CAP:
-            raise ValueError(
-                f"requested dimension {(self.spin_n + 1) * self.n_fock} exceeds "
-                f"the dense cap {DIM_CAP}"
-            )
 
     @classmethod
     def auto(cls, **kwargs) -> "ModelParams":
@@ -268,6 +263,8 @@ def build_polaron_rabi(params: ModelParams) -> OperatorMatrix:
     """
     if params.spin_n != 1:
         raise ValueError("build_polaron_rabi is the two-level model")
+    if params.dim > DIM_CAP:
+        raise ValueError(f"requested dimension {params.dim} exceeds the dense cap {DIM_CAP}")
     d = displacement_matrix(params.n_fock, params.g / params.omega_c).entries.real
     even = 0.25 * params.omega_d * (d + d.T)
     odd = 0.25 * params.omega_d * (d - d.T)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from scipy.special import eval_genlaguerre
 
 import oracles
 from oracles import build_rabi, fock_ladder, spin_operators
-from usc_relax.eigen import diagonalize
+from usc_relax.eigen import certified_eigensystem, diagonalize
 from usc_relax.operators import (
     ModelParams,
     build_polaron_rabi,
@@ -235,10 +237,18 @@ def test_model_params_validation():
         ModelParams(omega_c=0.0)
     with pytest.raises(ValueError, match="n_fock"):
         ModelParams(n_fock=1)
-    with pytest.raises(ValueError, match="dense cap"):
-        ModelParams(n_fock=3000, spin_n=2)
     with pytest.raises(ValueError, match="spin_n"):
         ModelParams(spin_n=0)
+
+
+def test_dense_cap_bounds_the_dense_builder_not_the_model():
+    p = ModelParams(g=2.0, epsilon=1.0, n_fock=3000)
+    with pytest.raises(ValueError, match="requested dimension 6000 exceeds the dense cap 4096"):
+        build_polaron_rabi(p)
+    # the band solve forms no dense matrix, so the same cutoff is fine there
+    big = certified_eigensystem(p, 24)
+    small = certified_eigensystem(replace(p, n_fock=89), 24)
+    np.testing.assert_array_equal(big.frequencies, small.frequencies)
 
 
 def test_auto_constructor_sets_truncation_from_coupling():
