@@ -1,8 +1,11 @@
 """Command-line front end: parameter scans and figure-ready data tables.
 
 Every subcommand reads an optional config file (see config module for the
-grammar), applies --set overrides, and emits a CSV or JSON table with a
-self-describing metadata header.  Nothing is plotted; outputs are tables.
+grammar), applies --set overrides as its last lines, and emits a CSV or
+JSON table with a self-describing metadata header: the config echo, then
+one `name: value` line per extra, among them how far to trust the table
+(evolve's collapse deviation, the cascade tables' elimination checks and
+saturation number).  Nothing is plotted; outputs are tables.
 
 gap-scan, spectrum, transmission and dipole-response are point maps: each
 gives scan.map_points a function returning one point's columns.  Every
@@ -26,7 +29,16 @@ from . import grwa
 from .config import RunConfig, apply_overrides, load_config
 from .dipole import tla_parameters
 from .dynamics import run_tunneling_oscillations
-from .edm import effective_dipole_evolve, gamma_T, net_rate, total_rate
+from .edm import (
+    EdmParams,
+    NoNetCoolingError,
+    effective_dipole_evolve,
+    gamma_T,
+    net_rate,
+    saturation_number,
+    total_rate,
+    validity_report,
+)
 from .eigen import certified_eigensystem
 from .operators import default_n_fock, polaron_constant
 from .response import (
@@ -91,6 +103,7 @@ def _cmd_evolve(config: RunConfig):
         f"fitted decay: {run.fit.decay!r}",
         f"reference omega_(k,k): {run.omega_ref!r}",
         f"reference decay k*gamma/2: {run.decay_ref!r}",
+        f"collapse deviation: {run.collapse_deviation()!r}",
     )
     return columns, extra
 
@@ -133,6 +146,24 @@ def _cmd_dipole_response(config: RunConfig):
     return columns, ()
 
 
+def _edm_trust(p: EdmParams) -> tuple[str, ...]:
+    """How far the eliminated cascade holds at edm.epsilon, and its saturation number."""
+    v = validity_report(p)
+    try:
+        saturation = repr(saturation_number(p))
+    except NoNetCoolingError:
+        saturation = "none"
+    return (
+        f"adiabatic elimination ok: {str(v.adiabatic_ok).lower()}",
+        f"usc ok: {str(v.usc_ok).lower()}",
+        f"resonance k: {v.k}",
+        f"splitting omega_(k,k): {v.splitting!r}",
+        f"thermal reference: {v.thermal_reference!r}",
+        *(f"validity warning: {message}" for message in v.messages),
+        f"saturation number: {saturation}",
+    )
+
+
 def _cmd_edm_rates(config: RunConfig):
     p = config.edm
     if config.scan:
@@ -146,7 +177,7 @@ def _cmd_edm_rates(config: RunConfig):
         "gamma_tot": tot,
         "gamma_tot_over_gamma_d": tot / p.gamma_d,
     }
-    return columns, ()
+    return columns, _edm_trust(p)
 
 
 def _cmd_edm_evolve(config: RunConfig):
@@ -160,7 +191,7 @@ def _cmd_edm_evolve(config: RunConfig):
     times = np.linspace(0.0, horizon, n_points)
     traj = effective_dipole_evolve(p, ev.m0, times)
     columns = {"t": traj.times, "excitation": traj.observables["excitation"]}
-    return columns, (f"total rate: {gtot!r}",)
+    return columns, (f"total rate: {gtot!r}", *_edm_trust(p))
 
 
 def _cmd_tla(config: RunConfig):
@@ -243,8 +274,10 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        config = load_config(args.config) if args.config else RunConfig()
-        config = apply_overrides(config, args.set)
+        if args.config:
+            config = load_config(args.config, args.set)
+        else:
+            config = apply_overrides(RunConfig(), args.set)
         if args.output:
             config = replace(config, output=args.output)
         if args.format:

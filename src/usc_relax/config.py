@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -220,8 +221,27 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(**built, **lists, **scalars)
 
 
-def load_config(path: str | Path) -> RunConfig:
-    return parse_config(Path(path).read_text())
+def _parse_with_overrides(text: str, assignments: Sequence[str]) -> RunConfig:
+    """parse_config of text with the assignments appended as its last lines.
+
+    A list assignment (bath, scan) replaces that list: the text's own lines
+    of that key are blanked, so line numbers stay those of the text.
+    """
+    resets = {a.partition("=")[0].strip() for a in assignments} & _LISTS.keys()
+    kept = [
+        "" if line.partition("#")[0].partition("=")[0].strip() in resets else line
+        for line in text.splitlines()
+    ]
+    return parse_config("\n".join(kept + list(assignments)))
+
+
+def load_config(path: str | Path, assignments: Sequence[str] = ()) -> RunConfig:
+    """The config file, with --set assignments appended, parsed as one text.
+
+    So an override is exactly a last line of the file: `model.n_fock = auto`
+    in the file resolves from an overriding model.g, as in one file.
+    """
+    return _parse_with_overrides(Path(path).read_text(), assignments)
 
 
 def _format_value(value: object) -> str:
@@ -255,6 +275,4 @@ def apply_overrides(config: RunConfig, assignments: list[str]) -> RunConfig:
     """
     if not assignments:
         return config
-    resets = {a.partition("=")[0].strip() for a in assignments} & _LISTS.keys()
-    base = [l for l in emit_config(config).splitlines() if l.partition(" =")[0] not in resets]
-    return parse_config("\n".join(base + list(assignments)))
+    return _parse_with_overrides(emit_config(config), assignments)

@@ -220,8 +220,18 @@ def orient_levels(vecs: np.ndarray, energies: np.ndarray, tol: float) -> np.ndar
     return out
 
 
-def _well_levels(p: WellParams, x: np.ndarray, n_levels: int) -> list[tuple[float, np.ndarray]]:
-    """solve_double_well on the grid x = p.grid(), already built."""
+def solve_double_well(
+    p: WellParams, n_levels: int = 4
+) -> list[tuple[float, np.ndarray]]:
+    """Lowest eigenpairs of -(1/2m) d^2/dx^2 + V(x) with hard walls.
+
+    Wavefunctions live on p.grid(), are L2-normalized with the grid weight
+    dx and signed by orient_levels: lobe integral positive where it is
+    resolved, else the first lobe to reach half the peak positive.
+    """
+    if n_levels < 1:
+        raise ValueError("n_levels must be >= 1")
+    x = p.grid()
     dx = x[1] - x[0]
     kin = 1.0 / (2.0 * p.mass * dx**2)
     v = potential(x, p)
@@ -241,24 +251,10 @@ def _well_levels(p: WellParams, x: np.ndarray, n_levels: int) -> list[tuple[floa
             warnings.warn(
                 f"level {i} has relative boundary amplitude {edge:.2e}; increase x_max",
                 BoundaryLeakWarning,
-                stacklevel=3,
+                stacklevel=2,
             )
         out.append((float(energies[i]), psi / np.sqrt(dx)))
     return out
-
-
-def solve_double_well(
-    p: WellParams, n_levels: int = 4
-) -> list[tuple[float, np.ndarray]]:
-    """Lowest eigenpairs of -(1/2m) d^2/dx^2 + V(x) with hard walls.
-
-    Wavefunctions are L2-normalized with the grid weight dx and signed by
-    orient_levels: lobe integral positive where it is resolved, else the
-    first lobe to reach half the peak positive.
-    """
-    if n_levels < 1:
-        raise ValueError("n_levels must be >= 1")
-    return _well_levels(p, p.grid(), n_levels)
 
 
 @dataclass(frozen=True)
@@ -280,9 +276,9 @@ def tla_parameters(p: WellParams) -> TlaReport:
     (gap_ratio above 10) and to lie below the central barrier.
     """
     untilted = replace(p, tilt=0.0)
+    (e0, psi0), (e1, psi1), (e2, _) = solve_double_well(untilted, 3)
     x = untilted.grid()
     dx = x[1] - x[0]
-    (e0, psi0), (e1, psi1), (e2, _) = _well_levels(untilted, x, 3)
     omega_d = e1 - e0
     if omega_d <= 0.0:
         raise RuntimeError("degenerate doublet: tunneling splitting is not resolvable")

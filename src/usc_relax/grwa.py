@@ -3,11 +3,14 @@
 Block-diagonal approximations of the polaron-frame Hamiltonian: the
 symmetric (epsilon = 0) dressed ladder with Hopfield angles, the
 k-photon-resonance blocks of the asymmetric model and multi-photon Rabi
-frequencies.  The symmetric ladder is an EigenSystem
+frequencies.  The tables read the levels (spectrum's omega_grwa column)
+and Omega_(k,n) (rabi-freq, evolve's reference frequency, the cascade's
+validity check).  The symmetric ladder is an EigenSystem
 (symmetric_eigensystem): its vectors are the 2 x 2 block eigenvectors in
-the library basis, so the transition elements between dressed states and
-their golden-rule rates come from lindblad's coupling_elements and
-build_liouvillian, as for the exact levels.
+the library basis, so this module forms no transition element.  The
+elements between dressed states and their golden-rule rates come from
+lindblad's coupling_elements and build_liouvillian, as for the exact
+levels; the test oracles key them by branch for the printed table.
 
 Energies produced here are referenced to the polaron-frame zero in which
 the c-number g^2/(4 omega_c) generated by the polaron transform is dropped
@@ -24,7 +27,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .eigen import EigenSystem
-from .lindblad import coupling_elements
 from .operators import ModelParams, displacement_element, laguerre
 
 RESONANCE_TOL = 1e-9  # |detuning|/omega_c below which a block counts as exactly resonant
@@ -130,12 +132,18 @@ def dressed_pair(block: BlockCoefficients) -> DressedPair:
     )
 
 
-def _ladder(params: ModelParams, n_levels: int) -> tuple[EigenSystem, np.ndarray]:
-    """symmetric_eigensystem, plus the column of each level in walk order.
+def symmetric_eigensystem(params: ModelParams, n_levels: int) -> EigenSystem:
+    """The lowest n_levels of the epsilon = 0 dressed ladder as an EigenSystem.
 
-    The walk is |down, 0>, then (-, n) and (+, n) for n = 1, 2, ...:
-    column[0] is the ground's column, column[2n - 1] that of (-, n) and
-    column[2n] that of (+, n), or -1 where the level is not kept.
+    Frequencies are the closed-form levels, ascending, in the polaron-frame
+    zero of this module; the vectors live in the polaron-frame library
+    basis at params.n_fock (row s * n_fock + n, s = 0 for s_z = +1/2).  The
+    ground is |down, 0>; block n's plus state is c |down, n> + s |up, n-1>
+    and its minus state -s |down, n> + c |up, n-1>, with (c, s) =
+    (cos_half, sign(C_n) sin_half), so every column is an eigenvector of
+    build_polaron_rabi's 2 x 2 block.  Blocks 1..n_levels // 2 + 2 are
+    walked; one past n_fock - 1 has no |down, n> row and is left out.
+    Equal levels keep walk order: the ground, then minus before plus.
     """
     if n_levels < 1:
         raise ValueError(f"n_levels must be >= 1, got {n_levels}")
@@ -155,25 +163,7 @@ def _ladder(params: ModelParams, n_levels: int) -> tuple[EigenSystem, np.ndarray
         vecs[rows, 2 * n - 1] = (-s, c)
         vecs[rows, 2 * n] = (c, s)
     order = np.argsort(freqs, kind="stable")[:n_levels]
-    column = np.full(len(freqs), -1)
-    column[order] = np.arange(n_levels)
-    ladder = EigenSystem(frequencies=np.asarray(freqs)[order], vectors=vecs[:, order])
-    return ladder, column
-
-
-def symmetric_eigensystem(params: ModelParams, n_levels: int) -> EigenSystem:
-    """The lowest n_levels of the epsilon = 0 dressed ladder as an EigenSystem.
-
-    Frequencies are the closed-form levels, ascending, in the polaron-frame
-    zero of this module; the vectors live in the polaron-frame library
-    basis at params.n_fock (row s * n_fock + n, s = 0 for s_z = +1/2).  The
-    ground is |down, 0>; block n's plus state is c |down, n> + s |up, n-1>
-    and its minus state -s |down, n> + c |up, n-1>, with (c, s) =
-    (cos_half, sign(C_n) sin_half), so every column is an eigenvector of
-    build_polaron_rabi's 2 x 2 block.  Blocks 1..n_levels // 2 + 2 are
-    walked; one past n_fock - 1 has no |down, n> row and is left out.
-    """
-    return _ladder(params, n_levels)[0]
+    return EigenSystem(frequencies=np.asarray(freqs)[order], vectors=vecs[:, order])
 
 
 def symmetric_levels(params: ModelParams, n_levels: int) -> list[float]:
@@ -271,65 +261,3 @@ def asymmetric_levels(params: ModelParams, k: int, n_levels: int) -> list[float]
         block = k_resonance_block(params, k, n)
         levels.extend((block.omega_minus, block.omega_plus))
     return sorted(levels)[:n_levels]
-
-
-def block_sx_element(block: KResonanceBlock) -> float:
-    """<+|s_x|-> within one (k, n) block: cos(theta/2) sin(theta/2).
-
-    The only non-diagonal s_x matrix element the block approximation allows;
-    the ground state stays disconnected (s_x is diagonal on |left/right, 0>).
-    """
-    return block.cos_half * block.sin_half
-
-
-# ---------------------------------------------------------------------------
-# Dressed transition elements of the symmetric ladder (epsilon = 0)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DressedElements:
-    """Transition elements between blocks n and n-1 (or the ground), keyed from_to.
-
-    quad holds <to|(a - a^dag)|from>, dipole <to|s_x|from> (s_x = sigma_x/2),
-    both on symmetric_eigensystem's vectors, whose half-angle sines carry
-    the sign of the block coupling C_n.  A key names the branch of the
-    upper level, then of the lower one: plus_minus is (+, n) -> (-, n-1).
-    The signs follow that basis; the magnitudes are the rates' elements.
-    """
-
-    n: int
-    quad: dict[str, float]
-    dipole: dict[str, float]
-
-
-def dressed_matrix_elements(params: ModelParams, n: int) -> DressedElements:
-    """Transition elements |+,n>,|-,n> -> |+,n-1>,|-,n-1> (n >= 2) or -> GS (n = 1).
-
-    Read from coupling_elements on the dressed ladder at n_fock = n + 1,
-    which holds exactly the ground and blocks 1..n.
-    """
-    _two_level_check(params)
-    if params.epsilon != 0.0:
-        raise ValueError("dressed transition table applies to the symmetric model")
-    if n < 1:
-        raise ValueError(f"block index n must be >= 1, got {n}")
-    small = replace(params, n_fock=n + 1)
-    ladder, column = _ladder(small, 2 * n + 1)
-    quad = coupling_elements(ladder, small, "cavity")
-    dipole = coupling_elements(ladder, small, "dipole")
-    plus, minus = column[2 * n], column[2 * n - 1]
-    if n == 1:
-        pairs = {"plus_ground": (plus, column[0]), "minus_ground": (minus, column[0])}
-    else:
-        plus_lo, minus_lo = column[2 * n - 2], column[2 * n - 3]
-        pairs = {
-            "plus_minus": (plus, minus_lo),
-            "minus_plus": (minus, plus_lo),
-            "plus_plus": (plus, plus_lo),
-            "minus_minus": (minus, minus_lo),
-        }
-    return DressedElements(
-        n=n,
-        quad={key: float(quad[to, frm]) for key, (frm, to) in pairs.items()},
-        dipole={key: float(dipole[to, frm]) for key, (frm, to) in pairs.items()},
-    )

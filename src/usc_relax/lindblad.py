@@ -216,9 +216,13 @@ def build_liouvillian(
 ) -> Liouvillian:
     """Assemble the thermal jump rates on the retained eigenlevels.
 
-    Exactly degenerate pairs (|w_mn| < 1e-9 omega_c) get rate zero, which is
-    also what J(0) = 0 dictates.  Upward and downward coefficients are built
-    so their ratio is exactly the Boltzmann factor e^{-w/T}.
+    Pairs with |w_mn| < DEGENERACY_TOL omega_c (1e-9) get rate zero.  That
+    is an absolute cutoff, not the w -> 0 limit of the rates: J(0) = 0, but
+    at T > 0 an ohmic bath's J(w) N_T(w) tends to strength T / ref_freq, so
+    a pair just above the cutoff keeps that finite rate and one just below
+    loses it (a known defect at unresolved doublets).  Upward and downward
+    coefficients are built so their ratio is exactly the Boltzmann factor
+    e^{-w/T}.
     """
     if temperature < 0.0:
         raise ValueError(f"temperature must be >= 0, got {temperature}")
@@ -336,12 +340,6 @@ class Trajectory:
     states: np.ndarray               # (n_times, M, M)
     observables: dict[str, np.ndarray] = field(default_factory=dict)
     projection_deficit: float = 0.0  # initial-state weight lost to truncation
-
-    def trace_drift(self) -> float:
-        return float(np.max(np.abs(np.einsum("tii->t", self.states).real - 1.0)))
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.states)[:, 0].min())
 
 
 def _populations(w_gen: np.ndarray, p0: np.ndarray, times: np.ndarray) -> np.ndarray:

@@ -19,7 +19,9 @@ spin operators, the dense lab-frame Rabi matrix (the expansion of the band
 the library solves), the M^2 x M^2 superoperator of a Liouvillian, the
 Gibbs state, and a steady state taken from the kernel of the rate matrix.
 So does the printed table of dressed-state transition elements, written
-out by hand; the library reads them off its dressed ladder instead.
+out by hand, and the same elements read with the library's coupling code
+off its dressed ladder (dressed_matrix_elements), which no table prints.
+So do the trace and positivity checks of an evolved trajectory.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from scipy.optimize import brentq
 from usc_relax import grwa
 from usc_relax.dipole import RESIDUAL_TOL, WellParams, orient_levels, potential
 from usc_relax.eigen import EigenSystem, diagonalize
-from usc_relax.lindblad import boltzmann_weights
+from usc_relax.lindblad import boltzmann_weights, coupling_elements
 from usc_relax.operators import (
     BandOperator,
     ModelParams,
@@ -442,7 +444,7 @@ def printed_dressed_table(
     """The printed dressed-state transition table (quad, dipole), written out by hand.
 
     quad is <to|(a - a^dag)|from>, dipole <to|s_x|from>, keyed as
-    grwa.DressedElements.  Each block's half-angle sine carries the sign of
+    DressedElements.  Each block's half-angle sine carries the sign of
     its coupling C_n, so (c, s) is the block eigenvector the library's
     dressed ladder holds.  The elements are the twelve printed expressions
     in the half angles and sqrt(n), with no matrix product.
@@ -473,6 +475,67 @@ def printed_dressed_table(
         "minus_minus": -0.5 * sm * cn,
     }
     return quad, dipole
+
+
+@dataclass(frozen=True)
+class DressedElements:
+    """Transition elements between blocks n and n-1 (or the ground), keyed from_to.
+
+    quad holds <to|(a - a^dag)|from>, dipole <to|s_x|from> (s_x = sigma_x/2),
+    both on grwa.symmetric_eigensystem's vectors, whose half-angle sines
+    carry the sign of the block coupling C_n.  A key names the branch of the
+    upper level, then of the lower one: plus_minus is (+, n) -> (-, n-1).
+    The signs follow that basis; the magnitudes are the rates' elements.
+    """
+
+    n: int
+    quad: dict[str, float]
+    dipole: dict[str, float]
+
+
+def dressed_matrix_elements(params: ModelParams, n: int) -> DressedElements:
+    """Transition elements |+,n>,|-,n> -> |+,n-1>,|-,n-1> (n >= 2) or -> GS (n = 1).
+
+    Read with the library's coupling_elements off the dressed ladder at
+    n_fock = n + 1, which holds exactly the ground and blocks 1..n.  Each
+    column's block is read off its nonzero rows, {n_fock + m, m - 1} for
+    block m and {n_fock} for the ground; of a block's two columns the later
+    (higher) one is the plus state.
+    """
+    small = replace(params, n_fock=n + 1)
+    ladder = grwa.symmetric_eigensystem(small, 2 * n + 1)
+    quad = coupling_elements(ladder, small, "cavity")
+    dipole = coupling_elements(ladder, small, "dipole")
+    rows = np.arange(small.n_fock)
+    block_of_row = np.concatenate([rows + 1, rows])   # |up, m - 1> and |down, m> span block m
+    block = block_of_row[np.argmax(np.abs(ladder.vectors), axis=0)]
+    (ground,) = np.flatnonzero(block == 0)
+    minus, plus = np.flatnonzero(block == n)
+    if n == 1:
+        pairs = {"plus_ground": (plus, ground), "minus_ground": (minus, ground)}
+    else:
+        minus_lo, plus_lo = np.flatnonzero(block == n - 1)
+        pairs = {
+            "plus_minus": (plus, minus_lo),
+            "minus_plus": (minus, plus_lo),
+            "plus_plus": (plus, plus_lo),
+            "minus_minus": (minus, minus_lo),
+        }
+    return DressedElements(
+        n=n,
+        quad={key: float(quad[to, frm]) for key, (frm, to) in pairs.items()},
+        dipole={key: float(dipole[to, frm]) for key, (frm, to) in pairs.items()},
+    )
+
+
+def trace_drift(states: np.ndarray) -> float:
+    """Largest |tr rho - 1| over a trajectory's (n_times, M, M) states."""
+    return float(np.max(np.abs(np.einsum("tii->t", states).real - 1.0)))
+
+
+def min_eigenvalue(states: np.ndarray) -> float:
+    """Lowest eigenvalue over a trajectory's (n_times, M, M) states."""
+    return float(np.linalg.eigvalsh(states)[:, 0].min())
 
 
 def build_edm(params: ModelParams) -> OperatorMatrix:

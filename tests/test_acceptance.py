@@ -36,6 +36,7 @@ from usc_relax.response import cavity_structure_factor, system_impedance, transm
 
 from oracles import (
     displacement_via_expm,
+    dressed_matrix_elements,
     fock_ladder,
     gibbs_state,
     shooting_levels,
@@ -404,7 +405,7 @@ def _element_devs():
 
     devs = []
     for n in (1, 2, 3, 4):
-        table = grwa.dressed_matrix_elements(params, n)
+        table = dressed_matrix_elements(params, n)
         if n == 1:
             pairs = {"plus_ground": ("plus_1", "ground"), "minus_ground": ("minus_1", "ground")}
         else:

@@ -19,10 +19,13 @@ from usc_relax.cli import _cmd_transmission, main
 from usc_relax.config import RunConfig, parse_config
 from usc_relax.dipole import WellParams, tla_parameters
 from usc_relax.dynamics import run_tunneling_oscillations
+from usc_relax.edm import EdmParams, saturation_number, validity_report
 from usc_relax.eigen import diagonalize
 from usc_relax.lindblad import BathSpec, build_liouvillian, liouvillian_gap
 from usc_relax.operators import ModelParams, default_n_fock, rabi_bands
 from usc_relax.response import cavity_structure_factor, system_impedance, transmission
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*argv: str) -> int:
@@ -276,6 +279,70 @@ def test_rabi_freq_table_matches_library(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# trust diagnostics in the headers
+# ---------------------------------------------------------------------------
+
+def header_values(path) -> dict[str, str]:
+    """The header's `name: value` lines (the config echo is `key = value`)."""
+    meta, _, _ = read_csv(path)
+    return dict(line.split(": ", 1) for line in meta if ": " in line)
+
+
+def test_edm_rates_header_prints_the_saturation_number(tmp_path):
+    out = tmp_path / "rates.csv"
+    assert run_cli(
+        "edm-rates", "--set", "edm.temperature = 2.0", "--set", "scan = omega, -2.0, 2.0, 5",
+        "--output", str(out),
+    ) == 0
+    p = EdmParams(temperature=2.0)
+    values = header_values(out)
+    assert float(values["saturation number"]) == saturation_number(p)
+    report = validity_report(p)
+    assert float(values["splitting omega_(k,k)"]) == report.splitting
+    assert float(values["thermal reference"]) == report.thermal_reference
+    assert int(values["resonance k"]) == report.k == 1
+
+
+def test_edm_rates_without_net_cooling_prints_none(tmp_path):
+    out = tmp_path / "rates.csv"
+    assert run_cli(
+        "edm-rates", "--set", "edm.epsilon = -1", "--set", "scan = omega, -2.0, 2.0, 5",
+        "--output", str(out),
+    ) == 0
+    assert header_values(out)["saturation number"] == "none"
+
+
+def test_shipped_cascade_is_outside_the_elimination_regime(tmp_path):
+    # gamma = 0.1 at g = 1 lies below Omega_(1,1) = 0.607, and the header says so
+    out = tmp_path / "cascade.csv"
+    assert run_cli(
+        "edm-evolve", "--config", str(ROOT / "experiments" / "edm_cascade.cfg"),
+        "--output", str(out),
+    ) == 0
+    meta, _, _ = read_csv(out)
+    values = header_values(out)
+    assert values["adiabatic elimination ok"] == "false"
+    assert values["usc ok"] == "true"
+    [warning] = [line for line in meta if line.startswith("validity warning: ")]
+    assert "adiabatic elimination of the cavity is not justified" in warning
+
+
+def test_evolve_header_prints_the_gates_collapse_deviation(tmp_path):
+    out = tmp_path / "evolve.csv"
+    assert run_cli("evolve", "--set", "model.g = 3.0", "--output", str(out)) == 0
+    _, columns, rows = read_csv(out)
+    values = header_values(out)
+    table = np.array(rows, dtype=float)
+    times, rescaled = table[:, columns.index("t")], table[:, columns.index("sx_rescaled")]
+    omega = float(values["fitted omega"])
+    # the benchmark gate's criterion-6 collapse, from the table alone
+    mask = times <= 3.0 * 2.0 * math.pi / omega
+    collapse = float(np.max(np.abs(rescaled[mask] - np.cos(omega * times[mask]) / 2.0)))
+    assert float(values["collapse deviation"]) == collapse
+    assert collapse < 0.1
+
+
+# ---------------------------------------------------------------------------
 # plumbing: formats, overrides, errors, stdout
 # ---------------------------------------------------------------------------
 
@@ -310,6 +377,22 @@ def test_config_file_plus_set_override(tmp_path):
     assert "model.g = 0.5" in meta
     assert "model.epsilon = 0.0" in meta
     assert float(rows[0][0]) == 0.5
+
+
+def test_set_coupling_resolves_the_files_auto_cutoff(tmp_path):
+    # --set lines are the file's last lines: its n_fock = auto follows the
+    # overriding g, as in one file holding both
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model.g = 2.5\nmodel.n_fock = auto\n")
+    joined = tmp_path / "joined.cfg"
+    joined.write_text(cfg.read_text() + "model.g = 4.0\n")
+    split, one = tmp_path / "split.csv", tmp_path / "one.csv"
+    assert run_cli(
+        "rabi-freq", "--config", str(cfg), "--set", "model.g = 4.0", "--output", str(split)
+    ) == 0
+    assert run_cli("rabi-freq", "--config", str(joined), "--output", str(one)) == 0
+    assert f"model.n_fock = {default_n_fock(4.0)}" in read_csv(split)[0]
+    assert split.read_text() == one.read_text().replace(str(one), str(split))
 
 
 def test_writes_to_stdout_by_default(capsys):

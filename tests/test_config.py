@@ -286,6 +286,23 @@ def test_override_resets_scan_list():
     assert c.scan == (ScanAxis(name="T", start=0.0, stop=1.0, points=4),)
 
 
+def test_file_overrides_are_the_files_last_lines(tmp_path):
+    # the file's n_fock = auto resolves from the overriding g, and a list
+    # override replaces the file's list, commented or not
+    path = tmp_path / "run.cfg"
+    path.write_text(
+        "model.g = 2.5\nmodel.n_fock = auto\n"
+        "bath = cavity, ohmic, 0.05, 1.0   # cavity\nbath = dipole, radiative, 0.2, 1.0\n"
+    )
+    c = load_config(path, ["model.g = 4.0", "bath = cavity, ohmic, 0.02, 1.0"])
+    assert c.model.n_fock == default_n_fock(4.0)
+    assert c.baths == (BathSpec(channel="cavity", law="ohmic", strength=0.02, ref_freq=1.0),)
+    path.write_text(path.read_text() + "model.n_fock = 50\n")
+    assert load_config(path, ["model.g = 4.0"]).model.n_fock == 50
+    with pytest.raises(ValueError, match="line 6: unknown key"):
+        load_config(path, ["bogus = 1"])
+
+
 def test_empty_overrides_are_identity():
     c = sample_config()
     assert apply_overrides(c, []) == c

@@ -93,8 +93,8 @@ def test_rescaled_curve_and_collapse(quick_run):
 
 
 def test_trajectory_sanity(quick_run):
-    assert quick_run.trajectory.trace_drift() < 1e-8
-    assert quick_run.trajectory.min_eigenvalue() > -1e-7
+    assert oracles.trace_drift(quick_run.trajectory.states) < 1e-8
+    assert oracles.min_eigenvalue(quick_run.trajectory.states) > -1e-7
     # dissipation never pushes |<s_x>| outside the physical band
     assert np.max(np.abs(quick_run.sx)) <= 0.5 + 1e-6
 

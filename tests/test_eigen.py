@@ -24,7 +24,7 @@ from oracles import (
 import usc_relax
 from usc_relax import eigen
 from usc_relax.eigen import EigenSystem, _fix_phases, certified_eigensystem, diagonalize
-from usc_relax.lindblad import Liouvillian, transition_lines
+from usc_relax.lindblad import Liouvillian, Trajectory, transition_lines
 from usc_relax.operators import (
     ModelParams,
     OperatorMatrix,
@@ -473,8 +473,10 @@ def test_the_eigensystem_is_the_one_level_count():
 
 
 # the dense operator world and the printed dressed-element table, which the
-# library no longer ships (tests/oracles.py has them), and the dressed-ladder
-# rate and pair paths that duplicated lindblad's coupling and rate assembly
+# library no longer ships (tests/oracles.py has them), the dressed-ladder
+# rate and pair paths that duplicated lindblad's coupling and rate assembly,
+# and the references only tests read: the dressed elements keyed by branch
+# and the block s_x element (inlined into its one test)
 MOVED_TO_ORACLES = (
     "build_rabi",
     "fock_ladder",
@@ -488,6 +490,9 @@ MOVED_TO_ORACLES = (
     "usc_rate_limits",
     "RateLimitRow",
     "symmetric_spectrum_and_hopfield",
+    "dressed_matrix_elements",
+    "DressedElements",
+    "block_sx_element",
 )
 
 
@@ -505,3 +510,5 @@ def test_no_library_module_binds_a_name_moved_to_the_oracles():
     assert len(modules) > 10
     assert bound == []
     assert not hasattr(Liouvillian, "matrix")
+    assert not hasattr(Trajectory, "trace_drift")
+    assert not hasattr(Trajectory, "min_eigenvalue")

@@ -10,10 +10,12 @@ The README's count of strict xfails is checked against the test files too.
 import ast
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
 
+import usc_relax
 from usc_relax.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -60,23 +62,121 @@ def test_readme_lists_exactly_the_experiment_configs():
         assert option(shlex.split(command), "--config") == f"experiments/{path.name}"
 
 
+def local_argv(command: str, tmp_path: Path) -> tuple[list[str], Path]:
+    """The command's cli.main argv, its --output moved under tmp_path, and that path."""
+    program, *argv = shlex.split(command)
+    assert program == "usc-relax"
+    if "--config" in argv:
+        config = argv.index("--config") + 1
+        argv[config] = str(ROOT / argv[config])
+    output = argv.index("--output") + 1
+    out = tmp_path / argv[output]
+    out.parent.mkdir(parents=True, exist_ok=True)
+    argv[output] = str(out)
+    return argv, out
+
+
 @pytest.mark.parametrize(
     "command", COMMANDS, ids=lambda c: Path(option(shlex.split(c), "--output")).stem
 )
 def test_experiment_command_writes_its_table(command, tmp_path):
-    program, subcommand, *rest = shlex.split(command)
-    assert program == "usc-relax"
-    argv = [subcommand, *rest]
-    config = argv.index("--config") + 1
-    argv[config] = str(ROOT / argv[config])
-    output = argv.index("--output") + 1
-    out = tmp_path / argv[output]
-    out.parent.mkdir(parents=True)
-    argv[output] = str(out)
+    argv, out = local_argv(command, tmp_path)
+    subcommand = argv[0]
     assert main(argv) == 0
     lines = out.read_text().splitlines()
     assert f"# columns: {','.join(COLUMNS[subcommand])}" in lines
     assert not lines[-1].startswith("#")   # at least one row
+
+
+CONFIG_LINE = re.compile(r"# [\w.]+ = ")
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_table_replays_from_its_own_header(path, tmp_path):
+    # the header's config echo is the whole run: fed back as the config file,
+    # it rewrites the table byte for byte, apart from where it was written
+    argv, out = local_argv(first_line_command(path), tmp_path / "first")
+    assert main(argv) == 0
+    table = out.read_text().splitlines(keepends=True)
+    echo = [line[2:] for line in table if CONFIG_LINE.match(line)]
+    assert any(line.startswith("model.g = ") for line in echo)
+    replayed = tmp_path / "replay.cfg"
+    replayed.write_text("".join(line for line in echo if not line.startswith("output = ")))
+    again = tmp_path / "again.csv"
+    assert main([argv[0], "--config", str(replayed), "--output", str(again)]) == 0
+    rewritten = again.read_text().splitlines(keepends=True)
+    assert len(rewritten) == len(table)
+    differ = [(a, b) for a, b in zip(table, rewritten) if a != b]
+    assert differ == [(f"# output = {out}\n", f"# output = {again}\n")]
+
+
+# every library function a table reaches is called by one of these runs: the
+# nine configs, plus the subcommands and branches no config takes
+PROFILED_RUNS = [first_line_command(path) for path in CONFIGS] + [
+    "usc-relax rabi-freq --output rabi_freq.csv",
+    "usc-relax spectrum --set model.epsilon=1.0 --set 'scan = g, 1.0, 2.0, 2' "
+    "--output spectrum_eps1.csv",
+    "usc-relax gap-scan --set 'scan = g, 0.5, 1.0, 2' --set 'bath = cavity, ohmic, 0.05, 1.0' "
+    "--format json --verbose --output gap.json",
+]
+
+# the library functions no table reaches, each kept for the reason given
+UNREACHED = {
+    "operators.build_polaron_rabi": "the benchmark gate solves its polaron reference with it",
+    "operators.displacement_matrix": "build_polaron_rabi's displacement blocks",
+    "operators.OperatorMatrix.__post_init__": "the shape check of the dense operators that "
+    "only build_polaron_rabi and the test oracles build",
+    "operators.OperatorMatrix.hermiticity_defect": "diagonalize's dense branch, which only "
+    "build_polaron_rabi's matrices take",
+    "operators._op": "wraps build_polaron_rabi's and displacement_matrix's arrays",
+    "lindblad.liouvillian_eigenvalues": "the full generator spectrum, kept until the cluster "
+    "generator of the secular-validity item decides whether it needs it",
+    "operators.ModelParams.auto": "the import-time default of run_tunneling_oscillations",
+    "eigen._rayleigh_ritz": "recovery of band-solve pairs split by about ten eps ||H||, "
+    "which no table's point reaches",
+}
+
+
+def library_functions(package: Path) -> set[str]:
+    """module.qualname of every def in the package's modules."""
+    found = set()
+
+    def walk(node: ast.AST, module: str, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.add(f"{module}.{prefix}{child.name}")
+                walk(child, module, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, module, f"{prefix}{child.name}.")
+            else:
+                walk(child, module, prefix)
+
+    for path in sorted(package.glob("*.py")):
+        walk(ast.parse(path.read_text()), path.stem, "")
+    return found
+
+
+def test_every_library_function_reaches_a_table(tmp_path):
+    package = Path(usc_relax.__file__).parent
+    reached = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            path = Path(frame.f_code.co_filename)
+            if path.parent == package:
+                reached.add(f"{path.stem}.{frame.f_code.co_qualname}")
+
+    runs = [local_argv(command, tmp_path)[0] for command in PROFILED_RUNS]
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        status = [main(argv) for argv in runs]
+    finally:
+        sys.setprofile(previous)
+    assert status == [0] * len(runs)
+    defined = library_functions(package)
+    assert len(defined) > 100 and len(reached & defined) > 100
+    assert sorted(defined - reached) == sorted(UNREACHED)
 
 
 COUNT_WORDS = ("zero", "one", "two", "three", "four", "five", "six", "seven", "eight", "nine", "ten")

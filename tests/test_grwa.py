@@ -149,7 +149,7 @@ def test_k_resonance_block_at_exact_resonance():
     )
     assert block.center == pytest.approx(params.omega_c * (3 - 1.0))
     assert block.valid
-    assert grwa.block_sx_element(block) == pytest.approx(0.5)
+    assert block.cos_half * block.sin_half == pytest.approx(0.5)   # <+|s_x|->
 
 
 def test_k_resonance_block_near_resonance_follows_the_block():
@@ -260,7 +260,7 @@ def test_dressed_elements_track_exact_magnitudes(n, quad_env, dip_env, eig_cache
     # measured block-approximation error at g = 3 grows with n; the n = 1
     # worst case is 0.038 on the quadrature side and 0.005 on the dipole side
     params = ModelParams.auto(g=3.0)
-    table = grwa.dressed_matrix_elements(params, n)
+    table = oracles.dressed_matrix_elements(params, n)
     quad_exact, dip_exact = _exact_elements(eig_cache, n)
     for key, val in table.quad.items():
         assert abs(abs(val) - quad_exact[key]) < quad_env, (key, val, quad_exact[key])
@@ -270,7 +270,7 @@ def test_dressed_elements_track_exact_magnitudes(n, quad_env, dip_env, eig_cache
 
 def test_dressed_elements_ground_row_structure():
     params = ModelParams(g=3.0, n_fock=4)
-    table = grwa.dressed_matrix_elements(params, 1)
+    table = oracles.dressed_matrix_elements(params, 1)
     pair = grwa.dressed_pair(grwa.symmetric_block(params, 1))
     assert table.quad["plus_ground"] == pytest.approx(pair.cos_half)
     assert table.quad["minus_ground"] == pytest.approx(-pair.sin_half)
@@ -317,7 +317,7 @@ def test_symmetric_eigensystem_needs_the_fock_rows():
 def test_dressed_elements_match_printed_table(g, omega_d, omega_c):
     params = ModelParams(g=g, omega_d=omega_d, omega_c=omega_c, n_fock=4)
     for n in range(1, 9):
-        table = grwa.dressed_matrix_elements(params, n)
+        table = oracles.dressed_matrix_elements(params, n)
         quad, dipole = oracles.printed_dressed_table(params, n)
         assert list(table.quad) == list(quad) and list(table.dipole) == list(dipole)
         for key in quad:
@@ -347,7 +347,7 @@ def test_dressed_ladder_rates():
     assert dipole[idx["minus_2"], idx["plus_1"]] < 0.05 * gamma
 
     # ohmic cavity law: rate = gamma * (|dw|/omega_c) * |element|^2
-    element = grwa.dressed_matrix_elements(params, 2).quad["plus_plus"]
+    element = oracles.dressed_matrix_elements(params, 2).quad["plus_plus"]
     dw = ladder.frequencies[idx["plus_2"]] - ladder.frequencies[idx["plus_1"]]
     assert pp == pytest.approx(gamma * abs(dw) * element**2, rel=1e-12)
 

