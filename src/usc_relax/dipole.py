@@ -194,40 +194,14 @@ def _sturm_count(v: np.ndarray, kin: float, upper: float) -> int:
     return int(m)
 
 
-def orient_levels(vecs: np.ndarray, energies: np.ndarray, tol: float) -> np.ndarray:
-    """Sign the unit rows of vecs by a rule that does not depend on rounding.
-
-    A row whose lobe integral sum(psi) is resolved is made to have it
-    positive.  Resolved means above sqrt(N) tol / gap, the bound on
-    sum(|delta psi|) for a vector with residual at most tol and a level
-    `gap` from the nearest other level solved for (sin theta <= tol / gap,
-    Davis-Kahan).  Otherwise, as for the odd states of a symmetric well,
-    whose integral is rounding, the first lobe to reach half the peak
-    amplitude is made positive.
-    """
-    out = vecs.copy()
-    for k, psi in enumerate(out):
-        others = np.abs(np.delete(energies, k) - energies[k])
-        gap = float(np.min(others)) if others.size else np.inf
-        total = float(psi.sum())
-        if gap > 0.0 and abs(total) > np.sqrt(len(psi)) * tol / gap:
-            flip = total < 0.0
-        else:
-            amp = np.abs(psi)
-            flip = psi[np.argmax(amp >= 0.5 * amp.max())] < 0.0
-        if flip:
-            psi *= -1.0
-    return out
-
-
 def solve_double_well(
     p: WellParams, n_levels: int = 4
 ) -> list[tuple[float, np.ndarray]]:
     """Lowest eigenpairs of -(1/2m) d^2/dx^2 + V(x) with hard walls.
 
-    Wavefunctions live on p.grid(), are L2-normalized with the grid weight
-    dx and signed by orient_levels: lobe integral positive where it is
-    resolved, else the first lobe to reach half the peak positive.
+    Wavefunctions live on p.grid() and are L2-normalized with the grid
+    weight dx; each carries the sign its inverse iteration ends with, which
+    nothing read from them depends on.
     """
     if n_levels < 1:
         raise ValueError("n_levels must be >= 1")
@@ -245,7 +219,7 @@ def solve_double_well(
             f"where {n_levels} were solved for"
         )
     out = []
-    for i, psi in enumerate(orient_levels(vecs, energies, tol)):
+    for i, psi in enumerate(vecs):
         edge = max(abs(psi[0]), abs(psi[-1])) / np.max(np.abs(psi))
         if edge > BOUNDARY_TOL:
             warnings.warn(
@@ -262,7 +236,7 @@ class TlaReport:
     """Two-level parameters extracted from the untilted double well."""
 
     omega_d: float      # tunneling splitting E_1 - E_0
-    x_10: float         # dipole element <1|x|0>, sign-fixed non-negative
+    x_10: float         # dipole element |<1|x|0>|, free of the vectors' signs
     epsilon: float      # well asymmetry 2 * tilt * x_10
     gap_ratio: float    # (E_2 - E_1) / (E_1 - E_0)
     valid: bool
@@ -282,9 +256,7 @@ def tla_parameters(p: WellParams) -> TlaReport:
     omega_d = e1 - e0
     if omega_d <= 0.0:
         raise RuntimeError("degenerate doublet: tunneling splitting is not resolvable")
-    x10 = float(psi1 @ (x * psi0) * dx)
-    if x10 < 0.0:
-        x10 = -x10
+    x10 = abs(float(psi1 @ (x * psi0) * dx))
     gap_ratio = (e2 - e1) / omega_d
     barrier = barrier_height(untilted)
     valid = gap_ratio > GAP_RATIO_MIN and e0 < barrier and e1 < barrier

@@ -222,13 +222,13 @@ def validity_report(p: EdmParams) -> EdmValidity:
     adiabatic_ok = p.gamma >= splitting
     if not adiabatic_ok:
         messages.append(
-            f"gamma={p.gamma:.3g} below the k={k} splitting {splitting:.3g}: "
+            f"gamma={p.gamma!r} below the k={k} splitting {float(splitting)!r}: "
             "adiabatic elimination of the cavity is not justified"
         )
     usc_ok = p.x >= 1.0
     if not usc_ok:
         messages.append(
-            f"g/omega_c={p.x:.3g} < 1: bare tunneling is not suppressed and the "
+            f"g/omega_c={p.x!r} < 1: bare tunneling is not suppressed and the "
             "dipole-only rate picture degrades"
         )
     return EdmValidity(

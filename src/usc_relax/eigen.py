@@ -1,13 +1,4 @@
-"""Hermitian diagonalization with deterministic phases.
-
-Eigenvectors out of LAPACK carry arbitrary phases (and arbitrary mixing
-inside degenerate subspaces), which makes downstream matrix elements
-irreproducible between runs.  diagonalize() pins the gauge: in every
-eigenvector the largest-magnitude component is made real and positive,
-with ties broken by the lowest index.  A real symmetric operator keeps
-real eigenvectors, whose gauge is then a sign.  Inside an exactly
-degenerate subspace no gauge rule fixes the basis, so there the vectors
-depend on the solver (band or dense).
+"""Hermitian diagonalization for the retained levels, certified in one operator.
 
 The truncation is two-tier: the master equation keeps only the lowest M
 eigenlevels, and an EigenSystem is exactly those levels.  diagonalize()
@@ -20,15 +11,22 @@ energy sigma, through a band Cholesky of the tail), and the inertia count
 of the fold proves that no level below sigma is missed.  On the folded
 block: one eigenvalues-only sweep (LAPACK dsbev), then inverse iteration
 for the vectors.  Padded with zeros, they must meet a residual bound in the
-whole band or the split grows; a solve that cannot meet it raises.  No
+whole band; a split that fails any check is dropped for the unsplit solve
+of the whole band, and a solve that cannot meet the bound raises.  No
 n x n reduction matrix is ever formed.  The dense branch, a full eigh,
 serves only reference operators: the polaron-frame builder, which the
 benchmark gate still solves, and the dense matrices of the test oracles.
 
+Eigenvectors carry no phase convention: each is whatever the solver
+returns, deterministic for a given operator.  Every quantity the library
+prints is invariant under a sign (or phase) per vector: |<n|X|m>|^2,
+observables of a state expressed in the same eigenbasis, |x_10|.
+
 certified_eigensystem() is the one production solve: it certifies the
 Fock truncation from the retained vectors themselves, with no second
-eigensolve.  Padded with zeros, each vector's residual in the operator at
-n_fock + FOCK_MARGIN must be at most CERTIFY_TOL, or the call raises.
+eigensolve and, for a band, no second operator.  Padded with zeros, each
+vector's residual in the untruncated operator must be at most CERTIFY_TOL,
+or the call raises.
 """
 
 from __future__ import annotations
@@ -46,28 +44,17 @@ from .operators import BandOperator, ModelParams, OperatorMatrix, rabi_bands
 
 HERMITICITY_TOL = 1e-10    # relative Frobenius asymmetry diagonalize() accepts
 CERTIFY_TOL = 1e-6         # residual norm, hence level error, a certified level may carry
-FOCK_MARGIN = 20           # extra Fock states of the operator the residuals are taken in
+FOCK_MARGIN = 20           # extra Fock states a dense operator's residuals are taken in
 RESIDUAL_TOL = 16.0        # band residual bound, in units of eps * ||H||
 MAX_SWEEPS = 4             # inverse-iteration sweeps before a band solve gives up
 
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """The retained levels: sorted eigenfrequencies and gauge-fixed eigenvectors."""
+    """The retained levels: sorted eigenfrequencies and their eigenvectors."""
 
     frequencies: np.ndarray  # (M,) the lowest levels solved for, ascending
     vectors: np.ndarray  # (dim, M); column n is the eigenvector of frequencies[n]
-
-
-def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    mags = np.abs(vectors)
-    cols = np.arange(vectors.shape[1])
-    # np.argmax returns the first maximum, which is the tie-break we want
-    lead = np.argmax(mags, axis=0)
-    peak = mags[lead, cols]
-    scale = np.ones(len(cols), dtype=vectors.dtype)
-    np.divide(peak, vectors[lead, cols], out=scale, where=peak != 0.0)
-    return vectors * scale
 
 
 def _band_matvec(bands: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -106,8 +93,9 @@ def _first_split(bands: np.ndarray, count: int) -> tuple[int, float]:
     term of <n|D(alpha)|K>,
         alpha^(n - K) e^(-alpha^2 / 2) sqrt(n! / K!) / (n - K)!,
     falls below RESIDUAL_TOL * eps, at two rows per photon.  This only picks
-    the start: _band_eigenpairs checks every split, so any band, Rabi or
-    not, is solved correctly; one that reads as no Rabi model starts unsplit.
+    the split: _band_eigenpairs checks it and falls back to the whole band,
+    so any band, Rabi or not, is solved correctly; one that reads as no Rabi
+    model is solved unsplit.
     """
     dim = bands.shape[1]
     omega_c = bands[0, 2] - bands[0, 1]
@@ -229,31 +217,29 @@ def _band_eigenpairs(bands: np.ndarray, count: int) -> tuple[np.ndarray, np.ndar
     F alone gets the eigenvalues-only sweep (LAPACK dsbev) and the stacked
     inverse iteration (_inverse_iteration).  Padded with zeros, its vectors
     must then meet RESIDUAL_TOL * eps * ||H|| in H itself, the boundary rows
-    H21 v included.  ||H|| is replaced by the largest band entry, a lower
-    bound on ||H||_2, so the check can only get tighter.  The split starts at
-    _first_split and grows by what the failed check measured: past twice
-    the depth at which the tail's Cholesky broke down; sigma one mean level
-    spacing above F's level `count` when too few lie below it; or, when the
-    boundary rows miss the bound, as many rows as the worst vector's mean
-    decay from its peak takes to absorb the excess.  d = dim is the unsplit
-    solve, with an empty tail.
+    H21 v included.  ||H|| is replaced by the largest in-band entry, a lower
+    bound on ||H||_2, so the check can only get tighter; the slots past the
+    last row are never read.  d and sigma come from _first_split.  A split
+    that fails any check (the tail's Cholesky, too few levels below sigma,
+    or the residual) is dropped for d = dim, the unsplit solve of the whole
+    band with an empty tail.
     """
     half, dim = bands.shape[0] - 1, bands.shape[1]
-    # the largest entry bounds ||H||_2 below; positive even for a zero band
-    eps_norm = max(np.finfo(float).eps * np.max(np.abs(bands)), np.finfo(float).tiny)
+    # the largest in-band entry bounds ||H||_2 below; positive even for a zero band
+    scale = max(np.max(np.abs(bands[k, : dim - k]), initial=0.0) for k in range(half + 1))
+    eps_norm = max(np.finfo(float).eps * scale, np.finfo(float).tiny)
     tol = RESIDUAL_TOL * eps_norm
-    rows, sigma = _first_split(bands, count)
-    while True:
-        rows = min(max(rows, count, half), dim)
-        if rows > dim - half:   # a tail shorter than the band saves nothing
-            rows = dim
+    split, sigma = _first_split(bands, count)
+    split = min(max(split, count, half), dim)
+    if split > dim - half:   # a tail shorter than the band saves nothing
+        split = dim
+    for rows in (split, dim):   # the unsplit solve, rows = dim, returns or raises
         block = bands[:, :rows]
         if rows < dim:
             tail = bands[:, rows:].copy()
             tail[0] -= sigma
             factor, info = dpbtrf(tail, lower=1, overwrite_ab=1)
-            if info > 0:   # a level below sigma within the tail's first `info` rows
-                rows += 2 * info
+            if info > 0:   # a level below sigma in the tail
                 continue
             # H21 is nonzero only in its first h rows and last h columns
             coupling = np.zeros((dim - rows, half))
@@ -270,7 +256,6 @@ def _band_eigenpairs(bands: np.ndarray, count: int) -> tuple[np.ndarray, np.ndar
         if info != 0:
             raise LinAlgError(f"dsbev failed to converge (info={info})")
         if rows < dim and not w[count - 1] < sigma:
-            sigma = w[count - 1] + max((w[count - 1] - w[0]) / count, eps_norm)
             continue
         freqs = w[:count]
         start = _start_vectors(count, dim)[:, :rows]
@@ -282,24 +267,12 @@ def _band_eigenpairs(bands: np.ndarray, count: int) -> tuple[np.ndarray, np.ndar
         padded[:rows] = vecs
         ext = rows + half
         residual = _band_matvec(bands[:, :ext], padded[:ext]) - padded[:ext] * freqs
-        norms = np.einsum("ij,ij->j", residual, residual)
-        worst = np.argmax(norms)
-        if norms[worst] <= tol * tol:
+        if np.all(_column_norms2(residual) <= tol * tol):
             return freqs, padded
-        # the worst vector falls from its peak to the boundary at some mean rate
-        # per row; past the turning point it only falls faster, so that rate
-        # carries it the residual's excess within the rows added
-        amp = np.abs(vecs[:, worst])
-        peak, edge = np.argmax(amp), np.max(amp[-half:])
-        if not 0.0 < edge < amp[peak]:
-            rows = dim
-            continue
-        log_excess = 0.5 * math.log(norms[worst] / (tol * tol))
-        rows += max(half, math.ceil((rows - peak) * log_excess / math.log(amp[peak] / edge)))
 
 
 def diagonalize(op: OperatorMatrix | BandOperator, levels: int | None = None) -> EigenSystem:
-    """Sorted lowest `levels` eigenpairs (all of them by default), gauge-fixed.
+    """Sorted lowest `levels` eigenpairs (all of them by default).
 
     A BandOperator is solved for those levels only (_band_eigenpairs), and
     its vectors are mapped back to the library basis.  A dense operator
@@ -327,23 +300,23 @@ def diagonalize(op: OperatorMatrix | BandOperator, levels: int | None = None) ->
             h = h.real
         freqs, vecs = np.linalg.eigh(h)
         freqs, vecs = freqs[:count], vecs[:, :count]
-    return EigenSystem(frequencies=freqs, vectors=_fix_phases(vecs))
+    return EigenSystem(frequencies=freqs, vectors=vecs)
 
 
 def _padding_residuals(
-    big: OperatorMatrix | BandOperator, eig: EigenSystem, kept: np.ndarray
+    big: OperatorMatrix | np.ndarray, eig: EigenSystem, rows: np.ndarray
 ) -> np.ndarray:
     """Per-level norm of big @ pad(v) - w pad(v), the retained levels' full residuals.
 
-    kept lists, in order, the rows of big's library basis that the smaller
-    truncation keeps; pad() places the vectors there, with zeros elsewhere.
-    A band operator is multiplied in its band order, a dense one by its
-    entries.
+    big is a dense operator, or a band in lower storage multiplied in its
+    own row order.  rows lists, in the order of the library basis, the rows
+    of big that hold the retained vectors; pad() places them there, with
+    zeros elsewhere.
     """
-    band = isinstance(big, BandOperator)
-    padded = np.zeros((big.dim, len(eig.frequencies)), dtype=eig.vectors.dtype)
-    padded[big.to_library[kept] if band else kept] = eig.vectors
-    product = _band_matvec(big.bands, padded) if band else big.entries @ padded
+    band = isinstance(big, np.ndarray)
+    padded = np.zeros((big.shape[1] if band else big.dim, len(eig.frequencies)), eig.vectors.dtype)
+    padded[rows] = eig.vectors
+    product = _band_matvec(big, padded) if band else big.entries @ padded
     return np.linalg.norm(product - padded * eig.frequencies, axis=0)
 
 
@@ -354,28 +327,38 @@ def certified_eigensystem(
 ) -> EigenSystem:
     """The lowest `levels` at params.n_fock, certified by their own residuals.
 
-    One solve, diagonalize(builder(params), levels).  Each retained vector,
-    padded with zeros, is multiplied by the builder's operator at
-    params.n_fock + FOCK_MARGIN, of which the solved operator is the leading
-    block in every matter sector.  The residual norm bounds the distance
-    from the level to the nearest eigenvalue of that larger operator, with
-    no separation estimate needed (the Hermitian residual bound; Parlett,
-    The Symmetric Eigenvalue Problem).  The whole residual is formed
-    (_padding_residuals): within the block it is the solver's own,
-    O(eps ||H||), and on the added rows, for rabi_bands, the g sqrt(N)/2
-    coupling out of photon N - 1.  A band solve folded at a split below
-    N - 1 (_band_eigenpairs) leaves its vectors exactly zero from the split
-    on, so there the added rows contribute nothing and the residual is the
+    One build and one solve, diagonalize(builder(params), levels).  Each
+    retained vector, padded with zeros, is multiplied by the untruncated
+    operator, of which the solved one is the leading block in every matter
+    sector.  The residual norm bounds the distance from the level to the
+    nearest eigenvalue of that operator, with no separation estimate needed
+    (the Hermitian residual bound; Parlett, The Symmetric Eigenvalue
+    Problem).  The whole residual is formed (_padding_residuals): within the
+    block it is the solver's own, O(eps ||H||), and out of it the coupling
+    to the dropped photons.  A band needs no second build: continued by its
+    half-bandwidth, its slots past the last row are those couplings (for
+    rabi_bands, g sqrt(N)/2 out of photon N - 1), and the band reaches no
+    further.  A dense operator is rebuilt at params.n_fock + FOCK_MARGIN
+    instead.  A band solve folded at a split below N - 1 (_band_eigenpairs)
+    leaves its vectors exactly zero from the split on, so there the
+    coupling out of the block contributes nothing and the residual is the
     solver's own, which already includes the split's boundary rows.
     Raises if any level's residual exceeds CERTIFY_TOL; callers should
     enlarge n_fock rather than trust those levels.  The certificate only
     accepts or refuses: the returned eigensystem is the solve itself.
     """
-    eig = diagonalize(builder(params), levels)
-    n_big = params.n_fock + FOCK_MARGIN
-    sectors = np.arange(params.spin_n + 1)[:, None]
-    kept = (sectors * n_big + np.arange(params.n_fock)).ravel()
-    residuals = _padding_residuals(builder(replace(params, n_fock=n_big)), eig, kept)
+    op = builder(params)
+    eig = diagonalize(op, levels)
+    if isinstance(op, BandOperator):
+        # zero columns continue the band by its half-bandwidth, which reaches every
+        # row the untruncated operator couples the block to
+        big, rows = np.pad(op.bands, ((0, 0), (0, len(op.bands) - 1))), op.to_library
+    else:
+        n_big = params.n_fock + FOCK_MARGIN
+        big = builder(replace(params, n_fock=n_big))
+        sectors = np.arange(params.spin_n + 1)[:, None]
+        rows = (sectors * n_big + np.arange(params.n_fock)).ravel()
+    residuals = _padding_residuals(big, eig, rows)
     failed = np.count_nonzero(residuals > CERTIFY_TOL)
     if failed:
         raise ValueError(

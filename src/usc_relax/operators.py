@@ -196,9 +196,12 @@ def displacement_matrix(n_fock: int, x: float) -> OperatorMatrix:
 class BandOperator:
     """Real symmetric band matrix in LAPACK lower storage, with its basis map.
 
-    bands[k, j] = H[j + k, j] in the operator's own row order, with zeros
-    where j + k runs past the last row; row r of the library's matter-slow
-    basis is row to_library[r] of that order.
+    bands[k, j] = H[j + k, j] in the operator's own row order; row r of the
+    library's matter-slow basis is row to_library[r] of that order.  The
+    slots where j + k runs past the last row hold the couplings H[j + k, j]
+    of the untruncated operator out of the block (zero where there are
+    none): the solvers never read them, and the truncation certificate
+    takes its residual through them.
     """
 
     dim: int
@@ -216,7 +219,9 @@ def rabi_bands(params: ModelParams) -> BandOperator:
     and steps n by one (offset 2), epsilon flips s at fixed n and so links
     the chains (offset 1): the half-bandwidth is 2.  The library's
     matter-slow row s * n_fock + n maps to band row 2 n + (n + s) mod 2.
-    Built in O(n_fock); the photon numbers on the diagonal are exact integers.
+    The two slots past the last row, bands[2, -2:], hold g sqrt(N) / 2, the
+    coupling of photon N - 1 to the dropped photon N = n_fock.  Built in
+    O(n_fock); the photon numbers on the diagonal are exact integers.
     """
     if params.spin_n != 1:
         raise ValueError("the Rabi model is the two-level model; spin_n > 1 has no band builder")
@@ -227,7 +232,7 @@ def rabi_bands(params: ModelParams) -> BandOperator:
     bands[0, 0::2] = params.omega_c * n + zeeman
     bands[0, 1::2] = params.omega_c * n - zeeman
     bands[1, 0::2] = 0.5 * params.epsilon      # |n, 1 - s><n, s|, across the chains
-    bands[2, :-2] = 0.5 * params.g * np.repeat(np.sqrt(n[1:]), 2)   # |n, 1 - s><n - 1, s|
+    bands[2] = 0.5 * params.g * np.repeat(np.sqrt(n + 1.0), 2)   # |n + 1, 1 - s><n, s|
     s, m = np.divmod(np.arange(2 * n_fock), n_fock)   # library row s * n_fock + m
     to_library = 2 * m + (m + s) % 2
     return BandOperator(dim=2 * n_fock, bands=bands, to_library=to_library, label="H_rabi")

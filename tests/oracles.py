@@ -36,7 +36,7 @@ from scipy.linalg import eig_banded, eigh_tridiagonal, expm
 from scipy.optimize import brentq
 
 from usc_relax import grwa
-from usc_relax.dipole import RESIDUAL_TOL, WellParams, orient_levels, potential
+from usc_relax.dipole import WellParams, potential
 from usc_relax.eigen import EigenSystem, diagonalize
 from usc_relax.lindblad import boltzmann_weights, coupling_elements
 from usc_relax.operators import (
@@ -214,14 +214,12 @@ def tridiagonal_levels(p: WellParams, n_levels: int) -> list[tuple[float, np.nda
 
     scipy's eigh_tridiagonal (LAPACK dstebz, then dstein) on the same
     matrix the library solves, vectors L2-normalized with the grid weight
-    dx and signed by the library's orient_levels, which takes the residual
-    bound of the library's solve.
+    dx.
     """
     diag, off = well_matrix(p)
     energies, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, n_levels - 1))
-    tol = RESIDUAL_TOL * np.finfo(float).eps * (np.max(np.abs(diag)) + 2.0 * abs(off[0]))
     x = p.grid()
-    vecs = orient_levels(vecs.T, energies, tol) / np.sqrt(x[1] - x[0])
+    vecs = vecs.T / np.sqrt(x[1] - x[0])
     return [(float(e), psi) for e, psi in zip(energies, vecs)]
 
 

@@ -227,6 +227,14 @@ def test_validity_report_flags():
     assert bad.messages
 
 
+def test_validity_messages_print_the_numbers_they_compare():
+    # three significant digits would round g = 0.999 to "1 < 1"
+    report = validity_report(EdmParams(g=0.999, epsilon=1.0, gamma=0.1, temperature=0.0))
+    gamma_message, usc_message = report.messages
+    assert "g/omega_c=0.999 < 1" in usc_message
+    assert f"splitting {report.splitting!r}" in gamma_message
+
+
 # ---------------------------------------------------------------------------
 # ladder dynamics
 # ---------------------------------------------------------------------------

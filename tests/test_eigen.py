@@ -1,4 +1,4 @@
-"""Eigensolver wrapper: gauge fixing, hermiticity guard, truncation certification."""
+"""Eigensolver wrapper: band solve, hermiticity guard, truncation certification, sign freedom."""
 
 from __future__ import annotations
 
@@ -23,8 +23,20 @@ from oracles import (
 )
 import usc_relax
 from usc_relax import eigen
-from usc_relax.eigen import EigenSystem, _fix_phases, certified_eigensystem, diagonalize
-from usc_relax.lindblad import Liouvillian, Trajectory, transition_lines
+from usc_relax.dynamics import right_vacuum_state
+from usc_relax.eigen import EigenSystem, certified_eigensystem, diagonalize
+from usc_relax.lindblad import (
+    Liouvillian,
+    Trajectory,
+    build_liouvillian,
+    cavity_bath,
+    coupling_elements,
+    dipole_bath,
+    evolve,
+    liouvillian_gap,
+    project_pure_state,
+    transition_lines,
+)
 from usc_relax.operators import (
     ModelParams,
     OperatorMatrix,
@@ -32,6 +44,7 @@ from usc_relax.operators import (
     default_n_fock,
     rabi_bands,
 )
+from usc_relax.response import cavity_structure_factor, dipole_structure_factor
 
 
 def test_frequencies_match_numpy():
@@ -148,12 +161,12 @@ def test_band_solve_grows_a_first_split_that_fails_its_checks(monkeypatch, start
     monkeypatch.setattr(eigen, "dpbtrf", spy)
     swept = _swept_rows(monkeypatch)
     _assert_band_solve_matches_oracle(GAP_MAP_POINT, 24)
+    # a failed split grows to the whole band: the unsplit solve, with no tail to factor
+    dim = GAP_MAP_POINT.dim
     if start == "tail below sigma":
-        assert infos[0] > 0 and min(swept) > 16
-    elif start == "sigma below the levels":
-        assert infos[:2] == [0, 0] and swept[:2] == [rows, rows]
+        assert len(infos) == 1 and infos[0] > 0 and swept == [dim]
     else:
-        assert infos[0] == 0 and swept[0] == rows - 10 < swept[1]
+        assert infos == [0] and swept == [first[0], dim]
 
 
 def test_band_solve_survives_exact_degeneracy(monkeypatch):
@@ -225,7 +238,9 @@ def test_band_solve_of_every_level_equals_dense_eigh():
     w, v = np.linalg.eigh(build_rabi(params).entries)   # the band solver against the dense matrix
     assert band.vectors.shape == (params.dim, params.dim)
     assert np.all(np.abs(band.frequencies - w) <= 1e-12 * np.maximum(1.0, np.abs(w)))
-    assert np.max(np.abs(band.vectors - _fix_phases(v))) <= 1e-12
+    # the vectors agree up to a sign per column, which neither solver fixes
+    signs = np.sign(np.einsum("ij,ij->j", band.vectors, v))
+    assert np.max(np.abs(band.vectors - v * signs)) <= 1e-12
 
 
 def test_band_solve_leaves_the_bands_alone():
@@ -284,53 +299,48 @@ def test_vectors_reconstruct_operator():
     assert np.allclose(recon, op.entries, atol=1e-12)
 
 
-def test_phase_gauge_leading_component_positive():
+def test_dense_solve_keeps_the_entries_dtype():
     rng = np.random.default_rng(7)
     h = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
     # a complex Hermitian input, and a real symmetric one that keeps real vectors
     for entries in (h + h.conj().T, h.real + h.real.T):
         eig = diagonalize(OperatorMatrix(dim=40, entries=entries, label="random"))
         assert eig.vectors.dtype == entries.dtype
-        for n in range(40):
-            col = eig.vectors[:, n]
-            lead = int(np.argmax(np.abs(col)))
-            assert col[lead].imag == pytest.approx(0.0, abs=1e-14)
-            assert col[lead].real > 0.0
+        recon = (eig.vectors * eig.frequencies) @ eig.vectors.conj().T
+        assert np.allclose(recon, entries, atol=1e-12)
 
 
-def _fix_phases_per_column(vectors):
-    """The gauge rule one column at a time: the reference for _fix_phases."""
-    out = np.array(vectors, copy=True)
-    for n in range(out.shape[1]):
-        mags = np.abs(out[:, n])
-        lead = int(np.argmax(mags))
-        if mags[lead] != 0.0:
-            out[:, n] *= mags[lead] / out[lead, n]
-    return out
-
-
-def test_fix_phases_matches_per_column_rule():
-    rng = np.random.default_rng(5)
-    vecs = rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5))
-    vecs[:, 1] = [0.0, -0.5, 0.5j, 0.5, 0.1, 0.0]   # tie: the first index wins
-    vecs[:, 3] = 0.0                               # zero column stays as it is
-    for v in (vecs, vecs.real):
-        fixed = _fix_phases(v)
-        assert fixed.dtype == v.dtype
-        assert np.array_equal(fixed, _fix_phases_per_column(v))
-    assert _fix_phases(vecs)[1, 1] == 0.5
-    assert np.array_equal(_fix_phases(vecs)[:, 3], np.zeros(6))
-
-
-def test_phase_gauge_is_basis_stable():
-    # conjugating the matrix by a diagonal phase must not change the
-    # gauge-fixed vectors beyond that same phase, and eigenvalues not at all
-    rng = np.random.default_rng(3)
-    h = rng.normal(size=(12, 12))
-    h = h + h.T
-    eig_a = diagonalize(OperatorMatrix(dim=12, entries=h, label="a"))
-    eig_b = diagonalize(OperatorMatrix(dim=12, entries=h.copy(), label="b"))
-    assert np.array_equal(eig_a.vectors, eig_b.vectors)
+@settings(max_examples=20, deadline=None)
+@given(
+    flips=st.lists(st.booleans(), min_size=20, max_size=20),
+    g=st.sampled_from([1.0, 2.5]),
+    epsilon=st.sampled_from([0.0, 1.0]),
+)
+def test_no_printed_quantity_sees_an_eigenvector_sign(flips, g, epsilon):
+    # no solver fixes a sign per eigenvector, so every quantity a table
+    # prints must come out of either choice of signs to the same bits
+    params = ModelParams.auto(g=g, epsilon=epsilon)
+    eig = certified_eigensystem(params, 20)
+    flipped = EigenSystem(eig.frequencies, eig.vectors * np.where(flips, -1.0, 1.0))
+    baths = [cavity_bath(0.05), dipole_bath(0.2)]
+    omegas = np.linspace(0.05, 3.0, 60)
+    psi = right_vacuum_state(params)
+    times = np.linspace(0.0, 200.0, 50)
+    out = []
+    for e in (eig, flipped):
+        lv = build_liouvillian(e, params, baths, temperature=0.1)
+        rho0, deficit = project_pure_state(e, psi)
+        sx = evolve(lv, rho0, times, {"sx": coupling_elements(e, params, "dipole")})
+        out.append((
+            lv.rates,
+            liouvillian_gap(lv),
+            cavity_structure_factor(e, params, 0.2, omegas, 0.01).values,
+            dipole_structure_factor(e, params, 0.2, omegas, 0.01).values,
+            sx.observables["sx"],
+            deficit,
+        ))
+    for a, b in zip(*out):
+        assert np.array_equal(a, b)
 
 
 def test_rejects_non_hermitian():
@@ -365,26 +375,46 @@ def test_certified_eigensystem_rejects_undertruncation():
 
 
 def test_certified_eigensystem_solves_once(monkeypatch):
-    solves = []
+    # one build and one solve: the band certificate needs no second operator
+    solves, builds = [], []
     solve = eigen.diagonalize
 
     def spy(*args, **kwargs):
         solves.append(args)
         return solve(*args, **kwargs)
 
+    def builder(params):
+        builds.append(params)
+        return rabi_bands(params)
+
     monkeypatch.setattr(eigen, "diagonalize", spy)
     params = ModelParams(g=2.0, epsilon=1.0, n_fock=40)
-    eig = certified_eigensystem(params, levels=24)
-    assert len(solves) == 1
+    eig = certified_eigensystem(params, levels=24, builder=builder)
+    assert len(solves) == 1 and builds == [params]
     assert np.array_equal(eig.frequencies, solve(rabi_bands(params), 24).frequencies)
 
 
 @pytest.mark.parametrize("builder", [rabi_bands, build_rabi, build_polaron_rabi])
 @pytest.mark.parametrize(("g", "epsilon", "n_fock"), [(3.0, 0.0, 14), (3.0, 2.0, 40), (6.0, 0.0, 60)])
-def test_padding_residuals_are_the_padded_vectors_full_residuals(builder, g, epsilon, n_fock):
-    # band order and dense entries alike, against the whole product in the larger operator;
-    # the dense builders are the oracle's lab-frame matrix and the polaron reference
+def test_padding_residuals_are_the_padded_vectors_full_residuals(
+    monkeypatch, builder, g, epsilon, n_fock
+):
+    # the certificate's residuals, from the continued band or the dense operator
+    # rebuilt at n_fock + FOCK_MARGIN, against the whole product in the dense
+    # matrix at that larger cutoff; the dense builders are the oracle's
+    # lab-frame matrix and the polaron reference
+    residuals = []
+    padding = eigen._padding_residuals
+
+    def spy(*args):
+        residuals.append(padding(*args))
+        return residuals[-1]
+
+    monkeypatch.setattr(eigen, "_padding_residuals", spy)
     params = ModelParams(g=g, epsilon=epsilon, n_fock=n_fock)
+    with pytest.raises(ValueError, match="increase the truncation"):
+        certified_eigensystem(params, 20, builder)   # each point has a level it refuses
+    [cheap] = residuals
     eig = diagonalize(builder(params), 20)
     big = replace(params, n_fock=n_fock + eigen.FOCK_MARGIN)
     kept = (np.arange(2)[:, None] * big.n_fock + np.arange(n_fock)).ravel()
@@ -392,9 +422,20 @@ def test_padding_residuals_are_the_padded_vectors_full_residuals(builder, g, eps
     padded = np.zeros((big.dim, 20), dtype=eig.vectors.dtype)
     padded[kept] = eig.vectors
     full = np.linalg.norm(h @ padded - padded * eig.frequencies, axis=0)
-    cheap = eigen._padding_residuals(builder(big), eig, kept)
-    assert np.max(full) > 1e-6   # each point has a level the certificate refuses
     assert np.max(np.abs(cheap - full)) <= 1e-12 * max(1.0, np.max(full))
+
+
+def test_the_band_slots_past_the_last_row_are_never_solved_with():
+    # at g = 6, n_fock = 8 the coupling out of the block, g sqrt(8) / 2 = 8.49,
+    # exceeds every in-band entry, so a solver that read it would change
+    op = rabi_bands(ModelParams(g=6.0, epsilon=0.5, n_fock=8))
+    assert op.bands[2, -1] > max(np.max(np.abs(op.bands[k, : op.dim - k])) for k in range(3))
+    cut = op.bands.copy()
+    cut[2, -2:] = 0.0
+    for levels in (4, op.dim):
+        a, b = diagonalize(op, levels), diagonalize(replace(op, bands=cut), levels)
+        assert np.array_equal(a.frequencies, b.frequencies)
+        assert np.array_equal(a.vectors, b.vectors)
 
 
 def test_certificate_sees_error_inside_the_block(monkeypatch):

@@ -146,6 +146,16 @@ def test_rabi_bands_expand_to_the_four_term_sum(kwargs):
     assert np.array_equal(build_rabi(params).entries, ref)
 
 
+@pytest.mark.parametrize("n_fock", [2, 8, 89])
+def test_rabi_bands_past_the_last_row_hold_the_coupling_out_of_the_block(n_fock):
+    params = ModelParams(g=2.3, epsilon=0.7, n_fock=n_fock)
+    band = rabi_bands(params)
+    # both parity chains' photon N - 1 couple to the dropped photon N; epsilon
+    # links the chains at a fixed photon, so nothing leaves through offset 1
+    assert np.array_equal(band.bands[2, -2:], np.full(2, 0.5 * params.g * np.sqrt(n_fock)))
+    assert band.bands[1, -1] == 0.0
+
+
 def test_rabi_spectrum_even_in_g_at_zero_asymmetry():
     base = ModelParams(g=1.3, epsilon=0.0, n_fock=50)
     flipped = ModelParams(g=-1.3, epsilon=0.0, n_fock=50)
