@@ -266,7 +266,7 @@ def effective_dipole_evolve(p: EdmParams, m0: int, times: np.ndarray) -> Traject
     rho0 = np.zeros((p.n_boson, p.n_boson), dtype=complex)
     rho0[m0, m0] = 1.0
     traj = evolve(lv, rho0, times, observables={"excitation": np.diag(n).astype(complex)})
-    top = float(np.max(traj.states[:, p.n_boson - 1, p.n_boson - 1].real))
+    top = float(np.max(traj.populations[:, -1].real))
     if top > 1e-6:
         warnings.warn(
             f"top-rung population reached {top:.2e}; raise n_boson",

@@ -15,8 +15,11 @@ a Pauli rate matrix W on the populations plus an independent exponential
 decay of each coherence (Breuer & Petruccione, The Theory of Open Quantum
 Systems).  The gap and the time evolution come from those two M x M
 blocks, so the cost scales as M^3.  evolve pays one expm of W per distinct
-time step and, since lam_ji = conj(lam_ij), one exponential per time and
-unordered coherence pair that the initial state occupies.
+time step for the populations.  Each coherence decay factors per level,
+exp(lam_ij t) = a_i(t) conj(a_j(t)), so it pays one exponential per time
+and level that a coherence of the initial state touches, and it reads the
+observables off the populations and those phases without forming any
+state: a trajectory is its populations plus the observables asked for.
 
 The spectrum and the gap do not diagonalize W itself.  Detailed balance,
 k_ij pi_j = k_ji pi_i with pi the Boltzmann weights, makes W similar to the
@@ -32,8 +35,9 @@ the ultrastrong regime the true gap falls below it, and the eigensolve
 then returns rounding, not the gap.  Both rate blocks use one Boltzmann
 factor, e^{-w/T}, taken as zero at T = 0 and past w/T > 700.
 
-The dense M^2 x M^2 superoperator, the steady state and the Gibbs state
-are not formed here; the test oracles rebuild them as independent checks.
+The dense M^2 x M^2 superoperator, the steady state, the Gibbs state and
+the dense states of a trajectory are not formed here; the test oracles
+rebuild them as independent checks.
 
 Truncation is two-tier: the Hamiltonian is built at full n_fock, but only
 its lowest M eigenlevels are solved for and kept for the master equation.
@@ -57,7 +61,7 @@ from .eigen import EigenSystem
 from .operators import ModelParams
 
 DEGENERACY_TOL = 1e-9      # |w_mn|/omega_c treated as an exact degeneracy
-STATIONARY_TOL = 1e-9      # |eigenvalue| identifying the steady-state mode
+STATIONARY_TOL = 10.0      # |eigenvalue| identifying the steady-state mode, in units of M eps ||S||_2
 BALANCE_RTOL = 1e-13       # rate-pair mismatch taken as rounding; build_liouvillian's is a few ulps
 GAP_FLOOR = 1e3            # smallest reportable population gap, in units of eps * ||S||_2
 
@@ -301,18 +305,22 @@ def liouvillian_gap(lv: Liouvillian) -> float:
     of zero, ||S||_2 being |lowest eigenvalue|: eigvalsh holds no more
     absolute precision than eps ||S||_2, so such a gap has no digit to report.
     Raises ValueError for that and if the rates break detailed balance, and
-    RuntimeError if the largest eigenvalue of S is not within 1e-9 of zero,
-    which would mean the assembly broke trace preservation.
+    RuntimeError if the largest eigenvalue of S is not within
+    STATIONARY_TOL M eps ||S||_2 of zero, which would mean the assembly broke
+    trace preservation; that tolerance scales with the rates, so rates
+    multiplied by any factor c give c times the gap.
     """
     sym, out = _symmetrized(lv)
     pops = np.linalg.eigvalsh(sym)                # ascending
-    if abs(pops[-1]) > STATIONARY_TOL:
+    eps_norm = np.finfo(float).eps * abs(pops[0])
+    if abs(pops[-1]) > STATIONARY_TOL * lv.m_levels * eps_norm:
         raise RuntimeError(
-            f"no stationary eigenvalue found (largest population eigenvalue {pops[-1]:.2e})"
+            f"no stationary eigenvalue found (largest population eigenvalue {pops[-1]:.2e}, "
+            f"{STATIONARY_TOL:g} M eps ||S|| = {STATIONARY_TOL * lv.m_levels * eps_norm:.2e})"
         )
     g1, g2 = np.partition(out, 1)[:2]
     coherence = -(g1 + g2) / 2.0
-    floor = GAP_FLOOR * np.finfo(float).eps * abs(pops[0])
+    floor = GAP_FLOOR * eps_norm
     if pops[-2] >= coherence and abs(pops[-2]) < floor:
         raise ValueError(
             f"gap {pops[-2]:.3e} is below the float64 floor {floor:.3e} "
@@ -334,10 +342,10 @@ def boltzmann_weights(level_freqs: np.ndarray, temperature: float) -> np.ndarray
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-evolved states in the retained eigenbasis plus named observables."""
+    """Populations in the retained eigenbasis on the time grid plus named observables."""
 
     times: np.ndarray
-    states: np.ndarray               # (n_times, M, M)
+    populations: np.ndarray          # (n_times, M): the diagonal of rho(t)
     observables: dict[str, np.ndarray] = field(default_factory=dict)
     projection_deficit: float = 0.0  # initial-state weight lost to truncation
 
@@ -358,34 +366,6 @@ def _populations(w_gen: np.ndarray, p0: np.ndarray, times: np.ndarray) -> np.nda
     return pops
 
 
-def _coherences(lam: np.ndarray, rho0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """rho_ij(0) exp(lam_ij t) for i != j on the grid, as (T, M, M) with a zero diagonal.
-
-    One exponential per time and unordered pair that rho0 occupies; the
-    mirror entry uses its conjugate.  Each value is written once into a
-    (T, 1 + 2 pairs) table whose first column is zero, and the states are
-    one gather from it, so no array is larger than the states.
-    """
-    m = len(lam)
-    upper, lower = np.triu_indices(m, 1)
-    occupied = (rho0[upper, lower] != 0) | (rho0[lower, upper] != 0)
-    upper, lower = upper[occupied], lower[occupied]
-    pairs = len(upper)
-    table = np.empty((len(times), 1 + 2 * pairs), dtype=np.result_type(rho0, lam))
-    table[:, 0] = 0.0
-    ij, ji = table[:, 1 : pairs + 1], table[:, pairs + 1 :]
-    # operands in the order of rho0 * exp(lam t), whose values these equal bit for bit
-    np.multiply(lam[upper, lower], (times - times[0])[:, None], out=ij)
-    np.exp(ij, out=ij)
-    np.conjugate(ij, out=ji)
-    np.multiply(rho0[upper, lower], ij, out=ij)
-    np.multiply(rho0[lower, upper], ji, out=ji)
-    column = np.zeros(m * m, dtype=np.intp)   # the table column each entry reads
-    column[upper * m + lower] = np.arange(1, pairs + 1)
-    column[lower * m + upper] = np.arange(pairs + 1, 2 * pairs + 1)
-    return table.take(column, axis=1).reshape(len(times), m, m)
-
-
 def evolve(
     lv: Liouvillian,
     rho0: np.ndarray,
@@ -401,12 +381,17 @@ def evolve(
     it costs a handful, not one: 9 and 12 for the k = 1 and k = 2
     tunneling runs at g = 3.
 
-    Each coherence is rho_ij(0) exp(lam_ij t), formed once per unordered
-    pair i < j: lam_ji = conj(lam_ij) bit for bit, and so are its products
-    with t and their exponentials, so the mirror entry is
-    rho_ji(0) conj(exp(lam_ij t)).  A pair empty in rho0 stays exactly 0
-    and costs no exponential: the tunneling runs (M = 20, 390 times) take
-    74,100 instead of M^2 T = 156,000, the edm ladder (diagonal rho0) none.
+    The coherences are never formed.  Each decays as rho_ij(0) exp(lam_ij t),
+    and lam_ij = mu_i + conj(mu_j) with mu_i = -G_i/2 - i(w_i - w_0), w_0 the
+    lowest retained level, so an observable X reads
+
+        sum_i X_ii p_i(t) + sum_(i != j) conj(a_i(t)) X_ij rho_ji(0) a_j(t),
+
+    with a_i(t) = exp(mu_i t).  That takes one exponential per time and level
+    in a pair rho0 occupies (none for a diagonal rho0).  Taken from w_0,
+    |mu_i| is at most the retained spectral width plus G_i/2, so the product
+    a_i conj(a_j) is within a few eps (|mu_i| + |mu_j|) t of exp(lam_ij t).
+    Observables are taken only when asked for.
     """
     m = lv.m_levels
     if rho0.shape != (m, m):
@@ -414,17 +399,26 @@ def evolve(
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) < 2 or np.any(np.diff(times) <= 0.0):
         raise ValueError("times must be a strictly ascending 1-D grid")
-    states = _coherences(lv.coherence_rates, rho0, times)
-    diagonals = states.reshape(len(times), m * m)[:, :: m + 1]   # a view
-    diagonals[...] = _populations(lv.population_generator, np.diag(rho0), times)
+    for name, op in (observables or {}).items():
+        if op.shape != (m, m):
+            raise ValueError(f"observable {name!r} shape {op.shape} != ({m}, {m})")
+    pops = _populations(lv.population_generator, np.diag(rho0), times)
     obs = {}
     if observables:
+        off = (rho0 != 0) & ~np.eye(m, dtype=bool)
+        levels = np.flatnonzero(off.any(axis=0) | off.any(axis=1))
+        pairs = np.ix_(levels, levels)
+        w = lv.level_freqs
+        mu = -lv.rates.sum(axis=0)[levels] / 2.0 - 1j * (w[levels] - w.min())
+        phases = np.exp(np.multiply.outer(times - times[0], mu))   # a_i(t)
         for name, op in observables.items():
-            if op.shape != (m, m):
-                raise ValueError(f"observable {name!r} shape {op.shape} != ({m}, {m})")
-            obs[name] = np.einsum("ij,tji->t", op, states).real
+            weights = op[pairs] * rho0[pairs].T                    # X_ij rho_ji(0)
+            np.fill_diagonal(weights, 0.0)
+            # einsum loops, not matmul: a complex BLAS product wakes its thread pool
+            coherent = np.einsum("ti,ti->t", phases.conj(), np.einsum("ij,tj->ti", weights, phases))
+            obs[name] = (np.einsum("i,ti->t", np.diag(op), pops) + coherent).real
     return Trajectory(
-        times=times, states=states, observables=obs, projection_deficit=projection_deficit
+        times=times, populations=pops, observables=obs, projection_deficit=projection_deficit
     )
 
 

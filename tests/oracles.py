@@ -21,7 +21,8 @@ Gibbs state, and a steady state taken from the kernel of the rate matrix.
 So does the printed table of dressed-state transition elements, written
 out by hand, and the same elements read with the library's coupling code
 off its dressed ladder (dressed_matrix_elements), which no table prints.
-So do the trace and positivity checks of an evolved trajectory.
+So do the dense states of an evolved trajectory, which the library
+never forms, and their trace and positivity checks.
 """
 
 from __future__ import annotations
@@ -526,9 +527,23 @@ def dressed_matrix_elements(params: ModelParams, n: int) -> DressedElements:
     )
 
 
-def trace_drift(states: np.ndarray) -> float:
-    """Largest |tr rho - 1| over a trajectory's (n_times, M, M) states."""
-    return float(np.max(np.abs(np.einsum("tii->t", states).real - 1.0)))
+def dense_states(lv, rho0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The (n_times, M, M) states of an evolved trajectory, each formed whole.
+
+    Each coherence is rho0_ij exp(lam_ij t) with the pair's own rate lam_ij,
+    and the populations are expm(W t) p0 at each time, not stepped: the
+    reference for evolve's per-level phases and its stepped populations.
+    """
+    t = np.asarray(times, dtype=float) - times[0]
+    states = rho0 * np.exp(lv.coherence_rates * t[:, None, None])
+    diagonal = np.arange(lv.m_levels)
+    states[:, diagonal, diagonal] = [expm(lv.population_generator * dt) @ np.diag(rho0) for dt in t]
+    return states
+
+
+def trace_drift(populations: np.ndarray) -> float:
+    """Largest |sum_i p_i - 1| over a trajectory's (n_times, M) populations."""
+    return float(np.max(np.abs(populations.sum(axis=1).real - 1.0)))
 
 
 def min_eigenvalue(states: np.ndarray) -> float:

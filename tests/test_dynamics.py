@@ -93,8 +93,14 @@ def test_rescaled_curve_and_collapse(quick_run):
 
 
 def test_trajectory_sanity(quick_run):
-    assert oracles.trace_drift(quick_run.trajectory.states) < 1e-8
-    assert oracles.min_eigenvalue(quick_run.trajectory.states) > -1e-7
+    assert oracles.trace_drift(quick_run.trajectory.populations) < 1e-8
+    # the run's own generator and initial state, rebuilt for the oracle's dense states
+    params = quick_run.params
+    eig = certified_eigensystem(params, levels=16)
+    baths = [cavity_bath(quick_run.gamma), dipole_bath(4.0 * quick_run.gamma)]
+    lv = build_liouvillian(eig, params, baths, temperature=0.0)
+    rho0, _ = project_pure_state(eig, right_vacuum_state(params))
+    assert oracles.min_eigenvalue(oracles.dense_states(lv, rho0, quick_run.times)) > -1e-7
     # dissipation never pushes |<s_x>| outside the physical band
     assert np.max(np.abs(quick_run.sx)) <= 0.5 + 1e-6
 

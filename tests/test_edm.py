@@ -263,7 +263,7 @@ def test_thermal_ladder_reaches_saturation():
     traj = effective_dipole_evolve(p, 2, times)
     final = traj.observables["excitation"][-1]
     assert final == pytest.approx(saturation_number(p), abs=2e-6)
-    assert oracles.trace_drift(traj.states) < 1e-9
+    assert oracles.trace_drift(traj.populations) < 1e-9
 
 
 def test_truncation_leak_warning_fires():

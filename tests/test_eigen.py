@@ -517,7 +517,8 @@ def test_the_eigensystem_is_the_one_level_count():
 # library no longer ships (tests/oracles.py has them), the dressed-ladder
 # rate and pair paths that duplicated lindblad's coupling and rate assembly,
 # and the references only tests read: the dressed elements keyed by branch
-# and the block s_x element (inlined into its one test)
+# and the block s_x element (inlined into its one test), and the dense states
+# of an evolved trajectory with the pairwise coherences that filled them
 MOVED_TO_ORACLES = (
     "build_rabi",
     "fock_ladder",
@@ -534,6 +535,8 @@ MOVED_TO_ORACLES = (
     "dressed_matrix_elements",
     "DressedElements",
     "block_sx_element",
+    "dense_states",
+    "_coherences",
 )
 
 
@@ -553,3 +556,6 @@ def test_no_library_module_binds_a_name_moved_to_the_oracles():
     assert not hasattr(Liouvillian, "matrix")
     assert not hasattr(Trajectory, "trace_drift")
     assert not hasattr(Trajectory, "min_eigenvalue")
+    assert [f.name for f in fields(Trajectory)] == [
+        "times", "populations", "observables", "projection_deficit"
+    ]

@@ -131,6 +131,8 @@ UNREACHED = {
     "operators._op": "wraps build_polaron_rabi's and displacement_matrix's arrays",
     "lindblad.liouvillian_eigenvalues": "the full generator spectrum, kept until the cluster "
     "generator of the secular-validity item decides whether it needs it",
+    "lindblad.Liouvillian.coherence_rates": "the coherence block of liouvillian_eigenvalues "
+    "and of the oracles' dense generators; evolve takes per-level phases instead",
     "operators.ModelParams.auto": "the import-time default of run_tunneling_oscillations",
     "eigen._rayleigh_ritz": "recovery of band-solve pairs split by about ten eps ||H||, "
     "which no table's point reaches",
