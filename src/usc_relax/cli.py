@@ -10,10 +10,14 @@ saturation number).  Nothing is plotted; outputs are tables.
 gap-scan, spectrum, transmission and dipole-response are point maps: each
 gives scan.map_points a function returning one point's columns.  Every
 point a table reports is solved by eigen.certified_eigensystem, so its
-levels are certified against the Fock truncation.  A gap-scan point that
-fails becomes a NaN row counted in "failed points"; in every other
-subcommand the failure ends the run with exit status 2.  model.n_fock =
-auto is resolved from the base g, so a g scan that outgrows it fails.
+levels are certified against the Fock truncation; transmission and
+dipole-response are even in epsilon, so they solve every distinct |epsilon|
+once, at +|epsilon|, and a mirrored point reuses its values.  A gap-scan
+point that raises ValueError (a declared refusal, LinAlgError included)
+becomes a NaN row counted in "failed points"; any other error ends the
+scan, and in every other subcommand a failing point ends the run with exit
+status 2.  model.n_fock = auto is resolved from the base g, so a g scan
+that outgrows it fails.
 """
 
 from __future__ import annotations
@@ -112,17 +116,25 @@ def _response_map(config: RunConfig, kind: str, structure_factor, eta: float, va
     """An epsilon map as (epsilon, omega, value) columns, one omega block per epsilon.
 
     value turns each epsilon's structure factor into the real values tabulated.
+    H(-epsilon) = P H(epsilon) P with P = (-1)^(a^dag a) sigma_z, and both
+    couplings enter the structure factors only as |<n|X|m>|^2, so the values
+    are even in epsilon: each |epsilon| is solved once, at +|epsilon|, and
+    its mirror point reuses that value column.
     """
     omegas = config.response.grid()
+    values = {}   # |epsilon| -> value column
 
     def response_point(point):
         cfg = at_point(config, point)
-        eig = certified_eigensystem(cfg.model, cfg.m_levels)
-        s = structure_factor(eig, cfg.model, cfg.temperature, omegas, eta)
+        eps = abs(cfg.model.epsilon)
+        if eps not in values:
+            model = replace(cfg.model, epsilon=eps)
+            eig = certified_eigensystem(model, cfg.m_levels)
+            values[eps] = value(structure_factor(eig, model, cfg.temperature, omegas, eta))
         return {
             "epsilon": np.full(len(omegas), cfg.model.epsilon),
             "omega": omegas,
-            "value": value(s),
+            "value": values[eps],
         }
 
     return map_points(config, kind, response_point)

@@ -54,7 +54,24 @@ class ScanAxis:
             raise ValueError(f"scan axis {self.name!r} needs points >= 1, got {self.points}")
 
     def grid(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.points)
+        """np.linspace(start, stop, points), made mirror-exact when start == -stop.
+
+        np.linspace pairs x with -x only to within an ulp or so.  A symmetric
+        axis keeps linspace's positive points, negates them for the negative
+        half and puts an exact 0.0 in the middle of an odd count, so
+        grid[i] == -grid[points - 1 - i] bit for bit.
+        """
+        grid = np.linspace(self.start, self.stop, self.points)
+        if self.start == -self.stop != 0.0 and self.points > 1:
+            half = self.points // 2
+            head, tail = grid[:half], grid[::-1][:half]   # tail[i] is grid[-1 - i]
+            if self.stop > 0.0:
+                head[:] = -tail
+            else:
+                tail[:] = -head
+            if self.points % 2:
+                grid[half] = 0.0
+        return grid
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,15 @@ them in scan order (a run without a scan is the single point {}).  Points
 are independent and run in sequence; each logs one INFO line (axis values,
 n_fock, seconds).  Every point solves its model, with the point's axis
 values applied (at_point), for exactly the levels it reports
-(certified_eigensystem).  A gap-scan point that fails, such as one whose
-levels the Fock truncation does not certify or whose gap lies below the
-float64 floor (liouvillian_gap), is recorded as NaN with a log entry and
-counted, instead of aborting the scan; a 400-point phase diagram
-should survive isolated truncation failures.  A failing point of any other
-map ends the map.
+(certified_eigensystem); the response maps solve a point and its mirror
+-epsilon once.  A gap-scan point that raises ValueError, the type of every
+declared refusal (levels the Fock truncation does not certify, a gap below
+the float64 floor in liouvillian_gap, a LinAlgError from a solver), is
+recorded as NaN with a log entry and counted, instead of aborting the
+scan; a 400-point phase diagram should survive isolated truncation
+failures.  Any other exception, such as liouvillian_gap's RuntimeError for
+a missing stationary mode or a TypeError, ends the scan, and a failing
+point of any other map ends the map.
 
 Tables are emitted by column: every CLI subcommand hands write_table its
 columns as arrays, and CSV cells are formatted per column, a few thousand
@@ -114,7 +117,7 @@ def gap_scan(config: RunConfig) -> tuple[dict[str, np.ndarray], tuple[str, ...]]
             eig = certified_eigensystem(cfg.model, cfg.m_levels)
             lv = build_liouvillian(eig, cfg.model, cfg.baths, temperature=cfg.temperature)
             value = liouvillian_gap(lv)
-        except Exception as exc:   # noqa: BLE001 - NaN-and-continue is the contract
+        except ValueError as exc:   # a declared refusal: NaN-and-continue
             value = math.nan
             failures.append(f"({_where(point)}): {exc}")
         columns = {

@@ -185,15 +185,16 @@ def test_transmission_column_is_scalar_abs_of_each_value():
     columns, _ = _cmd_transmission(config)
     omegas = config.response.grid()
     eta = config.model.omega_c / config.response.q_factor
-    expected = []
-    for eps in (-1.5, 0.0, 1.5):
+    expected = {}
+    for eps in (0.0, 1.5):
         params = replace(config.model, epsilon=eps)
         s_c = cavity_structure_factor(
             diagonalize(rabi_bands(params), config.m_levels), params, 0.2, omegas, eta
         )
         t = transmission(system_impedance(s_c), config.response.q_factor)
-        expected.extend(abs(v) for v in t.values)
-    assert columns["value"].tolist() == expected
+        expected[eps] = [abs(v) for v in t.values]
+    # the -1.5 rows are the +1.5 rows bit for bit: H(-epsilon) = P H(epsilon) P
+    assert columns["value"].tolist() == expected[1.5] + expected[0.0] + expected[1.5]
     assert columns["epsilon"].tolist() == [e for e in (-1.5, 0.0, 1.5) for _ in omegas]
     assert columns["omega"].tolist() == omegas.tolist() * 3
 
@@ -561,10 +562,13 @@ def test_gap_scan_runs_no_general_eigensolve(tmp_path, monkeypatch):
     (("spectrum", "--set", "scan = g, 0.5, 1.5, 3"), 3),
     (("evolve", "--set", "model.g = 2.0", "--set", "evolve.m_levels = 12",
       "--set", "evolve.n_periods = 5.5", "--set", "evolve.points_per_period = 24"), 1),
+    # a response map solves each distinct |epsilon| once
     (("transmission", "--set", "model.g = 0.5", "--set", "response.omega_points = 201",
-      "--set", "scan = epsilon, -0.5, 0.5, 2"), 2),
+      "--set", "scan = epsilon, -0.5, 0.5, 2"), 1),
     (("dipole-response", "--set", "model.g = 0.5", "--set", "response.omega_points = 201",
       "--set", "scan = epsilon, 0.0, 1.0, 3"), 3),
+    (("dipole-response", "--set", "model.g = 0.5", "--set", "response.omega_points = 201",
+      "--set", "scan = epsilon, -1.0, 1.0, 3"), 2),
 ], ids=lambda v: v[0] if isinstance(v, tuple) else None)
 def test_every_point_is_one_certified_solve(argv, points, tmp_path, monkeypatch):
     calls = []

@@ -1,7 +1,9 @@
 """Config grammar: parse/emit round trips, overrides, and error reporting."""
 
+import math
 from dataclasses import fields, is_dataclass, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -211,6 +213,37 @@ def test_repeated_bath_lines_accumulate():
 def test_scan_axis_grid():
     ax = ScanAxis(name="g", start=0.0, stop=2.0, points=5)
     assert list(ax.grid()) == [0.0, 0.5, 1.0, 1.5, 2.0]
+
+
+@pytest.mark.parametrize("points", [2, 3, 4, 5, 41, 1601])
+@pytest.mark.parametrize("half_width", [0.5, 1.5, 0.4987116, 3.9990231])
+@pytest.mark.parametrize("ascending", [True, False])
+def test_symmetric_scan_axis_is_mirror_exact(points, half_width, ascending):
+    start, stop = (-half_width, half_width) if ascending else (half_width, -half_width)
+    grid = ScanAxis("epsilon", start, stop, points).grid()
+    reference = np.linspace(start, stop, points)
+    assert grid.tolist() == (-grid[::-1]).tolist()          # bit for bit, -0.0 included
+    half = points // 2
+    positive = slice(points - half, None) if ascending else slice(None, half)
+    assert np.all(grid[positive] > 0.0)
+    assert grid[positive].tolist() == reference[positive].tolist()
+    if points % 2:
+        middle = grid[half]
+        assert middle == 0.0 and math.copysign(1.0, middle) == 1.0
+
+
+@pytest.mark.parametrize("start, stop, points", [
+    (0.01, 3.0, 20),             # gap_map's epsilon axis
+    (0.0, 3.0, 20),
+    (-1.5, 1.4, 41),
+    (-1.5, -1.5, 1),             # a single point keeps linspace's start
+    (-1.5, 1.5, 1),
+    (0.0, 0.0, 3),
+    (0.5, 3.5, 36),
+])
+def test_asymmetric_scan_axis_is_linspace(start, stop, points):
+    grid = ScanAxis("epsilon", start, stop, points).grid()
+    assert grid.tolist() == np.linspace(start, stop, points).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from hypothesis import strategies as st
 
 import oracles
 from usc_relax import grwa
-from usc_relax.eigen import certified_eigensystem, diagonalize
+from usc_relax.eigen import RESIDUAL_TOL, certified_eigensystem, diagonalize
 from usc_relax.lindblad import coupling_elements
-from usc_relax.operators import ModelParams, build_polaron_rabi, rabi_bands
+from usc_relax.operators import ModelParams, build_polaron_rabi, default_n_fock, rabi_bands
 from usc_relax.response import (
     SpectrumGrid,
     cavity_structure_factor,
@@ -277,3 +278,25 @@ def test_transmission_magnitude_monotone_in_structure_factor():
         expected = 1.0 * s / math.hypot(50.0, 1.0 * s)
         assert mags[-1] == pytest.approx(expected, rel=1e-12)
     assert mags == sorted(mags)
+
+
+@settings(max_examples=25, deadline=None)
+@given(g=st.floats(0.1, 3.0), epsilon=st.floats(0.0, 2.0, exclude_min=True))
+def test_solver_is_even_in_epsilon(g, epsilon):
+    # H(-epsilon) = P H(epsilon) P with P = (-1)^(a^dag a) sigma_z, diagonal in
+    # the Fock basis, so the truncated operators at +-epsilon are similar and
+    # both couplings enter the structure factors only as |<n|X|m>|^2
+    levels = 24
+    plus = ModelParams(g=g, epsilon=epsilon, n_fock=default_n_fock(g))
+    minus = replace(plus, epsilon=-epsilon)
+    eig_plus = diagonalize(rabi_bands(plus), levels)
+    eig_minus = diagonalize(rabi_bands(minus), levels)
+    # each solved level lies within RESIDUAL_TOL eps ||H|| of a level of its operator
+    norm = np.linalg.norm(oracles.dense_from_bands(rabi_bands(plus)).entries, 2)
+    bound = 2.0 * RESIDUAL_TOL * np.finfo(float).eps * norm
+    assert np.max(np.abs(eig_minus.frequencies - eig_plus.frequencies)) <= bound
+    omegas = np.linspace(0.05, 2.0, 391)
+    for factory, eta in ((cavity_structure_factor, 0.01), (dipole_structure_factor, 0.05)):
+        s_plus = factory(eig_plus, plus, 0.2, omegas, eta).values
+        s_minus = factory(eig_minus, minus, 0.2, omegas, eta).values
+        assert np.max(np.abs(s_minus - s_plus)) <= 1e-10 * np.max(np.abs(s_plus))

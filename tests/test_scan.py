@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from usc_relax import eigen
+from usc_relax import eigen, scan
 from usc_relax.cli import main
 from usc_relax.config import parse_config
 from usc_relax.eigen import diagonalize
@@ -79,6 +79,34 @@ def test_gap_scan_refuses_gaps_below_the_float64_floor():
     assert len(failures) == 2
     assert all("below the float64 floor" in reason for reason in failures)
     assert failures[0].startswith("(g=6)") and failures[1].startswith("(g=7)")
+
+
+_GAP_ARGV = ("gap-scan", "--set", "scan = g, 1.0, 2.0, 2", "--set", "bath = cavity, ohmic, 0.02, 1.0",
+             "--set", "m_levels = 12")
+
+
+def test_gap_scan_programming_error_ends_the_scan(tmp_path, monkeypatch):
+    # only a ValueError, the type of every declared refusal, becomes a NaN row
+    def broken(lv):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(scan, "liouvillian_gap", broken)
+    out = tmp_path / "gap.csv"
+    with pytest.raises(TypeError, match="unsupported operand"):
+        main([*_GAP_ARGV, "--output", str(out)])
+    assert not out.exists()
+
+
+def test_gap_scan_missing_stationary_mode_exits_2(tmp_path, monkeypatch, capsys):
+    # a rate matrix with no stationary mode means the assembly broke: no NaN row
+    def no_stationary_mode(lv):
+        raise RuntimeError("no stationary eigenvalue found (largest population eigenvalue 1.0e-3)")
+
+    monkeypatch.setattr(scan, "liouvillian_gap", no_stationary_mode)
+    out = tmp_path / "gap.csv"
+    assert main([*_GAP_ARGV, "--output", str(out)]) == 2
+    assert "no stationary eigenvalue" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.xfail(
