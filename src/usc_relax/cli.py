@@ -8,16 +8,18 @@ one `name: value` line per extra, among them how far to trust the table
 saturation number).  Nothing is plotted; outputs are tables.
 
 gap-scan, spectrum, transmission and dipole-response are point maps: each
-gives scan.map_points a function returning one point's columns.  Every
-point a table reports is solved by eigen.certified_eigensystem, so its
-levels are certified against the Fock truncation; transmission and
-dipole-response are even in epsilon, so they solve every distinct |epsilon|
-once, at +|epsilon|, and a mirrored point reuses its values.  A gap-scan
-point that raises ValueError (a declared refusal, LinAlgError included)
-becomes a NaN row counted in "failed points"; any other error ends the
-scan, and in every other subcommand a failing point ends the run with exit
-status 2.  model.n_fock = auto is resolved from the base g, so a g scan
-that outgrows it fails.
+gives scan.map_points a function returning one point's block of columns,
+and the table is the list of blocks (scan.write_table).  Every point a
+table reports is solved by eigen.certified_eigensystem, so its levels are
+certified against the Fock truncation; transmission and dipole-response are
+even in epsilon, so they solve every distinct |epsilon| once, at
++|epsilon|, and a mirrored point's block holds the same value array, next
+to the one omega grid every block shares, so each is formatted once.  A
+gap-scan point that raises ValueError (a declared refusal, LinAlgError
+included) becomes a NaN row counted in "failed points"; any other error
+ends the scan, and in every other subcommand a failing point ends the run
+with exit status 2.  model.n_fock = auto is resolved from the base g, so a
+g scan that outgrows it fails.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import grwa
-from .config import RunConfig, apply_overrides, load_config
+from .config import RunConfig, ScanAxis, apply_overrides, load_config
 from .dipole import tla_parameters
 from .dynamics import run_tunneling_oscillations
 from .edm import (
@@ -75,7 +77,7 @@ def _cmd_spectrum(config: RunConfig):
         params = at_point(config, point).model
         eig = certified_eigensystem(params, SPECTRUM_LEVELS)
         return {
-            "g": np.full(SPECTRUM_LEVELS, params.g),
+            "g": params.g,
             "level_index": np.arange(SPECTRUM_LEVELS),
             "omega_exact": eig.frequencies + polaron_constant(params),
             "omega_grwa": np.asarray(_grwa_levels(params, SPECTRUM_LEVELS), dtype=float),
@@ -112,14 +114,15 @@ def _cmd_evolve(config: RunConfig):
     return columns, extra
 
 
-def _response_map(config: RunConfig, kind: str, structure_factor, eta: float, value) -> dict:
-    """An epsilon map as (epsilon, omega, value) columns, one omega block per epsilon.
+def _response_map(config: RunConfig, kind: str, structure_factor, eta: float, value) -> list:
+    """An epsilon map as (epsilon, omega, value) blocks, one omega block per epsilon.
 
     value turns each epsilon's structure factor into the real values tabulated.
     H(-epsilon) = P H(epsilon) P with P = (-1)^(a^dag a) sigma_z, and both
     couplings enter the structure factors only as |<n|X|m>|^2, so the values
     are even in epsilon: each |epsilon| is solved once, at +|epsilon|, and
-    its mirror point reuses that value column.
+    its mirror point's block holds that same value array.  Each block's
+    epsilon is a scalar and its omega the one grid array.
     """
     omegas = config.response.grid()
     values = {}   # |epsilon| -> value column
@@ -132,7 +135,7 @@ def _response_map(config: RunConfig, kind: str, structure_factor, eta: float, va
             eig = certified_eigensystem(model, cfg.m_levels)
             values[eps] = value(structure_factor(eig, model, cfg.temperature, omegas, eta))
         return {
-            "epsilon": np.full(len(omegas), cfg.model.epsilon),
+            "epsilon": cfg.model.epsilon,
             "omega": omegas,
             "value": values[eps],
         }
@@ -152,10 +155,10 @@ def _cmd_transmission(config: RunConfig):
 
 def _cmd_dipole_response(config: RunConfig):
     eta = config.response.eta or 0.05 * config.model.omega_c
-    columns = _response_map(
+    blocks = _response_map(
         config, "dipole-response", dipole_structure_factor, eta, lambda s: s.values
     )
-    return columns, ()
+    return blocks, ()
 
 
 def _edm_trust(p: EdmParams) -> tuple[str, ...]:
@@ -180,8 +183,8 @@ def _cmd_edm_rates(config: RunConfig):
     p = config.edm
     if config.scan:
         omegas = config.scan[0].grid()
-    else:
-        omegas = np.linspace(-4.0 * p.omega_c, 4.0 * p.omega_c, 1601)
+    else:   # mirror-exact, as an explicit symmetric scan axis is
+        omegas = ScanAxis("omega", -4.0 * p.omega_c, 4.0 * p.omega_c, 1601).grid()
     tot = net_rate(omegas, p)
     columns = {
         "omega": omegas,
@@ -295,13 +298,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.format:
             config = replace(config, fmt=args.format)
         _check_scan_axes(args.command, config)
-        columns, extra = _COMMANDS[args.command][0](config)
+        table, extra = _COMMANDS[args.command][0](config)
         metadata = build_metadata(config, extra=extra)
         if config.output:
             with open(config.output, "w") as stream:
-                write_table(stream, metadata, columns, config.fmt)
+                write_table(stream, metadata, table, config.fmt)
         else:
-            write_table(sys.stdout, metadata, columns, config.fmt)
+            write_table(sys.stdout, metadata, table, config.fmt)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

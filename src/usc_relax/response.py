@@ -12,7 +12,10 @@ handed in, weighted by the same Boltzmann populations as its Gibbs state;
 requests whose thermal tail weight beyond the last level would exceed 1e-6
 are rejected rather than silently truncated.
 The Lorentzians are summed over blocks of lines broadcast on the frequency
-grid, in line order, so each value equals the per-line sum bit for bit.
+grid, in line order, so each value equals the per-line sum bit for bit;
+a line too weak to change any bit of the running total is skipped, which
+drops the lines of thermally suppressed levels without changing a value.
+SpectrumGrid.peaks still lists every line.
 """
 
 from __future__ import annotations
@@ -67,14 +70,28 @@ def _lorentzian_sum(
     joins the block's first row and the block is reduced along its leading
     axis, which numpy adds row by row, so every grid value is accumulated in
     the same order, and to the same bits, as a loop over single lines.
+
+    A line is left out when adding it cannot change a bit.  Every term is
+    >= 0, so the running totals only grow, and a computed term never exceeds
+    peak = scaled / eta^2, because its computed denominator is >= eta^2 and
+    rounding is monotone.  When peak is below half an ulp of the smallest
+    total before the block, round-to-nearest gives total + term == total at
+    every omega, so the line is a no-op; the other lines keep their order.
+    The test is written as ~(peak < half_ulp), so a NaN or inf weight, and a
+    NaN total, keep the line.
     """
     values = np.zeros_like(omegas)
     scaled = weights * (eta / math.pi)
+    peak = scaled / eta**2
     for start in range(0, len(lines), LINE_BLOCK):
-        block = omegas - lines[start:start + LINE_BLOCK, None]
+        half_ulp = 0.5 * np.spacing(values.min(initial=math.inf))
+        live = start + np.flatnonzero(~(peak[start:start + LINE_BLOCK] < half_ulp))
+        if not len(live):
+            continue
+        block = omegas - lines[live, None]
         np.square(block, out=block)
         block += eta**2
-        np.divide(scaled[start:start + LINE_BLOCK, None], block, out=block)
+        np.divide(scaled[live, None], block, out=block)
         block[0] += values
         values = block.sum(axis=0)
     return values

@@ -2,11 +2,11 @@
 
 map_points is the one loop over scan points: gap-scan, spectrum,
 transmission and dipole-response each hand it a point function that
-returns that point's named columns, axis values included, and it joins
-them in scan order (a run without a scan is the single point {}).  Points
-are independent and run in sequence; each logs one INFO line (axis values,
-n_fock, seconds).  Every point solves its model, with the point's axis
-values applied (at_point), for exactly the levels it reports
+returns that point's block of named columns, axis values included, and it
+returns the blocks in scan order (a run without a scan is the single point
+{}).  Points are independent and run in sequence; each logs one INFO line
+(axis values, n_fock, seconds).  Every point solves its model, with the
+point's axis values applied (at_point), for exactly the levels it reports
 (certified_eigensystem); the response maps solve a point and its mirror
 -epsilon once.  A gap-scan point that raises ValueError, the type of every
 declared refusal (levels the Fock truncation does not certify, a gap below
@@ -17,9 +17,14 @@ failures.  Any other exception, such as liouvillian_gap's RuntimeError for
 a missing stationary mode or a TypeError, ends the scan, and a failing
 point of any other map ends the map.
 
-Tables are emitted by column: every CLI subcommand hands write_table its
-columns as arrays, and CSV cells are formatted per column, a few thousand
-rows at a time, with one repr per distinct float bit pattern.
+Tables are emitted as row blocks: every CLI subcommand hands write_table
+one block of columns or a list of them, where a column is an array or a
+scalar that fills its block.  A block whose array another block reuses
+(the shared omega grid, the value array of a mirrored epsilon) is written
+from text formatted once per distinct array and row-joined once per
+distinct tuple of arrays; runs of other blocks are joined and formatted
+per column, a few thousand rows at a time, with one repr per distinct
+float bit pattern.
 """
 
 from __future__ import annotations
@@ -28,8 +33,11 @@ import json
 import logging
 import math
 import time
+from collections import Counter
 from dataclasses import replace
-from typing import Callable, Iterable, Sequence, TextIO
+from functools import reduce
+from itertools import groupby
+from typing import Any, Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -41,6 +49,8 @@ from .lindblad import build_liouvillian, liouvillian_gap
 log = logging.getLogger("usc_relax.scan")
 
 CHUNK_ROWS = 4096   # CSV rows formatted and written at once
+
+Block = dict[str, Any]   # column name -> 1-D values, or a scalar filling the block's rows
 
 
 def at_point(config: RunConfig, point: dict[str, float]) -> RunConfig:
@@ -75,24 +85,25 @@ def scan_points(axes: tuple[ScanAxis, ...]) -> list[dict[str, float]]:
 def map_points(
     config: RunConfig,
     kind: str,
-    point_columns: Callable[[dict[str, float]], dict[str, Sequence]],
-) -> dict[str, np.ndarray]:
-    """Every scan point's columns, joined in scan order.
+    point_columns: Callable[[dict[str, float]], Block],
+) -> list[Block]:
+    """Every scan point's block of columns, in scan order.
 
     point_columns(point) returns one point's named columns, its axis values
-    included; every point must return the same names.  Each finished point
-    logs one INFO line (axis values, n_fock, seconds); an exception from a
-    point ends the map.
+    included; every point must return the same names.  The blocks are
+    returned as they are, so arrays shared between points stay shared for
+    write_table.  Each finished point logs one INFO line (axis values,
+    n_fock, seconds); an exception from a point ends the map.
     """
-    parts = []
+    blocks = []
     for point in scan_points(config.scan):
         start = time.perf_counter()
-        parts.append(point_columns(point))
+        blocks.append(point_columns(point))
         log.info(
             "%s point (%s): n_fock=%d, %.4f s",
             kind, _where(point), config.model.n_fock, time.perf_counter() - start,
         )
-    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+    return blocks
 
 
 def gap_scan(config: RunConfig) -> tuple[dict[str, np.ndarray], tuple[str, ...]]:
@@ -111,7 +122,7 @@ def gap_scan(config: RunConfig) -> tuple[dict[str, np.ndarray], tuple[str, ...]]
             raise ValueError("gap-scan axes must be g, epsilon, or T, not omega")
     failures = []
 
-    def gap_point(point: dict[str, float]) -> dict[str, list[float]]:
+    def gap_point(point: dict[str, float]) -> dict[str, float]:
         try:
             cfg = at_point(config, point)
             eig = certified_eigensystem(cfg.model, cfg.m_levels)
@@ -120,16 +131,17 @@ def gap_scan(config: RunConfig) -> tuple[dict[str, np.ndarray], tuple[str, ...]]
         except ValueError as exc:   # a declared refusal: NaN-and-continue
             value = math.nan
             failures.append(f"({_where(point)}): {exc}")
-        columns = {
-            "g": [float(point.get("g", config.model.g))],
-            "epsilon": [float(point.get("epsilon", config.model.epsilon))],
+        row = {
+            "g": float(point.get("g", config.model.g)),
+            "epsilon": float(point.get("epsilon", config.model.epsilon)),
         }
         if "T" in point:
-            columns["T"] = [point["T"]]
-        columns["lambda"] = [value]
-        return columns
+            row["T"] = point["T"]
+        row["lambda"] = value
+        return row
 
-    columns = map_points(config, "gap", gap_point)
+    rows = map_points(config, "gap", gap_point)   # a block of scalars is one row
+    columns = {name: np.array([row[name] for row in rows]) for name in rows[0]}
     for msg in failures:
         log.warning("scan point failed %s", msg)
     return columns, tuple(failures)
@@ -140,6 +152,42 @@ def build_metadata(config: RunConfig, extra: Iterable[str] = ()) -> tuple[str, .
     lines.extend(emit_config(config).rstrip("\n").splitlines())
     lines.extend(extra)
     return tuple(lines)
+
+
+def _table_blocks(
+    table: Block | Sequence[Block],
+) -> tuple[list[str], list[list[np.ndarray]], list[int]]:
+    """A table's column names, each block's columns as arrays, and each block's row count.
+
+    A scalar becomes a 0-d array.  Each column takes the dtype its blocks
+    promote to, as in their concatenation; an array that needs no cast is
+    kept as the same object, so reuse between blocks can be seen by identity.
+    """
+    blocks = [table] if isinstance(table, dict) else list(table)
+    names = list(blocks[0]) if blocks else []
+    if not names:
+        return [], [], []
+    arrays, sizes = [], []
+    for block in blocks:
+        if list(block) != names:
+            raise ValueError("every block of a table must have the same columns, in order")
+        cols = [np.asarray(block[name]) for name in names]
+        shapes = {col.shape for col in cols if col.ndim}
+        if len(shapes) > 1 or any(len(shape) > 1 for shape in shapes):
+            raise ValueError("table columns must be 1-D and of equal length")
+        arrays.append(cols)
+        sizes.append(shapes.pop()[0] if shapes else 1)   # a block of scalars is one row
+    dtypes = [reduce(np.promote_types, {col.dtype for col in column}) for column in zip(*arrays)]
+    arrays = [[col.astype(dt, copy=False) for col, dt in zip(cols, dtypes)] for cols in arrays]
+    return names, arrays, sizes
+
+
+def _join(arrays: Sequence[list[np.ndarray]], sizes: Sequence[int]) -> list[np.ndarray]:
+    """The blocks' columns concatenated, each scalar repeated over its block's rows."""
+    return [
+        np.concatenate([col if col.ndim else np.repeat(col, n) for col, n in zip(column, sizes)])
+        for column in zip(*arrays)
+    ]
 
 
 def _csv_cells(column: np.ndarray) -> list[str]:
@@ -166,33 +214,92 @@ def _json_cells(column: np.ndarray) -> list:
     return cells
 
 
+def _write_csv_chunks(stream: TextIO, data: list[np.ndarray]) -> None:
+    for lo in range(0, len(data[0]), CHUNK_ROWS):
+        cells = [_csv_cells(col[lo:lo + CHUNK_ROWS]) for col in data]
+        stream.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _write_csv_rows(stream: TextIO, arrays: list[list[np.ndarray]], sizes: list[int]) -> None:
+    """The CSV rows of a block table, each reused array formatted once.
+
+    A block with an array another block also holds is written as a row
+    prefix, the text of its leading scalars, before the row-joined text of
+    its remaining columns.  That text is built once per distinct tuple of
+    column objects, from cells formatted once per distinct array; each is
+    kept, as one joined string, when another block needs it again.
+    Every other run of blocks is joined and written by column in chunks,
+    so a scan of one-row points costs a few writes, not one per point.
+    """
+    uses = Counter(id(col) for cols in arrays for col in cols if col.ndim)
+
+    def shared(cols: list[np.ndarray]) -> bool:
+        return any(uses[id(col)] > 1 for col in cols if col.ndim)
+
+    def lead(cols: list[np.ndarray]) -> int:
+        return next(i for i, col in enumerate(cols) if col.ndim)
+
+    keys = [tuple(map(id, cols[lead(cols):])) for cols in arrays if shared(cols)]
+    key_uses = Counter(keys)
+    array_keys = Counter(i for key in key_uses for i in key)
+    cell_text: dict[int, str] = {}
+    row_text: dict[tuple[int, ...], str] = {}
+
+    def cells(col: np.ndarray, n: int) -> list[str]:
+        if not col.ndim:
+            return _csv_cells(col.reshape(1)) * n
+        if id(col) in cell_text:
+            return cell_text[id(col)].split("\n")
+        text = _csv_cells(col)
+        if array_keys[id(col)] > 1:
+            cell_text[id(col)] = "\n".join(text)
+        return text
+
+    for reused, run in groupby(zip(arrays, sizes), key=lambda block: shared(block[0])):
+        if not reused:
+            _write_csv_chunks(stream, _join(*zip(*run)))
+            continue
+        for cols, n in run:
+            if not n:
+                continue
+            start = lead(cols)
+            key = tuple(map(id, cols[start:]))
+            text = row_text.get(key)
+            if text is None:
+                text = "\n".join(map(",".join, zip(*(cells(col, n) for col in cols[start:]))))
+                if key_uses[key] > 1:
+                    row_text[key] = text
+            prefix = "".join(_csv_cells(col.reshape(1))[0] + "," for col in cols[:start])
+            if prefix:
+                text = prefix + text.replace("\n", "\n" + prefix)
+            stream.write(text + "\n")
+
+
 def write_table(
     stream: TextIO,
     metadata: Iterable[str],
-    columns: dict[str, Sequence],
+    table: Block | Sequence[Block],
     fmt: str = "csv",
 ) -> None:
-    """Emit a table, given by column (name -> values), under a metadata header.
+    """Emit a table of row blocks under a metadata header.
 
-    CSV prefixes every metadata line with '#' and writes floats as their
-    shortest round-trip repr, CHUNK_ROWS rows at a time; JSON carries the
-    same fields structurally (NaN becomes null so the output stays standard
-    JSON).  Every column must have the same length.
+    The table is one block or a list of them, written in order; a block
+    maps each column name, in the same order in every block, to a 1-D array
+    of the block's rows or to a scalar that fills them (a block of scalars
+    is one row).  Every 1-D column of a block must have the same length.
+    The output is that of the blocks' concatenation.  CSV
+    prefixes every metadata line with '#' and writes floats as their
+    shortest round-trip repr; JSON carries the same fields structurally
+    (NaN becomes null so the output stays standard JSON).
     """
-    names = list(columns)
-    data = [np.ascontiguousarray(columns[name]) for name in names]
-    n_rows = len(data[0]) if data else 0
-    if any(col.shape != (n_rows,) for col in data):
-        raise ValueError("table columns must be 1-D and of equal length")
+    names, arrays, sizes = _table_blocks(table)
     if fmt == "csv":
         for line in metadata:
             stream.write(f"# {line}\n")
         stream.write(f"# columns: {','.join(names)}\n")
-        for lo in range(0, n_rows, CHUNK_ROWS):
-            cells = [_csv_cells(col[lo:lo + CHUNK_ROWS]) for col in data]
-            stream.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        _write_csv_rows(stream, arrays, sizes)
     elif fmt == "json":
-        rows = list(zip(*map(_json_cells, data)))   # tuples encode as JSON arrays
+        rows = list(zip(*map(_json_cells, _join(arrays, sizes))))   # tuples encode as JSON arrays
         json.dump(
             {"metadata": list(metadata), "columns": names, "rows": rows},
             stream,

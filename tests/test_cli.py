@@ -15,7 +15,7 @@ import scipy.linalg
 
 import usc_relax
 from usc_relax import cli, dynamics, eigen, grwa, scan
-from usc_relax.cli import _cmd_transmission, main
+from usc_relax.cli import _cmd_edm_rates, _cmd_transmission, main
 from usc_relax.config import RunConfig, parse_config
 from usc_relax.dipole import WellParams, tla_parameters
 from usc_relax.dynamics import run_tunneling_oscillations
@@ -182,7 +182,12 @@ def test_transmission_column_is_scalar_abs_of_each_value():
         "model.g = 2.5\nmodel.n_fock = 64\nscan = epsilon, -1.5, 1.5, 3\n"
         "response.omega_points = 301\ntemperature = 0.2\n"
     )
-    columns, _ = _cmd_transmission(config)
+    blocks, _ = _cmd_transmission(config)
+    # one omega grid, and the mirrored blocks share their value array
+    assert blocks[0]["omega"] is blocks[1]["omega"] is blocks[2]["omega"]
+    assert blocks[0]["value"] is blocks[2]["value"]
+    columns = {name: np.concatenate([np.broadcast_to(b[name], (301,)) for b in blocks])
+               for name in blocks[0]}
     omegas = config.response.grid()
     eta = config.model.omega_c / config.response.q_factor
     expected = {}
@@ -232,6 +237,15 @@ def test_edm_rates_table(tmp_path):
     # gamma_tot(w) = gamma_T(w) - gamma_T(-w), so it must be odd in w
     for w, (up, tot) in by_omega.items():
         assert tot == pytest.approx(up - by_omega[round(-w, 9)][0], rel=1e-9, abs=1e-15)
+
+
+def test_edm_rates_default_axis_is_the_mirror_exact_scan_axis():
+    default, _ = _cmd_edm_rates(RunConfig())
+    explicit, _ = _cmd_edm_rates(parse_config("scan = omega, -4.0, 4.0, 1601"))
+    omegas = default["omega"]
+    assert np.array_equal(omegas, -omegas[::-1]) and omegas[800] == 0.0
+    for name, column in default.items():
+        assert column.tobytes() == explicit[name].tobytes(), name
 
 
 def test_edm_evolve_table(tmp_path):

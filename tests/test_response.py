@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,17 +13,23 @@ from hypothesis import strategies as st
 
 import oracles
 from usc_relax import grwa
+from usc_relax.config import load_config
 from usc_relax.eigen import RESIDUAL_TOL, certified_eigensystem, diagonalize
 from usc_relax.lindblad import coupling_elements
 from usc_relax.operators import ModelParams, build_polaron_rabi, default_n_fock, rabi_bands
 from usc_relax.response import (
+    LINE_BLOCK,
     SpectrumGrid,
+    _lorentzian_sum,
     cavity_structure_factor,
     dipole_structure_factor,
     system_impedance,
     thermal_weights,
     transmission,
 )
+from usc_relax.scan import at_point
+
+EXPERIMENTS = Path(__file__).resolve().parents[1] / "experiments"
 
 
 def _eig(params: ModelParams, levels: int = 24):
@@ -178,10 +185,19 @@ def _double_loop_structure_factor(eig, params, channel, temperature, omegas, eta
             strength = weights[n] * elem2[n, m]
             if strength > 0.0:
                 peaks.append((freqs[m] - freqs[n], strength))
-    values = np.zeros_like(omegas)
-    for w_line, weight in peaks:
+    return tuple(peaks), _per_line_sum([p[0] for p in peaks], [p[1] for p in peaks], omegas, eta)
+
+
+def _per_line_sum(lines, weights, omegas, eta, totals=None):
+    """Reference: one Lorentzian added at a time, in line order, none left out."""
+    values = np.zeros_like(omegas) if totals is None else totals.copy()
+    for w_line, weight in zip(lines, weights):
         values += weight * (eta / math.pi) / ((omegas - w_line) ** 2 + eta**2)
-    return tuple(peaks), values
+    return values
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 @pytest.mark.parametrize("factory, channel", [
@@ -206,6 +222,90 @@ def test_structure_factor_matches_double_loop(factory, channel, params, temperat
     assert len(grid.peaks) == len(peaks) > 0
     assert grid.peaks == peaks
     assert np.array_equal(grid.values, values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lines=st.lists(
+        st.tuples(st.floats(-2.0, 2.0), st.floats(-320.0, 0.0).map(lambda e: 10.0**e)),
+        min_size=1,
+        max_size=4 * LINE_BLOCK,
+    ),
+    order=st.sampled_from(["drawn", "heavy first", "light first"]),
+    start=st.floats(-3.0, 1.0),
+    width=st.floats(0.01, 4.0),
+    points=st.integers(1, 80),
+    eta=st.floats(1e-4, 1.0),
+)
+def test_lorentzian_sum_skips_only_exact_no_ops(lines, order, start, width, points, eta):
+    # weights from 1e-320 to 1: the weak lines that the skip leaves out must
+    # not change a bit of any total, whatever the line order, grid and eta
+    if order != "drawn":
+        lines = sorted(lines, key=lambda line: line[1], reverse=order == "heavy first")
+    positions, weights = (np.array(column) for column in zip(*lines))
+    omegas = np.linspace(start, start + width, points)
+    assert _same_bits(
+        _lorentzian_sum(positions, weights, omegas, eta),
+        _per_line_sum(positions, weights, omegas, eta),
+    )
+
+
+@pytest.mark.parametrize("specials", [
+    {95: math.nan},              # a NaN weight among lines too weak to count
+    {95: math.inf},
+    {0: math.inf, 95: math.nan},  # totals all inf, then a NaN weight
+    {0: math.nan},               # NaN totals from the first block on
+])
+def test_lorentzian_sum_keeps_nan_and_inf_weights(specials):
+    lines = np.linspace(-1.0, 1.0, 96)
+    weights = 10.0 ** -np.arange(96.0)   # heavy first: the tail is droppable
+    for index, weight in specials.items():
+        weights[index] = weight
+    omegas = np.linspace(-1.5, 1.5, 301)
+    values = _lorentzian_sum(lines, weights, omegas, 0.05)
+    assert _same_bits(values, _per_line_sum(lines, weights, omegas, 0.05))
+    assert not np.isfinite(values).any()
+
+
+@pytest.mark.parametrize("fraction", [0.4, 0.6])
+def test_lorentzian_sum_at_half_an_ulp_of_the_smallest_total(fraction):
+    # a line centred where the total is smallest, whose term there is the
+    # given fraction of that total's ulp: above one half it changes the last
+    # bit and must be kept, below it is an exact no-op
+    omegas = np.linspace(-1.0, 1.0, 201)
+    eta = 0.05
+    lines = np.zeros(LINE_BLOCK + 1)
+    weights = np.ones(LINE_BLOCK + 1)
+    smallest = _per_line_sum(lines[:LINE_BLOCK], weights[:LINE_BLOCK], omegas, eta)
+    lines[-1] = omegas[np.argmin(smallest)]
+    weights[-1] = fraction * np.spacing(smallest.min()) * eta**2 / (eta / math.pi)
+    values = _lorentzian_sum(lines, weights, omegas, eta)
+    assert _same_bits(values, _per_line_sum(lines, weights, omegas, eta))
+    assert _same_bits(values, smallest) == (fraction < 0.5)
+
+
+def test_weak_transmission_point_skips_most_lines():
+    # the edge point of experiments/transmission_weak.cfg: most of its lines
+    # start on thermally suppressed levels.  Every line the skip rule names
+    # (peak below half an ulp of the smallest total before its block) gets
+    # a NaN frequency, which would reach every value were the line added.
+    config = at_point(load_config(EXPERIMENTS / "transmission_weak.cfg"), {"epsilon": 0.5})
+    omegas = config.response.grid()
+    eta = config.model.omega_c / config.response.q_factor
+    eig = certified_eigensystem(config.model, config.m_levels)
+    grid = cavity_structure_factor(eig, config.model, config.temperature, omegas, eta)
+    lines, weights = (np.array(column) for column in zip(*grid.peaks))
+    peak = weights * (eta / math.pi) / eta**2
+    totals = np.zeros_like(omegas)
+    skipped = np.zeros(len(lines), dtype=bool)
+    for start in range(0, len(lines), LINE_BLOCK):
+        block = slice(start, start + LINE_BLOCK)
+        skipped[block] = peak[block] < 0.5 * np.spacing(totals.min())
+        totals = _per_line_sum(lines[block], weights[block], omegas, eta, totals)
+    assert _same_bits(totals, grid.values)
+    assert np.count_nonzero(skipped) > 0.6 * len(lines)
+    poisoned = np.where(skipped, math.nan, lines)
+    assert _same_bits(_lorentzian_sum(poisoned, weights, omegas, eta), grid.values)
 
 
 def test_structure_factor_validation():
