@@ -19,13 +19,16 @@ gap-scan point that raises ValueError (a declared refusal, LinAlgError
 included) becomes a NaN row counted in "failed points"; any other error
 ends the scan, and in every other subcommand a failing point ends the run
 with exit status 2.  model.n_fock = auto is resolved from the base g, so a
-g scan that outgrows it fails.
+g scan that outgrows it fails.  A reader that closes the table's pipe early
+(usc-relax ... | head) ends the run with status 141, as SIGPIPE would, and
+no error line; any other failed write exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from dataclasses import replace
 
@@ -104,7 +107,7 @@ def _cmd_evolve(config: RunConfig):
     extra = (
         f"run epsilon: {run.params.epsilon!r}",
         f"run n_fock: {run.params.n_fock}",
-        f"projection deficit: {run.trajectory.projection_deficit!r}",
+        f"projection deficit: {run.projection_deficit!r}",
         f"fitted omega: {run.fit.omega!r}",
         f"fitted decay: {run.fit.decay!r}",
         f"reference omega_(k,k): {run.omega_ref!r}",
@@ -305,6 +308,11 @@ def main(argv: list[str] | None = None) -> int:
                 write_table(stream, metadata, table, config.fmt)
         else:
             write_table(sys.stdout, metadata, table, config.fmt)
+            sys.stdout.flush()
+    except BrokenPipeError:   # the table's reader stopped early (| head): not a refusal
+        # what stdout still buffers goes nowhere, not to the closed pipe at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141   # 128 + SIGPIPE, as if the signal had ended the run
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -57,6 +57,7 @@ class TunnelingRun:
     times: np.ndarray
     sx: np.ndarray
     trajectory: Trajectory
+    projection_deficit: float   # initial-state weight outside the retained levels
     omega_ref: float        # closed-form |Omega_(k,k)|
     decay_ref: float        # k gamma / 2
     fit: RabiFit
@@ -65,14 +66,13 @@ class TunnelingRun:
         """Envelope-compensated curve e^{k gamma t/2)(<s_x> + 1/2) - 1/2."""
         return np.exp(self.k * self.gamma * self.times / 2.0) * (self.sx + 0.5) - 0.5
 
-    def collapse_deviation(self, n_periods: float = 3.0, omega: float | None = None) -> float:
-        """Max deviation of the rescaled curve from cos(omega t)/2.
+    def collapse_deviation(self) -> float:
+        """Max deviation of the rescaled curve from cos(omega t)/2 over three periods.
 
-        omega defaults to the fitted oscillation frequency; passing
-        omega_ref instead also penalizes the closed-form frequency offset.
+        omega is the fitted oscillation frequency.
         """
-        w = self.fit.omega if omega is None else omega
-        mask = self.times <= n_periods * 2.0 * np.pi / w
+        w = self.fit.omega
+        mask = self.times <= 6.0 * np.pi / w   # three periods
         return float(np.max(np.abs(self.rescaled()[mask] - np.cos(w * self.times[mask]) / 2.0)))
 
 
@@ -111,7 +111,7 @@ def run_tunneling_oscillations(
 
     # S_x (x) 1 is the dipole bath's coupling
     observables = {"sx": coupling_elements(eig, params, "dipole")}
-    traj = evolve(lv, rho0, times, observables=observables, projection_deficit=deficit)
+    traj = evolve(lv, rho0, times, observables=observables)
     fit = fit_rabi_decay(times, traj.observables["sx"])
     return TunnelingRun(
         params=params,
@@ -120,6 +120,7 @@ def run_tunneling_oscillations(
         times=times,
         sx=traj.observables["sx"],
         trajectory=traj,
+        projection_deficit=deficit,
         omega_ref=omega_ref,
         decay_ref=k * gamma / 2.0,
         fit=fit,

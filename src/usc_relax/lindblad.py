@@ -121,10 +121,9 @@ def cavity_bath(gamma: float, omega_c: float = 1.0) -> BathSpec:
     return BathSpec(channel="cavity", law="ohmic", strength=gamma, ref_freq=omega_c)
 
 
-def dipole_bath(kappa: float, omega_d: float = 1.0, ohmic: bool = False) -> BathSpec:
-    """Radiative dipole bath, J = kappa (w/omega_d)^3 (or Ohmic variant)."""
-    law = "ohmic" if ohmic else "radiative"
-    return BathSpec(channel="dipole", law=law, strength=kappa, ref_freq=omega_d)
+def dipole_bath(kappa: float, omega_d: float = 1.0) -> BathSpec:
+    """Radiative dipole bath, J = kappa (w/omega_d)^3."""
+    return BathSpec(channel="dipole", law="radiative", strength=kappa, ref_freq=omega_d)
 
 
 def coupling_elements(eig: EigenSystem, params: ModelParams, channel: str) -> np.ndarray:
@@ -347,7 +346,6 @@ class Trajectory:
     times: np.ndarray
     populations: np.ndarray          # (n_times, M): the diagonal of rho(t)
     observables: dict[str, np.ndarray] = field(default_factory=dict)
-    projection_deficit: float = 0.0  # initial-state weight lost to truncation
 
 
 def _populations(w_gen: np.ndarray, p0: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -371,7 +369,6 @@ def evolve(
     rho0: np.ndarray,
     times: np.ndarray,
     observables: dict[str, np.ndarray] | None = None,
-    projection_deficit: float = 0.0,
 ) -> Trajectory:
     """Propagate d(rho)/dt = L rho exactly on the given time grid.
 
@@ -417,9 +414,7 @@ def evolve(
             # einsum loops, not matmul: a complex BLAS product wakes its thread pool
             coherent = np.einsum("ti,ti->t", phases.conj(), np.einsum("ij,tj->ti", weights, phases))
             obs[name] = (np.einsum("i,ti->t", np.diag(op), pops) + coherent).real
-    return Trajectory(
-        times=times, populations=pops, observables=obs, projection_deficit=projection_deficit
-    )
+    return Trajectory(times=times, populations=pops, observables=obs)
 
 
 def project_pure_state(eig: EigenSystem, psi: np.ndarray) -> tuple[np.ndarray, float]:

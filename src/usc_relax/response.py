@@ -12,7 +12,8 @@ handed in, weighted by the same Boltzmann populations as its Gibbs state;
 requests whose thermal tail weight beyond the last level would exceed 1e-6
 are rejected rather than silently truncated.
 The Lorentzians are summed over blocks of lines broadcast on the frequency
-grid, in line order, so each value equals the per-line sum bit for bit;
+grid, in line order, so each value equals the per-line sum bit for bit on
+any grid, a one-point grid included;
 a line too weak to change any bit of the running total is skipped, which
 drops the lines of thermally suppressed levels without changing a value.
 SpectrumGrid.peaks still lists every line.
@@ -68,8 +69,11 @@ def _lorentzian_sum(
 
     A block of LINE_BLOCK lines is broadcast over the grid; the running total
     joins the block's first row and the block is reduced along its leading
-    axis, which numpy adds row by row, so every grid value is accumulated in
-    the same order, and to the same bits, as a loop over single lines.
+    axis, which numpy adds row by row when a row has two or more points, so
+    every grid value is accumulated in the same order, and to the same bits,
+    as a loop over single lines.  A one-column block is contiguous along that
+    axis and numpy would sum it pairwise, so a one-point grid is evaluated
+    as two copies of its point.
 
     A line is left out when adding it cannot change a bit.  Every term is
     >= 0, so the running totals only grow, and a computed term never exceeds
@@ -80,6 +84,8 @@ def _lorentzian_sum(
     The test is written as ~(peak < half_ulp), so a NaN or inf weight, and a
     NaN total, keep the line.
     """
+    if len(omegas) == 1:
+        return _lorentzian_sum(lines, weights, np.repeat(omegas, 2), eta)[:1]
     values = np.zeros_like(omegas)
     scaled = weights * (eta / math.pi)
     peak = scaled / eta**2

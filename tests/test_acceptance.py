@@ -215,7 +215,7 @@ def fast_tier_runs():
 def _run_margins(run):
     freq = abs(run.fit.omega - run.omega_ref) / run.omega_ref
     decay = abs(run.fit.decay - run.decay_ref) / run.decay_ref
-    return freq, decay, run.collapse_deviation(3.0)
+    return freq, decay, run.collapse_deviation()
 
 
 @pytest.mark.xfail(

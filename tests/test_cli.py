@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -45,17 +46,54 @@ def read_csv(path):
     return meta, columns, rows
 
 
+def _src_env() -> dict[str, str]:
+    """The environment with this checkout's src first on PYTHONPATH, for subprocesses."""
+    src = str(Path(usc_relax.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 def test_cli_import_loads_no_heavy_scipy_subpackages():
     # every CLI run pays for its imports: scipy.special, .integrate, .optimize
     # and .sparse would each add tens to hundreds of ms to start-up
-    src = str(Path(usc_relax.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     loaded = subprocess.run(
         [sys.executable, "-c", "import sys, usc_relax.cli; print(*sys.modules)"],
-        capture_output=True, text=True, check=True, env=env,
+        capture_output=True, text=True, check=True, env=_src_env(),
     ).stdout.split()
     heavy = ("scipy.special", "scipy.integrate", "scipy.optimize", "scipy.sparse")
     assert [m for m in loaded if m.startswith(heavy)] == []
+
+
+def test_package_binds_only_its_submodules_and_version():
+    # each library name has one import path, its module: the package
+    # re-exports nothing, so after the CLI's imports it holds only submodules
+    package = Path(usc_relax.__file__).parent
+    submodules = {info.name for info in pkgutil.iter_modules([str(package)])}
+    public = {name for name in vars(usc_relax) if not name.startswith("_")}
+    assert "cli" in public
+    assert public <= submodules
+    assert isinstance(usc_relax.__version__, str)
+    assert not hasattr(usc_relax, "__all__")
+
+
+def test_closed_stdout_is_not_a_refused_run():
+    # usc-relax edm-rates | head -2: the reader closes the pipe after two
+    # lines while most of the 1601-row table is still to be written
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "usc_relax.cli", "edm-rates"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env(),
+    )
+    head = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert head[0].startswith(b"# usc-relax ")
+    assert err == ""   # no "error:" line
+
+
+def test_output_write_error_is_still_a_refused_run(tmp_path, capsys):
+    assert run_cli("tla", "--output", str(tmp_path / "missing" / "t.csv")) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +559,8 @@ def test_evolve_header_says_how_the_run_was_made(tmp_path):
         k=2, params=ModelParams(g=2.0, n_fock=default_n_fock(2.0)),
         m_levels=12, points_per_period=24,
     )
-    assert float(values["projection deficit"]) == run.trajectory.projection_deficit
-    assert 0.0 < run.trajectory.projection_deficit < 1e-3
+    assert float(values["projection deficit"]) == run.projection_deficit
+    assert 0.0 < run.projection_deficit < 1e-3
 
 
 def test_gap_scan_requires_bath(capsys):

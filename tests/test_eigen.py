@@ -556,6 +556,4 @@ def test_no_library_module_binds_a_name_moved_to_the_oracles():
     assert not hasattr(Liouvillian, "matrix")
     assert not hasattr(Trajectory, "trace_drift")
     assert not hasattr(Trajectory, "min_eigenvalue")
-    assert [f.name for f in fields(Trajectory)] == [
-        "times", "populations", "observables", "projection_deficit"
-    ]
+    assert [f.name for f in fields(Trajectory)] == ["times", "populations", "observables"]

@@ -95,7 +95,6 @@ def test_bath_spectral_laws():
     assert ohmic.spectral_density(-2.0) == pytest.approx(0.1)
     rad = dipole_bath(0.2)
     assert rad.spectral_density(0.5) == pytest.approx(0.2 * 0.125)
-    assert dipole_bath(0.2, ohmic=True).law == "ohmic"
     with pytest.raises(ValueError, match="channel"):
         BathSpec(channel="flux", law="ohmic", strength=0.1, ref_freq=1.0)
     with pytest.raises(ValueError, match="law"):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -237,6 +237,9 @@ def test_structure_factor_matches_double_loop(factory, channel, params, temperat
     points=st.integers(1, 80),
     eta=st.floats(1e-4, 1.0),
 )
+# a one-point grid: a (k, 1) block's axis-0 sum is contiguous, and numpy sums
+# a contiguous reduction pairwise, not row by row
+@example(lines=[(0.0, 1.0)] * 8, order="drawn", start=0.0, width=1.0, points=1, eta=1e-4)
 def test_lorentzian_sum_skips_only_exact_no_ops(lines, order, start, width, points, eta):
     # weights from 1e-320 to 1: the weak lines that the skip leaves out must
     # not change a bit of any total, whatever the line order, grid and eta
