@@ -291,6 +291,12 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    # basicConfig leaves a root logger that already has handlers as it is, so
+    # --verbose also lowers the package's own level, for this call only
+    package_log = logging.getLogger("usc_relax")
+    level = package_log.level
+    if args.verbose:
+        package_log.setLevel(logging.INFO)
     try:
         if args.config:
             config = load_config(args.config, args.set)
@@ -316,6 +322,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        package_log.setLevel(level)
     return 0
 
 

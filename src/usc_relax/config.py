@@ -10,18 +10,20 @@ Grammar (one statement per line):
     scan = name, start, stop, points                  (repeatable, max 2)
 
 The dataclasses are the grammar.  A value is read by its field's declared
-type: `float`, `int`, `str`, or `str | None` (which also takes `none`).  A
-`bath` or `scan` entry lists the fields of `BathSpec` or `ScanAxis` in
-order; trailing fields with defaults may be left out.  `format` names the
-`fmt` field.  '#' starts a comment (whole-line or trailing); blank lines are
-skipped.  The last assignment of a key wins, `model.n_fock = auto` included:
-`auto` resolves the Fock cutoff from the final coupling at parse time, so an
-emitted config always round-trips to the identical object.  Scan axes may
-only reference g, epsilon, omega, or T.
+type: `float`, `int`, `str`, or `str | None` (which also takes `none`); a
+number must be finite.  A `bath` or `scan` entry lists the fields of
+`BathSpec` or `ScanAxis` in order; trailing fields with defaults may be left
+out.  `format` names the `fmt` field.  '#' starts a comment (whole-line or
+trailing); blank lines are skipped.  The last assignment of a key wins,
+`model.n_fock = auto` included: `auto` resolves the Fock cutoff from the
+final coupling at parse time, so an emitted config always round-trips to the
+identical object.  Scan axes may only reference g, epsilon, omega, or T, and
+a T axis, like `temperature`, takes no value below 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Sequence
@@ -52,6 +54,8 @@ class ScanAxis:
             )
         if self.points < 1:
             raise ValueError(f"scan axis {self.name!r} needs points >= 1, got {self.points}")
+        if self.name == "T" and min(self.start, self.stop) < 0.0:
+            raise ValueError(f"temperature must be >= 0, got {min(self.start, self.stop)}")
 
     def grid(self) -> np.ndarray:
         """np.linspace(start, stop, points), made mirror-exact when start == -stop.
@@ -167,13 +171,20 @@ _NUMBERS = {"float": (float, "a number"), "int": (int, "an integer")}
 
 
 def _parse_value(token: str, ftype: str, key: str) -> object:
-    """One value, read by its field's declared type (annotations are strings here)."""
+    """One value, read by its field's declared type (annotations are strings here).
+
+    A number must be finite: no field has a meaning for nan or inf, and
+    past the parse they become tables of NaN or 0.0 cells, not errors.
+    """
     if ftype in _NUMBERS:
         cast, what = _NUMBERS[ftype]
         try:
-            return cast(token)
+            value = cast(token)
         except ValueError:
             raise ValueError(f"{key}: expected {what}, got {token!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{key}: expected a finite number, got {token!r}")
+        return value
     return None if ftype == "str | None" and token == "none" else token
 
 

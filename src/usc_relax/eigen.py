@@ -10,12 +10,14 @@ folded into the leading block exactly (Loewdin partitioning at a fold
 energy sigma, through a band Cholesky of the tail), and the inertia count
 of the fold proves that no level below sigma is missed.  On the folded
 block: one eigenvalues-only sweep (LAPACK dsbev), then inverse iteration
-for the vectors.  Padded with zeros, they must meet a residual bound in the
-whole band; a split that fails any check is dropped for the unsplit solve
-of the whole band, and a solve that cannot meet the bound raises.  No
-n x n reduction matrix is ever formed.  The dense branch, a full eigh,
-serves only reference operators: the polaron-frame builder, which the
-benchmark gate still solves, and the dense matrices of the test oracles.
+for the vectors, which solves a second time before its one QR only when
+Wilkinson's growth test says the first solve fell short.  Padded with
+zeros, the vectors must meet a residual bound in the whole band; a split
+that fails any check is dropped for the unsplit solve of the whole band,
+and a solve that cannot meet the bound raises.  No n x n reduction matrix
+is ever formed.  The dense branch, a full eigh, serves only reference
+operators: the polaron-frame builder, which the benchmark gate still
+solves, and the dense matrices of the test oracles.
 
 Eigenvectors carry no phase convention: each is whatever the solver
 returns, deterministic for a given operator.  Every quantity the library
@@ -26,7 +28,9 @@ certified_eigensystem() is the one production solve: it certifies the
 Fock truncation from the retained vectors themselves, with no second
 eigensolve and, for a band, no second operator.  Padded with zeros, each
 vector's residual in the untruncated operator must be at most CERTIFY_TOL,
-or the call raises.
+or the call raises.  For a band that residual is taken over the rows the
+vectors occupy and the half-bandwidth past them, the only rows where it
+can be nonzero.
 """
 
 from __future__ import annotations
@@ -58,12 +62,21 @@ class EigenSystem:
 
 
 def _band_matvec(bands: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """H @ vecs for a symmetric band matrix in lower storage."""
-    out = bands[0][:, None] * vecs
-    for k in range(1, len(bands)):
-        sub = bands[k, :-k, None]
-        out[k:] += sub * vecs[:-k]
-        out[:-k] += sub * vecs[k:]
+    """H @ vecs over every row it reaches, for vecs on the leading rows of a lower-storage band.
+
+    vecs holds the first r rows (r at most the band's dim); the rows past it
+    are zero.  The product has r + half-bandwidth rows: the last ones are the
+    couplings bands[k, j], j + k >= r, out of those rows, which past the
+    band's last row are its slots.  Each row's sum runs in the same order
+    whatever r is.
+    """
+    half, r = len(bands) - 1, len(vecs)
+    out = np.zeros((r + half, vecs.shape[1]))
+    out[:r] = bands[0, :r, None] * vecs
+    for k in range(1, half + 1):
+        out[k : r + k] += bands[k, :r, None] * vecs
+        if k < r:
+            out[: r - k] += bands[k, : r - k, None] * vecs[k:]
     return out
 
 
@@ -104,16 +117,15 @@ def _first_split(bands: np.ndarray, count: int) -> tuple[int, float]:
     energy = omega_c * -(-count // 2) + abs(bands[1, 0]) + 0.5 * abs(bands[0, 0] - bands[0, 1])
     alpha = abs(bands[2, 0]) / omega_c
     top = math.ceil(energy / omega_c)
-    photons = np.arange(max(dim // 2, top + 1))
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(photons[1:]))))
-    n = photons[top + 1 :]
+    d = np.arange(1.0, dim // 2 - top)   # n = K + d, up to the last photon
+    # sqrt(n! / K!) / (n - K)! is the running product of sqrt(K + j) / j, j = 1..d
     log_amp = (
-        (n - top) * (math.log(alpha) if alpha > 0.0 else -np.inf) - 0.5 * alpha**2
-        + 0.5 * (log_fact[n] - log_fact[top]) - log_fact[n - top]
+        (d * math.log(alpha) if alpha > 0.0 else -np.inf) - 0.5 * alpha**2
+        + np.cumsum(0.5 * np.log(top + d) - np.log(d))
     )
     fallen = log_amp < math.log(RESIDUAL_TOL * np.finfo(float).eps)
-    past = np.flatnonzero((n > top + alpha**2) & fallen)
-    rows = 2 * int(n[past[0]] + 1) if past.size else dim
+    past = np.flatnonzero((d > alpha**2) & fallen)
+    rows = 2 * (top + int(d[past[0]]) + 1) if past.size else dim
     return rows, energy - omega_c * alpha**2
 
 
@@ -140,14 +152,20 @@ def _inverse_iteration(
     """Orthonormal eigenvectors of a symmetric band matrix at the given eigenvalues.
 
     The shifted copies H - w_i I are stacked as one block-diagonal general
-    band matrix, so a single LU (dgbtrf) and a single solve (dgbtrs) per
-    sweep serve every level.  After each solve the columns are
-    orthonormalized in ascending order (QR), which separates near-degenerate
-    pairs.  The QR leaves a pair split by about ten eps ||H|| rotated by up
-    to its rounding, so a sweep that fails to lower the worst residual is
-    followed by a Rayleigh-Ritz rotation of the vectors (_rayleigh_ritz);
-    a converging solve lowers it every sweep and never pays for one.  The
-    sweeps stop once every residual ||H v - w v|| is within tol;
+    band matrix, so a single LU (dgbtrf) and a single solve (dgbtrs) serve
+    every level.  Each sweep solves from its start b and applies Wilkinson's
+    growth test, as LAPACK dstein does: (H - w_i I) x_i = b_i makes
+    ||b_i|| / ||x_i|| the residual of x_i / ||x_i|| with respect to w_i.
+    Only if some column's ratio exceeds tol does it solve once more, from
+    every solution scaled to unit norm, with no QR or product in between; on
+    the gap_map grid about four in five first solves from the random start
+    need that.  Then the columns are orthonormalized in ascending order (QR),
+    which separates near-degenerate pairs, and their residuals
+    ||H v - w v|| are taken.  The QR leaves a pair split by about ten
+    eps ||H|| rotated by up to its rounding, so a sweep that fails to lower
+    the worst residual is followed by a Rayleigh-Ritz rotation of the
+    vectors (_rayleigh_ritz); a converging solve lowers it every sweep and
+    never pays for one.  The sweeps stop once every residual is within tol;
     a solve that does not get there in MAX_SWEEPS raises instead of
     returning unconverged vectors.  The LU holds (3 * half-bandwidth + 1) *
     count * dim doubles.
@@ -156,19 +174,21 @@ def _inverse_iteration(
     count = len(freqs)
     # general band storage: block b's H[i, j] - w_b delta_ij sits at lu[2 half + i - j, b dim + j]
     rows = 3 * half + 1
-    lu = np.zeros((rows, count * dim), order="F")
-    blocks = lu.T.reshape(count, dim, rows)
     # entries below eps * ||H|| are below the solve's rounding and are left
     # out: kept, a tiny coupling could win a pivot search against a near-zero
     # diagonal entry and mix a far level in, and a subnormal pivot would
     # overflow its multipliers; the zero pivots they leave are raised below
+    coupling = np.where(np.abs(bands[1:]) < eps_norm, 0.0, bands[1:])
+    shared = np.zeros((dim, rows))   # the off-diagonal entries, the same in every block
+    for k in range(1, half + 1):
+        shared[: dim - k, 2 * half + k] = coupling[k - 1, : dim - k]
+        shared[k:, 2 * half - k] = coupling[k - 1, : dim - k]
+    lu = np.empty((rows, count * dim), order="F")
+    blocks = lu.T.reshape(count, dim, rows)
+    blocks[:] = shared
     diagonal = bands[0] - freqs[:, None]
     diagonal[np.abs(diagonal) < eps_norm] = 0.0
-    coupling = np.where(np.abs(bands[1:]) < eps_norm, 0.0, bands[1:])
     blocks[:, :, 2 * half] = diagonal
-    for k in range(1, half + 1):
-        blocks[:, : dim - k, 2 * half + k] = coupling[k - 1, : dim - k]
-        blocks[:, k:, 2 * half - k] = coupling[k - 1, : dim - k]
     lu, pivots, info = dgbtrf(lu, half, half, overwrite_ab=1)
     if info < 0:
         raise LinAlgError(f"dgbtrf rejected argument {-info}")
@@ -177,15 +197,28 @@ def _inverse_iteration(
     u = lu[2 * half]
     small = np.abs(u) < eps_norm
     u[small] = np.copysign(eps_norm, u[small])
-    rhs = start.reshape(-1, 1)
-    worst = np.inf
-    for _ in range(MAX_SWEEPS):
-        solved, info = dgbtrs(lu, half, half, rhs, pivots)
+
+    def solve(rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # one row per level; each solution is returned divided by its largest
+        # entry, which is returned too: against pivots of eps ||H|| (tiny for a
+        # zero band) an unscaled one may sit near overflow
+        solved, info = dgbtrs(lu, half, half, rhs.reshape(-1, 1), pivots)
         if info != 0:
             raise LinAlgError(f"dgbtrs rejected argument {-info}")
-        packed, tau, _, _ = dgeqrf(solved.reshape(count, dim).T, overwrite_a=1)
+        solved = solved.reshape(count, dim)
+        peak = np.max(np.abs(solved), axis=1)
+        return solved / peak[:, None], peak
+
+    rhs = start
+    worst = np.inf
+    for _ in range(MAX_SWEEPS):
+        solved, peak = solve(rhs)
+        size = np.sqrt(_column_norms2(solved.T))
+        if np.any(np.sqrt(_column_norms2(rhs.T)) > tol * peak * size):   # the growth test
+            solved, _ = solve(solved / size[:, None])
+        packed, tau, _, _ = dgeqrf(solved.T, overwrite_a=1)
         vecs, _, _ = dorgqr(packed, tau, overwrite_a=1)
-        product = _band_matvec(bands, vecs)
+        product = _band_matvec(bands, vecs)[:dim]
         norms = _column_norms2(product - vecs * freqs)
         if np.max(norms) >= worst:
             vecs, product = _rayleigh_ritz(vecs, product)
@@ -193,7 +226,7 @@ def _inverse_iteration(
         if np.all(norms <= tol * tol):
             return vecs
         worst = np.max(norms)
-        rhs = vecs.T.reshape(-1, 1)
+        rhs = vecs.T
     raise LinAlgError(
         f"inverse iteration left residuals above {tol:.3e} after {MAX_SWEEPS} sweeps"
     )
@@ -219,14 +252,17 @@ def _band_eigenpairs(bands: np.ndarray, count: int) -> tuple[np.ndarray, np.ndar
     must then meet RESIDUAL_TOL * eps * ||H|| in H itself, the boundary rows
     H21 v included.  ||H|| is replaced by the largest in-band entry, a lower
     bound on ||H||_2, so the check can only get tighter; the slots past the
-    last row are never read.  d and sigma come from _first_split.  A split
-    that fails any check (the tail's Cholesky, too few levels below sigma,
-    or the residual) is dropped for d = dim, the unsplit solve of the whole
-    band with an empty tail.
+    last row never enter a solve.  d and sigma come from _first_split.  A
+    split that fails any check (the tail's Cholesky, too few levels below
+    sigma, or the residual) is dropped for d = dim, the unsplit solve of the
+    whole band with an empty tail.
     """
     half, dim = bands.shape[0] - 1, bands.shape[1]
     # the largest in-band entry bounds ||H||_2 below; positive even for a zero band
-    scale = max(np.max(np.abs(bands[k, : dim - k]), initial=0.0) for k in range(half + 1))
+    inband = np.abs(bands)
+    for k in range(1, half + 1):
+        inband[k, dim - k :] = 0.0   # the slots past the last row
+    scale = inband.max()
     eps_norm = max(np.finfo(float).eps * scale, np.finfo(float).tiny)
     tol = RESIDUAL_TOL * eps_norm
     split, sigma = _first_split(bands, count)
@@ -243,8 +279,9 @@ def _band_eigenpairs(bands: np.ndarray, count: int) -> tuple[np.ndarray, np.ndar
                 continue
             # H21 is nonzero only in its first h rows and last h columns
             coupling = np.zeros((dim - rows, half))
-            i, j = np.triu_indices(half)
-            coupling[i, j] = bands[half + i - j, rows - half + j]
+            for i in range(half):
+                for j in range(i, half):
+                    coupling[i, j] = bands[half + i - j, rows - half + j]
             solved, info = dpbtrs(factor, coupling, lower=1)
             if info != 0:
                 raise LinAlgError(f"dpbtrs rejected argument {-info}")
@@ -263,11 +300,11 @@ def _band_eigenpairs(bands: np.ndarray, count: int) -> tuple[np.ndarray, np.ndar
         if rows == dim:
             return freqs, vecs
         # the padded vectors' residual in H, through the h boundary rows of the tail
-        padded = np.zeros((dim, count))
-        padded[:rows] = vecs
-        ext = rows + half
-        residual = _band_matvec(bands[:, :ext], padded[:ext]) - padded[:ext] * freqs
+        residual = _band_matvec(bands, vecs)
+        residual[:rows] -= vecs * freqs
         if np.all(_column_norms2(residual) <= tol * tol):
+            padded = np.zeros((dim, count))
+            padded[:rows] = vecs
             return freqs, padded
 
 
@@ -311,13 +348,25 @@ def _padding_residuals(
     big is a dense operator, or a band in lower storage multiplied in its
     own row order.  rows lists, in the order of the library basis, the rows
     of big that hold the retained vectors; pad() places them there, with
-    zeros elsewhere.
+    zeros elsewhere.  A band is multiplied as it is, with no padded copy,
+    over the only rows where the product can be nonzero: those up to the
+    last row any vector occupies, and the half-bandwidth past it, which past
+    the band's last row are its slots (_band_matvec).  The window is read
+    off the vectors, not off the solver's split, so an entry anywhere
+    widens it.
     """
-    band = isinstance(big, np.ndarray)
-    padded = np.zeros((big.shape[1] if band else big.dim, len(eig.frequencies)), eig.vectors.dtype)
-    padded[rows] = eig.vectors
-    product = _band_matvec(big, padded) if band else big.entries @ padded
-    return np.linalg.norm(product - padded * eig.frequencies, axis=0)
+    if isinstance(big, np.ndarray):
+        vecs = np.empty_like(eig.vectors)
+        vecs[rows] = eig.vectors   # in the band's row order
+        occupied = np.flatnonzero(np.any(vecs, axis=1))[-1] + 1
+        vecs = vecs[:occupied]
+        product = _band_matvec(big, vecs)
+        product[:occupied] -= vecs * eig.frequencies
+    else:
+        padded = np.zeros((big.dim, len(eig.frequencies)), eig.vectors.dtype)
+        padded[rows] = eig.vectors
+        product = big.entries @ padded - padded * eig.frequencies
+    return np.linalg.norm(product, axis=0)
 
 
 def certified_eigensystem(
@@ -335,14 +384,17 @@ def certified_eigensystem(
     (the Hermitian residual bound; Parlett, The Symmetric Eigenvalue
     Problem).  The whole residual is formed (_padding_residuals): within the
     block it is the solver's own, O(eps ||H||), and out of it the coupling
-    to the dropped photons.  A band needs no second build: continued by its
-    half-bandwidth, its slots past the last row are those couplings (for
-    rabi_bands, g sqrt(N)/2 out of photon N - 1), and the band reaches no
-    further.  A dense operator is rebuilt at params.n_fock + FOCK_MARGIN
-    instead.  A band solve folded at a split below N - 1 (_band_eigenpairs)
-    leaves its vectors exactly zero from the split on, so there the
-    coupling out of the block contributes nothing and the residual is the
-    solver's own, which already includes the split's boundary rows.
+    to the dropped photons.  A band needs no second build: its slots past
+    the last row are those couplings (for rabi_bands, g sqrt(N)/2 out of
+    photon N - 1), and the band reaches no further than its half-bandwidth.
+    A dense operator is rebuilt at params.n_fock + FOCK_MARGIN instead.  A
+    band is multiplied only over the rows its vectors occupy and the
+    half-bandwidth past them.  A band solve folded at a split below N - 1
+    (_band_eigenpairs) leaves its vectors exactly zero from the split on, so
+    there the window ends inside the band, the coupling out of the block
+    does not enter, and the residual is the one the solver's split check
+    took, boundary rows included: the certificate accepts and refuses
+    exactly what a product over the whole padded band would.
     Raises if any level's residual exceeds CERTIFY_TOL; callers should
     enlarge n_fock rather than trust those levels.  The certificate only
     accepts or refuses: the returned eigensystem is the solve itself.
@@ -350,9 +402,7 @@ def certified_eigensystem(
     op = builder(params)
     eig = diagonalize(op, levels)
     if isinstance(op, BandOperator):
-        # zero columns continue the band by its half-bandwidth, which reaches every
-        # row the untruncated operator couples the block to
-        big, rows = np.pad(op.bands, ((0, 0), (0, len(op.bands) - 1))), op.to_library
+        big, rows = op.bands, op.to_library
     else:
         n_big = params.n_fock + FOCK_MARGIN
         big = builder(replace(params, n_fock=n_big))

@@ -200,8 +200,8 @@ class BandOperator:
     library's matter-slow basis is row to_library[r] of that order.  The
     slots where j + k runs past the last row hold the couplings H[j + k, j]
     of the untruncated operator out of the block (zero where there are
-    none): the solvers never read them, and the truncation certificate
-    takes its residual through them.
+    none): no solve uses them, and the truncation certificate takes its
+    residual through them.
     """
 
     dim: int

@@ -93,16 +93,19 @@ def map_points(
     included; every point must return the same names.  The blocks are
     returned as they are, so arrays shared between points stay shared for
     write_table.  Each finished point logs one INFO line (axis values,
-    n_fock, seconds); an exception from a point ends the map.
+    n_fock, seconds), formatted only when INFO is enabled; an exception from
+    a point ends the map.
     """
     blocks = []
+    verbose = log.isEnabledFor(logging.INFO)
     for point in scan_points(config.scan):
         start = time.perf_counter()
         blocks.append(point_columns(point))
-        log.info(
-            "%s point (%s): n_fock=%d, %.4f s",
-            kind, _where(point), config.model.n_fock, time.perf_counter() - start,
-        )
+        if verbose:
+            log.info(
+                "%s point (%s): n_fock=%d, %.4f s",
+                kind, _where(point), config.model.n_fock, time.perf_counter() - start,
+            )
     return blocks
 
 

@@ -471,6 +471,29 @@ def test_bad_override_exits_2(capsys):
     assert "no field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["transmission", "--set", "temperature = nan", "--set", "scan = epsilon, 0, 0, 1"],
+     "temperature: expected a finite number"),
+    (["gap-scan", "--set", "temperature = nan", "--set", "scan = g, 1, 2, 2",
+      "--set", "bath = cavity, ohmic, 0.05, 1.0"], "temperature: expected a finite number"),
+    (["gap-scan", "--set", "scan = g, 1, 2, 2", "--set", "bath = cavity, ohmic, nan, 1.0"],
+     "bath: expected a finite number"),
+    (["evolve", "--set", "model.g = nan"], "model.g: expected a finite number"),
+    (["evolve", "--set", "model.g = inf"], "model.g: expected a finite number"),
+    (["gap-scan", "--set", "scan = T, -1, 1, 3", "--set", "bath = cavity, ohmic, 0.05, 1.0"],
+     "temperature must be >= 0"),
+    (["gap-scan", "--set", "temperature = -1", "--set", "scan = g, 1, 2, 2",
+      "--set", "bath = cavity, ohmic, 0.05, 1.0"], "temperature must be >= 0"),
+], ids=["transmission-T-nan", "gap-T-nan", "gap-bath-nan", "evolve-g-nan", "evolve-g-inf",
+        "gap-T-axis-negative", "gap-T-negative"])
+def test_non_finite_or_negative_temperature_input_exits_2(argv, key, capsys):
+    # each used to print a table: 0.0 or NaN cells, or an unrelated failure
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and key in captured.err
+
+
 def test_wrong_scan_axis_exits_2(capsys):
     assert run_cli("spectrum", "--set", "scan = T, 0, 1, 3") == 2
     assert "only a g scan axis" in capsys.readouterr().err

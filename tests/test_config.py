@@ -68,12 +68,14 @@ baths = st.one_of(
     st.builds(BathSpec, **_BATH_ARGS),
     st.builds(BathSpec, nu=st.floats(1.0, 6.0), **_BATH_ARGS),
 )
-scan_axes = st.builds(
-    ScanAxis,
-    name=st.sampled_from(SCAN_AXES),
-    start=st.floats(-5.0, 5.0),
-    stop=st.floats(-5.0, 5.0),
-    points=st.integers(1, 500),
+scan_axes = st.sampled_from(SCAN_AXES).flatmap(
+    lambda name: st.builds(   # a temperature axis takes no endpoint below 0
+        ScanAxis,
+        name=st.just(name),
+        start=st.floats(0.0 if name == "T" else -5.0, 5.0),
+        stop=st.floats(0.0 if name == "T" else -5.0, 5.0),
+        points=st.integers(1, 500),
+    )
 )
 outputs = st.none() | st.text("abcxyz019_-./", min_size=1).filter(lambda s: s != "none")
 wells = st.builds(

@@ -194,6 +194,53 @@ def test_band_solve_survives_couplings_below_the_rounding():
     _assert_band_solve_matches_oracle(params, 24)
 
 
+def _lapack_calls(monkeypatch, *names):
+    """The positional arguments of every call the solves below make to each named routine."""
+    calls = {name: [] for name in names}
+    for name in names:
+        routine = getattr(eigen, name)
+
+        def spy(*args, _routine=routine, _calls=calls[name], **kwargs):
+            _calls.append(args)
+            return _routine(*args, **kwargs)
+
+        monkeypatch.setattr(eigen, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    ("g", "epsilon", "solves"), [(0.5, 0.0, 2), (2.0, 1.37, 2), (2.0, 2.0, 1), (3.5, 1.0, 1)]
+)
+def test_band_solve_orthonormalizes_once(monkeypatch, g, epsilon, solves):
+    # the growth test decides on a second solve (dgbtrs) before any QR
+    # (dgeqrf), so a gap_map point's solve runs one QR, and a first solve
+    # that passes the test is the only one
+    calls = _lapack_calls(monkeypatch, "dgeqrf", "dgbtrs")
+    _assert_band_solve_matches_oracle(ModelParams(g=g, epsilon=epsilon, n_fock=89), 24)
+    assert len(calls["dgeqrf"]) == 1 and len(calls["dgbtrs"]) == solves
+
+
+def test_a_second_solve_starts_from_unit_columns(monkeypatch):
+    # couplings below the rounding leave near-degenerate pairs that one solve
+    # from the random start does not resolve: the growth test asks for a
+    # second, from the first solution with each column scaled to unit norm
+    params = ModelParams(g=7.03435602632105e-35, epsilon=7.03435602632105e-35, omega_d=0.0)
+    calls = _lapack_calls(monkeypatch, "dgeqrf", "dgbtrs")
+    _assert_band_solve_matches_oracle(params, 24)
+    assert len(calls["dgbtrs"]) == 2 and len(calls["dgeqrf"]) == 1
+    second = calls["dgbtrs"][1][3].reshape(24, -1)
+    assert np.allclose(np.linalg.norm(second, axis=1), 1.0, rtol=1e-14, atol=0.0)
+
+
+def test_band_solve_of_a_zero_band():
+    # eps ||H|| is tiny here, so the solutions sit near overflow: the QR must
+    # see them scaled
+    op = rabi_bands(ModelParams(n_fock=20))
+    op = replace(op, bands=np.zeros_like(op.bands))
+    eig = _assert_band_solve_matches_oracle(ModelParams(n_fock=20), 10, op)
+    assert np.array_equal(eig.frequencies, np.zeros(10))
+
+
 def _rayleigh_ritz_calls(monkeypatch):
     calls = []
     rotate = eigen._rayleigh_ritz
@@ -423,6 +470,73 @@ def test_padding_residuals_are_the_padded_vectors_full_residuals(
     padded[kept] = eig.vectors
     full = np.linalg.norm(h @ padded - padded * eig.frequencies, axis=0)
     assert np.max(np.abs(cheap - full)) <= 1e-12 * max(1.0, np.max(full))
+
+
+@pytest.mark.parametrize("rows", range(1, 7))
+def test_band_product_covers_every_row_the_leading_rows_reach(rows):
+    # vectors on the first `rows` rows of a band with half-bandwidth 2,
+    # fewer rows than that included, against the dense matrix that the band
+    # and its slots past the last row continue to dim + 2 rows
+    rng = np.random.default_rng(rows)
+    bands = rng.standard_normal((3, 6))
+    dense = np.zeros((8, 8))
+    for k in range(3):
+        for j in range(6):
+            dense[j + k, j] = dense[j, j + k] = bands[k, j]
+    vecs = rng.standard_normal((rows, 3))
+    product = eigen._band_matvec(bands, vecs)
+    assert product.shape == (rows + 2, 3)
+    assert np.allclose(product, dense[: rows + 2, :rows] @ vecs, rtol=0.0, atol=1e-14)
+
+
+def _split_rows(params):
+    """The band rows a solve at params keeps, read from _first_split."""
+    return eigen._first_split(rabi_bands(params).bands, 24)[0]
+
+
+def test_padding_residuals_of_a_split_solve_are_its_full_residuals(monkeypatch):
+    # an accepted point whose vectors are exactly zero past the split: the
+    # certificate's residual, taken over the rows they occupy, against the
+    # whole product in the dense matrix at n_fock + FOCK_MARGIN
+    residuals = []
+    padding = eigen._padding_residuals
+
+    def spy(*args):
+        residuals.append(padding(*args))
+        return residuals[-1]
+
+    monkeypatch.setattr(eigen, "_padding_residuals", spy)
+    params = GAP_MAP_POINT
+    eig = certified_eigensystem(params, 24)
+    [cheap] = residuals
+    split = _split_rows(params)
+    assert split < params.dim
+    assert not np.any(eig.vectors[rabi_bands(params).to_library >= split])
+    big = replace(params, n_fock=params.n_fock + eigen.FOCK_MARGIN)
+    kept = (np.arange(2)[:, None] * big.n_fock + np.arange(params.n_fock)).ravel()
+    padded = np.zeros((big.dim, 24))
+    padded[kept] = eig.vectors
+    h = build_rabi(big).entries
+    full = np.linalg.norm(h @ padded - padded * eig.frequencies, axis=0)
+    assert np.max(np.abs(cheap - full)) <= 1e-12
+
+
+def test_certificate_sees_an_entry_past_the_split(monkeypatch):
+    # the certificate's window is the rows the vectors occupy, not the rows
+    # the solver kept: an entry placed past the split widens it and is refused
+    params = GAP_MAP_POINT
+    row = np.flatnonzero(rabi_bands(params).to_library == _split_rows(params) + 20)[0]
+    solve = eigen.diagonalize
+
+    def perturbed(op, levels):
+        eig = solve(op, levels)
+        vectors = eig.vectors.copy()
+        vectors[row, 3] += 1e-5
+        return EigenSystem(eig.frequencies, vectors)
+
+    monkeypatch.setattr(eigen, "diagonalize", perturbed)
+    with pytest.raises(ValueError, match="1/24 levels"):
+        certified_eigensystem(params, levels=24)
 
 
 def test_the_band_slots_past_the_last_row_are_never_solved_with():

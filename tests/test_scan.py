@@ -147,6 +147,27 @@ def test_verbose_gap_scan_logs_one_info_line_per_point(caplog, capsys):
     assert loud.out == quiet.out
 
 
+def test_verbose_logs_under_a_root_logger_that_already_has_handlers(caplog, capsys):
+    # basicConfig does nothing when the root logger has handlers (pytest's
+    # here, an embedding application's elsewhere); --verbose must still log,
+    # and leave the package's level as it found it
+    assert logging.getLogger().handlers
+    package_log = logging.getLogger("usc_relax")
+    before = package_log.level
+    argv = [
+        "gap-scan",
+        "--set", "scan = g, 1.0, 2.0, 2",
+        "--set", "bath = cavity, ohmic, 0.02, 1.0",
+        "--set", "m_levels = 12",
+        "--verbose",
+    ]
+    assert main(argv) == 0
+    capsys.readouterr()
+    records = [r for r in caplog.records if r.name == "usc_relax.scan"]
+    assert [r.levelno for r in records] == [logging.INFO, logging.INFO]
+    assert package_log.level == before
+
+
 @pytest.mark.parametrize(
     "command, axis, values",
     [
