@@ -5,7 +5,10 @@ grammar), applies --set overrides as its last lines, and emits a CSV or
 JSON table with a self-describing metadata header: the config echo, then
 one `name: value` line per extra, among them how far to trust the table
 (evolve's collapse deviation, the cascade tables' elimination checks and
-saturation number).  Nothing is plotted; outputs are tables.
+saturation number).  --output and --format say where and how the table is
+written, so the header echoes neither.  Nothing is plotted; outputs are
+tables.  The gRWA rules (which ladder, which resonance) live in grwa
+alone: spectrum's omega_grwa column is grwa.levels.
 
 gap-scan, spectrum, transmission and dipole-response are point maps: each
 gives scan.map_points a function returning one point's block of columns,
@@ -66,15 +69,6 @@ def _cmd_gap_scan(config: RunConfig) -> tuple[dict[str, np.ndarray], tuple[str, 
     return columns, (f"failed points: {len(failures)}",)
 
 
-def _grwa_levels(params, n_levels: int) -> list[float]:
-    """gRWA levels at |epsilon|: H(-epsilon) = P H(epsilon) P with P = (-1)^(a^dag a) sigma_z."""
-    if abs(params.epsilon) < 1e-12:
-        return grwa.symmetric_levels(replace(params, epsilon=0.0), n_levels)
-    params = replace(params, epsilon=abs(params.epsilon))
-    k = max(1, round(params.epsilon / params.omega_c))
-    return grwa.asymmetric_levels(params, k, n_levels)
-
-
 def _cmd_spectrum(config: RunConfig):
     def spectrum_point(point):
         params = at_point(config, point).model
@@ -83,7 +77,7 @@ def _cmd_spectrum(config: RunConfig):
             "g": params.g,
             "level_index": np.arange(SPECTRUM_LEVELS),
             "omega_exact": eig.frequencies + polaron_constant(params),
-            "omega_grwa": np.asarray(_grwa_levels(params, SPECTRUM_LEVELS), dtype=float),
+            "omega_grwa": np.asarray(grwa.levels(params, SPECTRUM_LEVELS), dtype=float),
         }
 
     return map_points(config, "spectrum", spectrum_point), ()
@@ -302,18 +296,15 @@ def main(argv: list[str] | None = None) -> int:
             config = load_config(args.config, args.set)
         else:
             config = apply_overrides(RunConfig(), args.set)
-        if args.output:
-            config = replace(config, output=args.output)
-        if args.format:
-            config = replace(config, fmt=args.format)
         _check_scan_axes(args.command, config)
         table, extra = _COMMANDS[args.command][0](config)
         metadata = build_metadata(config, extra=extra)
-        if config.output:
-            with open(config.output, "w") as stream:
-                write_table(stream, metadata, table, config.fmt)
+        fmt = args.format or "csv"
+        if args.output:
+            with open(args.output, "w") as stream:
+                write_table(stream, metadata, table, fmt)
         else:
-            write_table(sys.stdout, metadata, table, config.fmt)
+            write_table(sys.stdout, metadata, table, fmt)
             sys.stdout.flush()
     except BrokenPipeError:   # the table's reader stopped early (| head): not a refusal
         # what stdout still buffers goes nowhere, not to the closed pipe at exit

@@ -2,23 +2,23 @@
 
 Grammar (one statement per line):
 
-    key = value            top-level scalars (temperature, m_levels, output,
-                           format)
+    key = value            top-level scalars (temperature, m_levels)
     group.field = value    fields of a parameter group (model, well, edm,
                            response, evolve)
     bath = channel, law, strength, ref_freq[, nu]     (repeatable)
     scan = name, start, stop, points                  (repeatable, max 2)
 
 The dataclasses are the grammar.  A value is read by its field's declared
-type: `float`, `int`, `str`, or `str | None` (which also takes `none`); a
-number must be finite.  A `bath` or `scan` entry lists the fields of
-`BathSpec` or `ScanAxis` in order; trailing fields with defaults may be left
-out.  `format` names the `fmt` field.  '#' starts a comment (whole-line or
+type: `float`, `int` or `str`; a number must be finite.  A `bath` or `scan`
+entry lists the fields of `BathSpec` or `ScanAxis` in order; trailing
+fields with defaults may be left out.  '#' starts a comment (whole-line or
 trailing); blank lines are skipped.  The last assignment of a key wins,
 `model.n_fock = auto` included: `auto` resolves the Fock cutoff from the
 final coupling at parse time, so an emitted config always round-trips to the
 identical object.  Scan axes may only reference g, epsilon, omega, or T, and
-a T axis, like `temperature`, takes no value below 0.
+a T axis, like `temperature`, takes no value below 0.  A config says how a
+table is made, not where it is written or in which format: those are the
+CLI's --output and --format.
 """
 
 from __future__ import annotations
@@ -135,14 +135,10 @@ class RunConfig:
     response: ResponseSettings = ResponseSettings()
     evolve: EvolveSettings = EvolveSettings()
     m_levels: int = 24
-    output: str | None = None
-    fmt: str = "csv"
 
     def __post_init__(self) -> None:
         if len(self.scan) > 2:
             raise ValueError(f"at most 2 scan axes supported, got {len(self.scan)}")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.fmt!r}")
         if self.temperature < 0.0:
             raise ValueError(f"temperature must be >= 0, got {self.temperature}")
         if self.m_levels < 2:
@@ -160,9 +156,9 @@ _GROUPS = {
 # list key -> (RunConfig field, entry dataclass); each line adds one entry
 _LISTS = {"bath": ("baths", BathSpec), "scan": ("scan", ScanAxis)}
 
-# top-level scalar key -> RunConfig field; `format` is the one alias
+# top-level scalar key -> RunConfig field
 _SCALARS = {
-    "format" if f.name == "fmt" else f.name: f
+    f.name: f
     for f in fields(RunConfig)
     if f.name not in _GROUPS and f.name not in {name for name, _ in _LISTS.values()}
 }
@@ -185,7 +181,7 @@ def _parse_value(token: str, ftype: str, key: str) -> object:
         if not math.isfinite(value):
             raise ValueError(f"{key}: expected a finite number, got {token!r}")
         return value
-    return None if ftype == "str | None" and token == "none" else token
+    return token
 
 
 def _parse_entry(key: str, value: str) -> object:
@@ -273,8 +269,6 @@ def load_config(path: str | Path, assignments: Sequence[str] = ()) -> RunConfig:
 
 
 def _format_value(value: object) -> str:
-    if value is None:
-        return "none"
     return repr(value) if isinstance(value, float) else str(value)
 
 

@@ -214,8 +214,8 @@ class EdmValidity:
 
 
 def validity_report(p: EdmParams) -> EdmValidity:
-    """The regime checks at epsilon's nearest resonance k = max(1, round(epsilon / omega_c))."""
-    k = max(1, round(p.epsilon / p.omega_c))
+    """The regime checks at epsilon's nearest resonance, grwa.nearest_resonance."""
+    k = grwa.nearest_resonance(p.epsilon, p.omega_c)
     model = ModelParams(omega_c=p.omega_c, omega_d=p.omega_d, g=p.g)
     splitting = abs(grwa.rabi_frequency(k, k, model))
     messages = []

@@ -1,16 +1,19 @@
 """Generalized rotating-wave closed forms for the polaron Rabi model.
 
-Block-diagonal approximations of the polaron-frame Hamiltonian: the
-symmetric (epsilon = 0) dressed ladder with Hopfield angles, the
-k-photon-resonance blocks of the asymmetric model and multi-photon Rabi
-frequencies.  The tables read the levels (spectrum's omega_grwa column)
-and Omega_(k,n) (rabi-freq, evolve's reference frequency, the cascade's
-validity check).  The symmetric ladder is an EigenSystem
-(symmetric_eigensystem): its vectors are the 2 x 2 block eigenvectors in
-the library basis, so this module forms no transition element.  The
-elements between dressed states and their golden-rule rates come from
-lindblad's coupling_elements and build_liouvillian, as for the exact
-levels; the test oracles key them by branch for the printed table.
+The multi-photon polaron version of the textbook dressed-state picture:
+every level is one of a 2 x 2 dressed doublet (Doublet, built by doublet).
+The vacuum block gives the ground, the symmetric n-blocks the epsilon = 0
+ladder with its Hopfield angles, and the k-photon-resonance blocks, coupled
+by the multi-photon Rabi frequencies Omega_(k,n), the asymmetric one.  This
+module alone decides which ladder and which resonance apply at a given
+epsilon (levels, nearest_resonance).  The tables read the levels
+(spectrum's omega_grwa column) and Omega_(k,n) (rabi-freq, evolve's
+reference frequency, the cascade's validity check).  The symmetric ladder
+is an EigenSystem (symmetric_eigensystem): its vectors are the doublet
+eigenvectors in the library basis, so this module forms no transition
+element.  The elements between dressed states and their golden-rule rates
+come from lindblad's coupling_elements and build_liouvillian, as for the
+exact levels; the test oracles key them by branch for the printed table.
 
 Energies produced here are referenced to the polaron-frame zero in which
 the c-number g^2/(4 omega_c) generated by the polaron transform is dropped
@@ -29,7 +32,41 @@ import numpy as np
 from .eigen import EigenSystem
 from .operators import ModelParams, displacement_element, laguerre
 
-RESONANCE_TOL = 1e-9  # |detuning|/omega_c below which a block counts as exactly resonant
+RESONANCE_TOL = 1e-9  # |detuning| / splitting below which a doublet counts as exactly resonant
+
+
+@dataclass(frozen=True)
+class Doublet:
+    """Dressed doublet of one 2 x 2 block, the record of every gRWA level.
+
+    The block is [[mean + detuning/2, coupling/2], [coupling/2, mean -
+    detuning/2]]: the vacuum block, a symmetric n-block or a k-resonance
+    block.  omega_plus and omega_minus are
+    mean +- r/2 with splitting r = sqrt(detuning^2 + coupling^2).  The
+    half-angle weights are non-negative; the upper eigenvector is (cos_half,
+    sign(coupling) sin_half).  A doublet whose |detuning| is below
+    RESONANCE_TOL times its splitting r counts as exactly resonant and gets
+    the equal-weight pair.
+    """
+
+    mean: float
+    detuning: float
+    coupling: float
+    omega_plus: float
+    omega_minus: float
+    cos_half: float
+    sin_half: float
+
+
+def doublet(mean: float, detuning: float, coupling: float) -> Doublet:
+    """The eigenpairs of one 2 x 2 block, as a Doublet."""
+    r = math.hypot(detuning, coupling)
+    if r == 0.0 or abs(detuning) < RESONANCE_TOL * r:
+        cos_half = sin_half = math.sqrt(0.5)
+    else:
+        cos_half = math.sqrt(0.5 * (1.0 + detuning / r))
+        sin_half = math.sqrt(0.5 * (1.0 - detuning / r))
+    return Doublet(mean, detuning, coupling, mean + 0.5 * r, mean - 0.5 * r, cos_half, sin_half)
 
 
 def _two_level_check(params: ModelParams) -> None:
@@ -46,66 +83,26 @@ def tunneling_suppression(params: ModelParams) -> float:
 def ground_state_energy(params: ModelParams) -> float:
     """Polaron-frame ground energy -sqrt(eps^2 + omega_d^2 e^{-g^2/omega_c^2})/2.
 
-    Includes the vacuum-block dressing by the diagonal displacement element
+    The lower level of the vacuum doublet (|left, 0>, |right, 0>), whose
+    coupling is the tunneling dressed by the diagonal displacement element
     D_00; reduces to -omega_d/2 at g = 0, epsilon = 0.
     """
     _two_level_check(params)
-    x = params.g / params.omega_c
-    return -0.5 * math.hypot(params.epsilon, params.omega_d * math.exp(-0.5 * x * x))
-
-
-def _two_level(mean: float, delta: float, off: float) -> tuple[float, float, float, float]:
-    """Eigenpairs of [[mean + delta/2, off/2], [off/2, mean - delta/2]].
-
-    Returns (omega_plus, omega_minus, cos_half, sin_half).  The half-angle
-    weights are non-negative; the upper eigenvector is (cos_half,
-    sign(off) sin_half).  A block whose |delta| is below RESONANCE_TOL of
-    its splitting counts as exactly resonant and gets the equal-weight pair.
-    """
-    r = math.hypot(delta, off)
-    if r == 0.0 or abs(delta) < RESONANCE_TOL * r:
-        cos_half = sin_half = math.sqrt(0.5)
-    else:
-        cos_half = math.sqrt(0.5 * (1.0 + delta / r))
-        sin_half = math.sqrt(0.5 * (1.0 - delta / r))
-    return mean + 0.5 * r, mean - 0.5 * r, cos_half, sin_half
+    return doublet(0.0, params.epsilon, tunneling_suppression(params)).omega_minus
 
 
 # ---------------------------------------------------------------------------
 # Symmetric model (epsilon = 0)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BlockCoefficients:
-    """Entries of the n-th polaron block [[a, c], [c, b]] at epsilon = 0.
+def symmetric_block(params: ModelParams, n: int) -> Doublet:
+    """The n-th polaron doublet of the symmetric model.
 
-    Basis is (|down, n>, |up, n-1>); a carries the photon-like diagonal,
-    b the matter-like one, c the Laguerre-dressed coupling that reduces to
-    the Jaynes-Cummings (g/2) sqrt(n) at small coupling.
+    Basis (|down, n>, |up, n-1>), block [[A_n, C_n], [C_n, B_n]]: A_n
+    carries the photon-like diagonal, B_n the matter-like one, C_n the
+    Laguerre-dressed coupling that reduces to the Jaynes-Cummings
+    (g/2) sqrt(n) at small coupling.
     """
-
-    n: int
-    a: float
-    b: float
-    c: float
-
-
-@dataclass(frozen=True)
-class DressedPair:
-    """Dressed doublet of one polaron block with its non-negative Hopfield weights.
-
-    The upper eigenvector of [[a, c], [c, b]] is (cos_half, sign(c) sin_half).
-    """
-
-    n: int
-    omega_plus: float
-    omega_minus: float
-    cos_half: float
-    sin_half: float
-
-
-def symmetric_block(params: ModelParams, n: int) -> BlockCoefficients:
-    """Closed-form block coefficients A_n, B_n, C_n of the symmetric model."""
     _two_level_check(params)
     if params.epsilon != 0.0:
         raise ValueError("symmetric blocks require epsilon = 0; use k_resonance_block")
@@ -119,17 +116,7 @@ def symmetric_block(params: ModelParams, n: int) -> BlockCoefficients:
     c = x * half_tunnel * math.exp(0.5 * (math.lgamma(n) - math.lgamma(n + 1))) * laguerre(
         n - 1, 1, xs
     )
-    return BlockCoefficients(n=n, a=a, b=b, c=c)
-
-
-def dressed_pair(block: BlockCoefficients) -> DressedPair:
-    """Eigenvalues and Hopfield weights of one explicit 2x2 block."""
-    plus, minus, cos_half, sin_half = _two_level(
-        0.5 * (block.a + block.b), block.a - block.b, 2.0 * block.c
-    )
-    return DressedPair(
-        n=block.n, omega_plus=plus, omega_minus=minus, cos_half=cos_half, sin_half=sin_half
-    )
+    return doublet(0.5 * (a + b), a - b, 2.0 * c)
 
 
 def symmetric_eigensystem(params: ModelParams, n_levels: int) -> EigenSystem:
@@ -156,9 +143,8 @@ def symmetric_eigensystem(params: ModelParams, n_levels: int) -> EigenSystem:
     vecs[n_fock, 0] = 1.0                            # |down, 0>
     for n in range(1, n_blocks + 1):
         block = symmetric_block(params, n)
-        pair = dressed_pair(block)
-        c, s = pair.cos_half, math.copysign(pair.sin_half, block.c)
-        freqs += [pair.omega_minus, pair.omega_plus]
+        c, s = block.cos_half, math.copysign(block.sin_half, block.coupling)
+        freqs += [block.omega_minus, block.omega_plus]
         rows = [n_fock + n, n - 1]                   # |down, n>, |up, n - 1>
         vecs[rows, 2 * n - 1] = (-s, c)
         vecs[rows, 2 * n] = (c, s)
@@ -197,51 +183,14 @@ def rabi_frequency(k: int, n: int, params: ModelParams) -> float:
     return params.omega_d * displacement_element(n, n - k, -params.g / params.omega_c)
 
 
-@dataclass(frozen=True)
-class KResonanceBlock:
-    """One (k, n) block of the asymmetric polaron model.
+def k_resonance_block(params: ModelParams, k: int, n: int) -> Doublet:
+    """The (k, n) doublet of the asymmetric polaron model.
 
-    Spanned by (|left, n>, |right, n-k>); detuning = omega_c k - epsilon,
-    coupling = Omega_(k,n).  valid is the printed applicability condition
-    epsilon, omega_c > omega_d e^{-g^2/(2 omega_c^2)}.
+    Basis (|left, n>, |right, n-k>): mean omega_c (n - k/2), detuning
+    omega_c k - epsilon, coupling Omega_(k,n).
     """
-
-    k: int
-    n: int
-    center: float
-    detuning: float
-    coupling: float
-    omega_plus: float
-    omega_minus: float
-    cos_half: float
-    sin_half: float
-    valid: bool
-
-
-def k_resonance_block(params: ModelParams, k: int, n: int) -> KResonanceBlock:
-    """Closed-form dressed block near the k-photon asymmetric resonance."""
-    _two_level_check(params)
-    if k < 1:
-        raise ValueError(f"resonance order k must be >= 1, got {k}")
-    if n < k:
-        raise ValueError(f"block index n must be >= k, got n={n}, k={k}")
-    detuning = params.omega_c * k - params.epsilon
-    coupling = rabi_frequency(k, n, params)
-    center = params.omega_c * (n - 0.5 * k)
-    plus, minus, cos_half, sin_half = _two_level(center, detuning, coupling)
-    scale = tunneling_suppression(params)
-    return KResonanceBlock(
-        k=k,
-        n=n,
-        center=center,
-        detuning=detuning,
-        coupling=coupling,
-        omega_plus=plus,
-        omega_minus=minus,
-        cos_half=cos_half,
-        sin_half=sin_half,
-        valid=(params.epsilon > scale and params.omega_c > scale),
-    )
+    mean = params.omega_c * (n - 0.5 * k)
+    return doublet(mean, params.omega_c * k - params.epsilon, rabi_frequency(k, n, params))
 
 
 def asymmetric_levels(params: ModelParams, k: int, n_levels: int) -> list[float]:
@@ -251,13 +200,36 @@ def asymmetric_levels(params: ModelParams, k: int, n_levels: int) -> list[float]
     for 0 < n < k at omega_c n - epsilon/2 (their small diagonal dressing is
     neglected, as in the printed treatment), then the (k, n >= k) doublets.
     """
-    if k < 1:
-        raise ValueError(f"resonance order k must be >= 1, got {k}")
-    levels = [ground_state_energy(params)]
+    energies = [ground_state_energy(params)]
     for n in range(1, k):
-        levels.append(params.omega_c * n - 0.5 * params.epsilon)
+        energies.append(params.omega_c * n - 0.5 * params.epsilon)
     n_top = k + n_levels // 2 + 2
     for n in range(k, n_top + 1):
         block = k_resonance_block(params, k, n)
-        levels.extend((block.omega_minus, block.omega_plus))
-    return sorted(levels)[:n_levels]
+        energies.extend((block.omega_minus, block.omega_plus))
+    return sorted(energies)[:n_levels]
+
+
+# ---------------------------------------------------------------------------
+# Which ladder applies at a given epsilon
+# ---------------------------------------------------------------------------
+
+def nearest_resonance(epsilon: float, omega_c: float) -> int:
+    """The resonance order k = max(1, round(|epsilon| / omega_c)) nearest epsilon.
+
+    The resonances sit at |epsilon| = k omega_c: H(-epsilon) = P H(epsilon) P
+    with P = (-1)^(a^dag a) sigma_z.
+    """
+    return max(1, round(abs(epsilon) / omega_c))
+
+
+def levels(params: ModelParams, n_levels: int) -> list[float]:
+    """The lowest gRWA levels at |epsilon|, by the same parity P.
+
+    The symmetric ladder below |epsilon| = 1e-12, otherwise the ladder of
+    the nearest resonance.
+    """
+    if abs(params.epsilon) < 1e-12:
+        return symmetric_levels(replace(params, epsilon=0.0), n_levels)
+    params = replace(params, epsilon=abs(params.epsilon))
+    return asymmetric_levels(params, nearest_resonance(params.epsilon, params.omega_c), n_levels)

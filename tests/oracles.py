@@ -451,8 +451,7 @@ def printed_dressed_table(
 
     def half_angles(m: int) -> tuple[float, float]:
         block = grwa.symmetric_block(params, m)
-        pair = grwa.dressed_pair(block)
-        return pair.cos_half, math.copysign(pair.sin_half, block.c)
+        return block.cos_half, math.copysign(block.sin_half, block.coupling)
 
     cn, sn = half_angles(n)
     if n == 1:

@@ -393,7 +393,7 @@ def _element_devs():
     sx_op = np.kron(spin_operators(1)[0].entries, np.eye(params.n_fock))
     labeled = [("ground", grwa.ground_state_energy(params))]
     for m in range(1, 6):
-        pair = grwa.dressed_pair(grwa.symmetric_block(params, m))
+        pair = grwa.symmetric_block(params, m)
         labeled.append((f"minus_{m}", pair.omega_minus))
         labeled.append((f"plus_{m}", pair.omega_plus))
     labeled.sort(key=lambda item: item[1])

@@ -124,6 +124,9 @@ def test_spectrum_grwa_column_is_even_in_epsilon(tmp_path):
         rows[epsilon] = read_csv(out)[2]
     assert rows[-2.0] == rows[2.0]
     assert [row[3] for row in rows[2.0]][:2] == ["-1.0000154261065284", "0.0"]
+    params = ModelParams(g=3.0, n_fock=76)
+    direct = [grwa.levels(replace(params, epsilon=eps), 6) for eps in (-2.0, 2.0)]
+    assert direct[0] == direct[1] == [float(row[3]) for row in rows[2.0]]
 
 
 def test_spectrum_at_a_vanishing_epsilon_uses_the_symmetric_grwa_levels(tmp_path):
@@ -136,6 +139,9 @@ def test_spectrum_at_a_vanishing_epsilon_uses_the_symmetric_grwa_levels(tmp_path
         assert run_cli(*argv) == 0
         columns[epsilon] = [row[3] for row in read_csv(out)[2]]
     assert columns["1e-13"] == columns["0.0"]
+    direct = grwa.levels(ModelParams(g=1.0, epsilon=1e-13), 6)
+    assert direct == grwa.symmetric_levels(ModelParams(g=1.0), 6)
+    assert direct == [float(value) for value in columns["0.0"]]
 
 
 def test_gap_scan_single_point_matches_direct_call(tmp_path):
@@ -403,8 +409,7 @@ def test_output_is_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):
         assert run_cli("spectrum", "--set", "model.g = 1.0", "--output", str(path)) == 0
-    strip = lambda p: [l for l in p.read_text().splitlines() if not l.startswith("# output")]
-    assert strip(a) == strip(b)  # identical up to the echoed output path
+    assert a.read_text() == b.read_text()
 
 
 def test_json_format_round_trips_rows(tmp_path):

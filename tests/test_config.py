@@ -38,8 +38,6 @@ def sample_config() -> RunConfig:
         response=ResponseSettings(q_factor=250.0, omega_points=501),
         evolve=EvolveSettings(k=2, gamma=0.004),
         m_levels=20,
-        output="out.csv",
-        fmt="csv",
     )
 
 
@@ -77,7 +75,6 @@ scan_axes = st.sampled_from(SCAN_AXES).flatmap(
         points=st.integers(1, 500),
     )
 )
-outputs = st.none() | st.text("abcxyz019_-./", min_size=1).filter(lambda s: s != "none")
 wells = st.builds(
     WellParams,
     mu2=st.floats(0.1, 4.0),
@@ -116,15 +113,12 @@ evolves = st.builds(
     points=st.integers(1, 500),
     bath_list=st.lists(baths, max_size=3),
     extra_axes=st.lists(scan_axes, max_size=1),
-    output=outputs,
-    fmt=st.sampled_from(("csv", "json")),
     well=wells,
     response=responses,
     evolve=evolves,
 )
 def test_round_trip_survives_arbitrary_values(
-    g, epsilon, omega_c, gamma, temp, points, bath_list, extra_axes, output, fmt, well,
-    response, evolve,
+    g, epsilon, omega_c, gamma, temp, points, bath_list, extra_axes, well, response, evolve,
 ):
     c = RunConfig(
         model=ModelParams(omega_c=omega_c, g=g, epsilon=epsilon, n_fock=48),
@@ -136,21 +130,19 @@ def test_round_trip_survives_arbitrary_values(
         well=well,
         response=response,
         evolve=evolve,
-        output=output,
-        fmt=fmt,
     )
     assert parse_config(emit_config(c)) == c
 
 
 def test_every_field_has_a_type_the_value_parser_reads():
-    """The value parser reads float, int, str and str | None; any other type
-    would silently parse as a string."""
+    """The value parser reads float, int and str; any other type would
+    silently parse as a string."""
     entries = (ModelParams, WellParams, EdmParams, ResponseSettings, EvolveSettings,
                BathSpec, ScanAxis)
     leaves = [f for cls in entries for f in fields(cls)]
     leaves += [f for f in fields(RunConfig)
                if not is_dataclass(f.default) and not isinstance(f.default, tuple)]
-    assert {f.type for f in leaves} == {"float", "int", "str", "str | None"}
+    assert {f.type for f in leaves} == {"float", "int", "str"}
 
 
 def test_load_config_reads_file(tmp_path):
@@ -195,11 +187,6 @@ def test_last_n_fock_assignment_wins_over_auto():
 def test_auto_fock_sees_omega_c():
     c = parse_config("model.g = 3.0\nmodel.omega_c = 2.0\nmodel.n_fock = auto\n")
     assert c.model.n_fock == default_n_fock(3.0, 2.0)
-
-
-def test_none_sentinels():
-    c = parse_config("output = none\n")
-    assert c.output is None
 
 
 def test_repeated_bath_lines_accumulate():
@@ -269,7 +256,7 @@ def test_asymmetric_scan_axis_is_linspace(start, stop, points):
         ("scan = g, 0, 1\n", "scan needs"),
         ("scan = mass, 0, 1, 5\n", "not recognized"),
         ("scan = g, 0, 1, 0\n", "points >= 1"),
-        ("format = yaml\n", "csv or json"),
+        ("format = yaml\n", "unknown key 'format'"),
         ("temperature = -1\n", "temperature"),
         ("m_levels = 1\n", "m_levels"),
         ("evolve.k = 0\n", "evolve.k"),

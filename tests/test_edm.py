@@ -227,6 +227,17 @@ def test_validity_report_flags():
     assert bad.messages
 
 
+def test_validity_report_is_even_in_epsilon():
+    # the resonances sit at |epsilon| = k omega_c, so -2 is as near k = 2 as +2
+    reports = [
+        validity_report(EdmParams(g=1.5, epsilon=eps, gamma=0.1, temperature=0.5))
+        for eps in (-2.0, 2.0)
+    ]
+    checks = [(r.k, r.splitting, r.thermal_reference, r.adiabatic_ok) for r in reports]
+    assert checks[0] == checks[1]
+    assert reports[0].k == 2
+
+
 def test_validity_messages_print_the_numbers_they_compare():
     # three significant digits would round g = 0.999 to "1 < 1"
     report = validity_report(EdmParams(g=0.999, epsilon=1.0, gamma=0.1, temperature=0.0))

@@ -49,9 +49,9 @@ def test_symmetric_block_coefficients(g, n):
     params = ModelParams(g=g, n_fock=4)
     block = grwa.symmetric_block(params, n)
     a, b, c = _block_reference(params, n)
-    assert block.a == pytest.approx(a, rel=1e-12, abs=1e-14)
-    assert block.b == pytest.approx(b, rel=1e-12, abs=1e-14)
-    assert block.c == pytest.approx(c, rel=1e-12, abs=1e-14)
+    assert block.mean == pytest.approx(0.5 * (a + b), rel=1e-12, abs=1e-14)
+    assert block.detuning == pytest.approx(a - b, rel=1e-12, abs=1e-14)
+    assert block.coupling == pytest.approx(2.0 * c, rel=1e-12, abs=1e-14)
 
 
 @given(
@@ -60,8 +60,8 @@ def test_symmetric_block_coefficients(g, n):
     c=st.floats(min_value=1e-6, max_value=5.0, allow_nan=False),
 )
 @settings(max_examples=200, deadline=None)
-def test_dressed_pair_is_exact_2x2_eigensystem(a, b, c):
-    pair = grwa.dressed_pair(grwa.BlockCoefficients(n=1, a=a, b=b, c=c))
+def test_doublet_is_exact_2x2_eigensystem(a, b, c):
+    pair = grwa.doublet(0.5 * (a + b), a - b, 2.0 * c)
     lo, hi = oracles.two_by_two_eigvals(a, b, c)
     scale = 1.0 + max(abs(a), abs(b), abs(c))
     assert abs(pair.omega_minus - lo) < 1e-12 * scale
@@ -73,11 +73,31 @@ def test_dressed_pair_is_exact_2x2_eigensystem(a, b, c):
     assert np.linalg.norm(h @ v - pair.omega_plus * v) < 1e-9 * scale
 
 
+@pytest.mark.parametrize("kind", ["vacuum", "symmetric", "k_resonance"])
+def test_every_block_keeps_the_upper_eigenvector_convention(kind):
+    # each constructor's doublet: levels and upper eigenvector (cos_half,
+    # sign(coupling) sin_half) of its own block, by numpy; couplings of both
+    # signs (C_2 < 0 at g = 3, Omega_(1,2) < 0 at g = 2)
+    if kind == "vacuum":
+        params = ModelParams(g=1.0, epsilon=0.3, n_fock=4)
+        block = grwa.doublet(0.0, params.epsilon, grwa.tunneling_suppression(params))
+        assert block.omega_minus == grwa.ground_state_energy(params)
+    elif kind == "symmetric":
+        block = grwa.symmetric_block(ModelParams(g=3.0, n_fock=4), 2)
+    else:
+        block = grwa.k_resonance_block(ModelParams(g=2.0, epsilon=0.7, n_fock=4), 1, 2)
+    d, o = block.detuning, block.coupling
+    w, vecs = np.linalg.eigh(block.mean * np.eye(2) + 0.5 * np.array([[d, o], [o, -d]]))
+    upper = vecs[:, 1] * np.sign(vecs[0, 1])
+    assert [block.omega_minus, block.omega_plus] == pytest.approx(w, rel=1e-14, abs=1e-15)
+    assert [block.cos_half, math.copysign(block.sin_half, o)] == pytest.approx(upper, abs=1e-14)
+
+
 def test_vacuum_rabi_splitting_small_g():
     # weak coupling reduces the n-th block splitting to g sqrt(n)
     params = ModelParams(g=0.01, n_fock=4)
     for n in (1, 2, 3):
-        pair = grwa.dressed_pair(grwa.symmetric_block(params, n))
+        pair = grwa.symmetric_block(params, n)
         assert pair.omega_plus - pair.omega_minus == pytest.approx(
             params.g * math.sqrt(n), rel=2e-4
         )
@@ -147,8 +167,7 @@ def test_k_resonance_block_at_exact_resonance():
     assert block.omega_plus - block.omega_minus == pytest.approx(
         abs(grwa.rabi_frequency(2, 3, params))
     )
-    assert block.center == pytest.approx(params.omega_c * (3 - 1.0))
-    assert block.valid
+    assert block.mean == pytest.approx(params.omega_c * (3 - 1.0))
     assert block.cos_half * block.sin_half == pytest.approx(0.5)   # <+|s_x|->
 
 
@@ -174,16 +193,9 @@ def test_k_resonance_block_detuning_sign():
     assert block.omega_plus > block.omega_minus
 
 
-def test_validity_flag_requires_suppressed_tunneling():
-    weak = ModelParams(g=0.1, epsilon=0.5, n_fock=4)
-    assert not grwa.k_resonance_block(weak, 1, 1).valid
-    strong = ModelParams(g=3.0, epsilon=1.0, n_fock=4)
-    assert grwa.k_resonance_block(strong, 1, 1).valid
-
-
 def test_first_block_is_nearly_photon_like_deep_usc():
     params = ModelParams(g=3.0, n_fock=4)
-    pair = grwa.dressed_pair(grwa.symmetric_block(params, 1))
+    pair = grwa.symmetric_block(params, 1)
     assert pair.sin_half == pytest.approx(0.01603, abs=2e-5)
     assert pair.sin_half < 0.05
 
@@ -191,7 +203,7 @@ def test_first_block_is_nearly_photon_like_deep_usc():
 def test_matter_weight_vanishes_for_all_low_blocks_at_large_g():
     params = ModelParams(g=8.0, n_fock=4)
     sins = [
-        grwa.dressed_pair(grwa.symmetric_block(params, n)).sin_half for n in range(1, 7)
+        grwa.symmetric_block(params, n).sin_half for n in range(1, 7)
     ]
     assert max(sins) < 1e-3
 
@@ -204,7 +216,7 @@ def test_matter_weight_vanishes_for_all_low_blocks_at_large_g():
 def test_matter_weight_monotone_across_blocks():
     params = ModelParams(g=3.0, n_fock=4)
     sins = [
-        grwa.dressed_pair(grwa.symmetric_block(params, n)).sin_half for n in range(1, 7)
+        grwa.symmetric_block(params, n).sin_half for n in range(1, 7)
     ]
     assert all(b <= a for a, b in zip(sins, sins[1:]))
 
@@ -218,7 +230,7 @@ def _dressed_rank_map(params: ModelParams) -> dict[str, int]:
     """
     labeled = [("ground", grwa.ground_state_energy(params))]
     for m in range(1, 6):
-        pair = grwa.dressed_pair(grwa.symmetric_block(params, m))
+        pair = grwa.symmetric_block(params, m)
         labeled.append((f"minus_{m}", pair.omega_minus))
         labeled.append((f"plus_{m}", pair.omega_plus))
     labeled.sort(key=lambda t: t[1])
@@ -271,7 +283,7 @@ def test_dressed_elements_track_exact_magnitudes(n, quad_env, dip_env, eig_cache
 def test_dressed_elements_ground_row_structure():
     params = ModelParams(g=3.0, n_fock=4)
     table = oracles.dressed_matrix_elements(params, 1)
-    pair = grwa.dressed_pair(grwa.symmetric_block(params, 1))
+    pair = grwa.symmetric_block(params, 1)
     assert table.quad["plus_ground"] == pytest.approx(pair.cos_half)
     assert table.quad["minus_ground"] == pytest.approx(-pair.sin_half)
     # s_x rows carry the spin-1/2 normalization

@@ -102,7 +102,7 @@ def test_peak_positions_match_dressed_doublet_at_small_g():
         [(f, w) for f, w in grid.peaks if w > 0.01], key=lambda t: -t[1]
     )[:2]
     got = sorted(f for f, _ in strong)
-    pair = grwa.dressed_pair(grwa.symmetric_block(params, 1))
+    pair = grwa.symmetric_block(params, 1)
     ground = grwa.ground_state_energy(params)
     expected = sorted((pair.omega_minus - ground, pair.omega_plus - ground))
     assert got[0] == pytest.approx(expected[0], abs=1e-3)
